@@ -114,6 +114,7 @@ def recognition_report(
         complete=result.complete,
         value=result.value,
         windows_inspected=result.windows_inspected,
+        distinct_windows=result.distinct_windows,
         window_hits=result.candidates_found,
         candidates_after_voting=result.candidates_after_voting,
         statements_accepted=len(result.accepted),

@@ -167,7 +167,13 @@ def open_symbol(
     ``positions`` bounds the valid position range (the codeword length
     ``n``), tightening junk rejection beyond the MAC check.
     """
-    plain = cipher.decrypt_block(block)
+    return check_symbol(cipher, tag, cipher.decrypt_block(block), positions)
+
+
+def check_symbol(
+    cipher: BlockCipher, tag: int, plain: int, positions: int
+) -> Optional[tuple]:
+    """:func:`open_symbol` on an already-decrypted block."""
     sym = plain & 0xFF
     pos = (plain >> 8) & 0xFF
     if pos >= positions:

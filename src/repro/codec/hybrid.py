@@ -12,8 +12,9 @@ independent, position-addressed signal. The hybrid embeds both:
   packed watermark, sealed under a hybrid-specific tag so the channels
   cannot cross-talk.
 
-Decoding runs the full GCRT pipeline first. A complete in-range
-recovery wins outright (parity agreement folds into ``confidence``).
+Decoding decrypts each distinct trace window once for both channels
+and runs the full GCRT pipeline first. A complete in-range recovery
+wins outright (parity agreement folds into ``confidence``).
 Otherwise the candidate set of the partial congruence — or, for mark
 spaces up to ``MAX_CANDIDATES``, the whole space — is scored against
 the collected parity symbols; only a *unique* candidate matching
@@ -42,7 +43,12 @@ from ..core.cipher import BlockCipher
 from ..core.crt import Congruence
 from ..core.enumeration import StatementEnumeration
 from ..core.primes import choose_moduli
-from ..core.recovery import RecoveryResult, recover
+from ..core.recovery import (
+    RecoveryResult,
+    decode_candidates,
+    open_windows,
+    recover_candidates,
+)
 from ..core.splitting import split
 from .base import EncodedPiece, WatermarkCodec, seal_symbol, validate_recovery
 from .gf256 import rs_encode
@@ -137,19 +143,6 @@ class HybridCodec(WatermarkCodec):
             )
         return pieces
 
-    def _parity_symbols(
-        self, bits: Sequence[int], watermark_bits: int, cipher: BlockCipher
-    ) -> Tuple[Dict[int, int], int]:
-        """Collected ``parity slot -> symbol`` map plus window hits."""
-        data_bytes, n = self.layout(watermark_bits)
-        votes, _, hits = symbol_votes(bits, cipher, HYBRID_PARITY_TAG, n)
-        elected = elect_symbols(votes)
-        return {
-            pos - data_bytes: sym
-            for pos, sym in elected.items()
-            if pos >= data_bytes
-        }, hits
-
     def _candidates(
         self, congruence: Optional[Congruence], watermark_bits: int
     ) -> Optional[range]:
@@ -185,11 +178,22 @@ class HybridCodec(WatermarkCodec):
         cipher: BlockCipher,
         use_voting: bool = True,
     ) -> RecoveryResult:
+        # One window scan, and one decryption per distinct window, feed
+        # both the GCRT statements and the parity symbols.
         moduli = choose_moduli(watermark_bits)
-        result = recover(bits, cipher, StatementEnumeration(moduli),
-                         use_voting, max_value=1 << watermark_bits)
+        plaintexts = open_windows(bits, cipher)
+        candidates = decode_candidates(plaintexts, StatementEnumeration(moduli))
+        result = recover_candidates(candidates, plaintexts, moduli, use_voting,
+                                    max_value=1 << watermark_bits)
         result.codec = self.spec
-        parity, parity_hits = self._parity_symbols(bits, watermark_bits, cipher)
+        data_bytes, n = self.layout(watermark_bits)
+        votes, parity_hits = symbol_votes(plaintexts, cipher, HYBRID_PARITY_TAG, n)
+        # Collected ``parity slot -> symbol`` map.
+        parity = {
+            pos - data_bytes: sym
+            for pos, sym in elect_symbols(votes).items()
+            if pos >= data_bytes
+        }
         result.candidates_found += parity_hits
         # Demote a phantom "complete" (junk statements can cover every
         # modulus) before deciding which channel answers.

@@ -15,7 +15,8 @@ encrypted block gives junk windows an acceptance probability around
 extra budget becomes extra copies per symbol (majority-voted at
 decode; a tied vote erases the position rather than guessing).
 
-Decoding collects per-position votes from every 64-bit trace window,
+Decoding collects per-position votes from every 64-bit trace window
+(each distinct window decrypted once, its vote weighed by its count),
 erases missing/ambiguous positions, runs errors-and-erasures RS
 correction, and accepts only if the MAC re-verifies. ``confidence`` is
 the fraction of codeword symbols recovered clean (no erasure, no
@@ -28,15 +29,13 @@ import random
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.bitstring import sliding_windows
 from ..core.cipher import BlockCipher
-from ..core.recovery import RecoveryResult
+from ..core.recovery import RecoveryResult, open_windows
 from .base import (
-    PIECE_BITS,
     EncodedPiece,
     WatermarkCodec,
+    check_symbol,
     keyed_mac,
-    open_symbol,
     seal_symbol,
     validate_recovery,
 )
@@ -48,24 +47,24 @@ DEFAULT_EC_BYTES = 8
 
 
 def symbol_votes(
-    bits: Sequence[int], cipher: BlockCipher, tag: int, positions: int
-) -> Tuple[Dict[int, Counter], int, int]:
-    """Tally ``(position -> symbol votes)`` over every 64-bit window.
+    plaintexts: Counter, cipher: BlockCipher, tag: int, positions: int
+) -> Tuple[Dict[int, Counter], int]:
+    """Tally ``(position -> symbol votes)`` over decrypted trace windows.
 
-    Returns ``(votes, windows_inspected, hits)``. Shared with the
+    ``plaintexts`` maps each distinct decrypted window to its occurrence
+    count (:func:`~repro.core.recovery.open_windows`), and every vote
+    carries that count. Returns ``(votes, hits)``. Shared with the
     hybrid codec, which seals its parity symbols under a different tag.
     """
     votes: Dict[int, Counter] = {}
-    inspected = 0
     hits = 0
-    for _, packed in sliding_windows(list(bits), PIECE_BITS):
-        inspected += 1
-        opened = open_symbol(cipher, tag, packed, positions)
+    for plain, count in plaintexts.items():
+        opened = check_symbol(cipher, tag, plain, positions)
         if opened is not None:
             pos, sym = opened
-            votes.setdefault(pos, Counter())[sym] += 1
-            hits += 1
-    return votes, inspected, hits
+            votes.setdefault(pos, Counter())[sym] += count
+            hits += count
+    return votes, hits
 
 
 def elect_symbols(votes: Dict[int, Counter]) -> Dict[int, int]:
@@ -148,13 +147,15 @@ class ReedSolomonCodec(WatermarkCodec):
         use_voting: bool = True,
     ) -> RecoveryResult:
         data_bytes, n = self.layout(watermark_bits)
-        votes, inspected, hits = symbol_votes(bits, cipher, RS_SYMBOL_TAG, n)
+        plaintexts = open_windows(bits, cipher)
+        votes, hits = symbol_votes(plaintexts, cipher, RS_SYMBOL_TAG, n)
         elected = elect_symbols(votes)
         result = RecoveryResult(
             complete=False,
             value=None,
             congruence=None,
-            windows_inspected=inspected,
+            windows_inspected=sum(plaintexts.values()),
+            distinct_windows=len(plaintexts),
             candidates_found=hits,
             candidates_after_voting=sum(
                 votes[pos].most_common(1)[0][1] for pos in elected

@@ -12,6 +12,7 @@ from .bitstring import (
     decode_bits,
     int_to_bits_lsb_first,
     sliding_windows,
+    window_multiset,
 )
 from .cipher import BlockCipher, cipher_for_secret, derive_key
 from .crt import Congruence, crt_pair, egcd, generalized_crt, modinv, pairwise_coprime
@@ -77,4 +78,5 @@ __all__ = [
     "success_probability_for_pieces",
     "success_probability_deletion",
     "success_probability_k_intact",
+    "window_multiset",
 ]

@@ -41,8 +41,8 @@ class BlockCipher:
             raise ValueError("XTEA key must be four 32-bit words")
         self._key: Tuple[int, int, int, int] = key  # type: ignore[assignment]
         # Precompute the round-key schedule: the (sum + key-word) values
-        # depend only on the key, and recognition decrypts every 64-bit
-        # window of a potentially very long trace, so this pays off.
+        # depend only on the key, and recognition decrypts every distinct
+        # 64-bit window of a potentially very long trace, so this pays off.
         self._schedule = []
         s = 0
         for _ in range(_ROUNDS // 2):

@@ -5,7 +5,8 @@ The recognizer's decoding algorithm, exactly as described:
 1. **Windowing / decryption.** The trace bit-string ``b_0 b_1 ... b_n``
    is split into every 64-bit window ``B_t = b_t .. b_{t+63}``; each is
    decrypted with the embedding cipher and passed through the inverse
-   enumeration. Windows decoding outside the statement space are junk
+   enumeration. A hot loop repeats the same bits, so each *distinct*
+   window is decrypted once and weighed by its occurrence count. Windows decoding outside the statement space are junk
    and are dropped (the cipher makes attacked/unrelated windows look
    uniform, so the out-of-range check rejects almost all of them).
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .bitstring import sliding_windows
+from .bitstring import window_multiset
 from .cipher import BlockCipher
 from .crt import Congruence, generalized_crt
 from .enumeration import Statement, StatementEnumeration
@@ -58,6 +59,10 @@ class RecoveryResult:
     scheme that produced the result; both default to the pre-codec
     behaviour so pickled results and positional constructors keep
     working.
+
+    ``windows_inspected`` counts window occurrences; ``distinct_windows``
+    counts the distinct windows among them, each decrypted once (0 when
+    the producer did not report it).
     """
 
     complete: bool
@@ -71,29 +76,60 @@ class RecoveryResult:
     clear_winners: Dict[int, int] = field(default_factory=dict)
     confidence: float = 0.0
     codec: str = "gcrt"
+    distinct_windows: int = 0
 
     def __bool__(self) -> bool:
         return self.complete
+
+
+def decrypt_windows(windows: Counter, cipher: BlockCipher) -> Counter:
+    """Decrypt each distinct window once: plaintext -> occurrence count.
+
+    The cipher permutes 64-bit blocks, so distinct windows stay distinct
+    and the first-occurrence order of ``windows`` carries over.
+    """
+    return Counter({cipher.decrypt_block(w): n for w, n in windows.items()})
+
+
+def open_windows(bits: Sequence[int], cipher: BlockCipher) -> Counter:
+    """Scan ``bits`` once and decrypt each distinct 64-bit window once.
+
+    Returns plaintext -> occurrence count: its total is the number of
+    windows, its length the number of distinct ones.
+    """
+    return decrypt_windows(window_multiset(bits, BLOCK_BITS), cipher)
+
+
+def decode_candidates(
+    plaintexts: Counter, enumeration: StatementEnumeration
+) -> Counter:
+    """In-range statements of decrypted windows, weighed by occurrence."""
+    candidates: Counter = Counter()
+    for plain, count in plaintexts.items():
+        stmt = enumeration.decode(plain)
+        if stmt is not None:
+            candidates[stmt] += count
+    return candidates
 
 
 def extract_candidates(
     bits: Sequence[int],
     cipher: BlockCipher,
     enumeration: StatementEnumeration,
+    windows: Optional[Counter] = None,
 ) -> Tuple[Counter, int]:
     """Decrypt every 64-bit window and keep in-range statements.
 
     Returns a multiset of statements (duplicates feed the vote) and the
-    number of windows inspected.
+    number of windows inspected. Each distinct window is decrypted once
+    and counted as often as it occurs, which yields the same multiset,
+    in the same order, as decrypting window by window. ``windows`` is
+    :func:`window_multiset` of ``bits`` when the caller already has it.
     """
-    candidates: Counter = Counter()
-    inspected = 0
-    for _, packed in sliding_windows(list(bits), BLOCK_BITS):
-        inspected += 1
-        stmt = enumeration.decode(cipher.decrypt_block(packed))
-        if stmt is not None:
-            candidates[stmt] += 1
-    return candidates, inspected
+    if windows is None:
+        windows = window_multiset(bits, BLOCK_BITS)
+    candidates = decode_candidates(decrypt_windows(windows, cipher), enumeration)
+    return candidates, sum(windows.values())
 
 
 def hold_votes(
@@ -235,8 +271,26 @@ def recover(
     (``2^watermark_bits`` when the caller knows the mark width) bars
     provably-junk statements from the vote — see :func:`hold_votes`.
     """
-    moduli = enumeration.moduli
-    candidates, inspected = extract_candidates(bits, cipher, enumeration)
+    windows = window_multiset(bits, BLOCK_BITS)
+    candidates, _ = extract_candidates(bits, cipher, enumeration, windows)
+    return recover_candidates(
+        candidates, windows, enumeration.moduli, use_voting, max_value
+    )
+
+
+def recover_candidates(
+    candidates: Counter,
+    windows: Counter,
+    moduli: Sequence[int],
+    use_voting: bool = True,
+    max_value: Optional[int] = None,
+) -> RecoveryResult:
+    """Steps 2 and 3 of :func:`recover` on an extracted candidate multiset.
+
+    ``windows`` is the window multiset the candidates came from, or its
+    decryption (the counts are the same); it only feeds the work
+    counters of the result.
+    """
     found = sum(candidates.values())
     votes: Dict[int, Counter] = {}
     winners: Dict[int, int] = {}
@@ -249,11 +303,12 @@ def recover(
         complete=False,
         value=None,
         congruence=None,
-        windows_inspected=inspected,
+        windows_inspected=sum(windows.values()),
         candidates_found=found,
         candidates_after_voting=after_voting,
         votes=votes,
         clear_winners=winners,
+        distinct_windows=len(windows),
     )
     if not candidates:
         return result

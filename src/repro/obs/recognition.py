@@ -3,11 +3,11 @@
 A failed ``recognize`` used to return nothing actionable — "no
 watermark recovered" with the whole funnel invisible. Robustness work
 (and the SandMark line of recovery studies) needs the funnel itself:
-how many trace windows were decrypted, how many survived the
-enumeration range check, what the per-modulus votes looked like, which
-moduli the surviving statements covered and which the Generalized CRT
-was still missing. :class:`RecognitionReport` carries exactly that,
-for both schemes:
+how many trace windows were inspected and how many distinct ones were
+decrypted, how many survived the enumeration range check, what the
+per-modulus votes looked like, which moduli the surviving statements
+covered and which the Generalized CRT was still missing.
+:class:`RecognitionReport` carries exactly that, for both schemes:
 
 * the **bytecode** recognizer fills the window / voting / CRT funnel
   (built from :class:`repro.core.recovery.RecoveryResult` by
@@ -37,6 +37,9 @@ class RecognitionReport:
 
     # -- bytecode funnel: windows -> candidates -> votes -> CRT ------------
     windows_inspected: int = 0
+    #: Distinct windows among those inspected, each decrypted once
+    #: (0: unknown, as in reports journaled before it was recorded).
+    distinct_windows: int = 0
     window_hits: int = 0
     candidates_after_voting: int = 0
     statements_accepted: int = 0
@@ -63,6 +66,7 @@ class RecognitionReport:
             "complete": self.complete,
             "value": self.value,
             "windows_inspected": self.windows_inspected,
+            "distinct_windows": self.distinct_windows,
             "window_hits": self.window_hits,
             "candidates_after_voting": self.candidates_after_voting,
             "statements_accepted": self.statements_accepted,
@@ -93,6 +97,7 @@ class RecognitionReport:
             complete=doc["complete"],
             value=doc.get("value"),
             windows_inspected=doc.get("windows_inspected", 0),
+            distinct_windows=doc.get("distinct_windows", 0),
             window_hits=doc.get("window_hits", 0),
             candidates_after_voting=doc.get("candidates_after_voting", 0),
             statements_accepted=doc.get("statements_accepted", 0),
@@ -125,10 +130,17 @@ class RecognitionReport:
         head = "recovered" if self.complete else "NOT recovered"
         value = f" {self.value:#x}" if self.value is not None else ""
         lines = [f"{self.scheme} recognition: watermark{value} {head}"]
-        if self.scheme == "bytecode":
+        if self.scheme.startswith("bytecode"):
+            if self.distinct_windows:
+                windows = (
+                    f"{self.windows_inspected} inspected, "
+                    f"{self.distinct_windows} distinct "
+                    f"({self.distinct_windows} decrypt attempts)"
+                )
+            else:
+                windows = f"{self.windows_inspected} decrypt attempts"
             lines.append(
-                f"  windows: {self.windows_inspected} decrypt attempts, "
-                f"{self.window_hits} in-range hits"
+                f"  windows: {windows}, {self.window_hits} in-range hits"
             )
             lines.append(
                 f"  voting: {len(self.clear_winners)}/{len(self.moduli)} "

@@ -91,6 +91,22 @@ class TestTelemetryHub:
         assert events[0].attrs == {"ok": True}
         hub.close()
 
+    def test_attributes_may_be_called_kind_or_name(self, tmp_path):
+        hub = make_hub(tmp_path)
+        hub.emit("embed", "copy-1", kind="k", name="n")
+        set_hub(hub)
+        try:
+            emit("fault", "site", kind="raise", name="x")
+        finally:
+            set_hub(None)
+        events = read_events(str(tmp_path))
+        assert [(e.kind, e.name) for e in events] == [
+            ("embed", "copy-1"), ("fault", "site")
+        ]
+        assert events[0].attrs == {"kind": "k", "name": "n"}
+        assert events[1].attrs == {"kind": "raise", "name": "x"}
+        hub.close()
+
     def test_tail_filters_and_limit(self, tmp_path):
         hub = TelemetryHub(HubConfig())  # ring-only, no journal
         for index in range(10):
