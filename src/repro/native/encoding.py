@@ -55,6 +55,11 @@ for _m, _op in OPCODE_OF.items():
         _MNEMONIC_AT[_op] = _m
 
 
+#: Register operand of an operand byte (its low three bits). Reg is
+#: immutable, so decoded instructions share these.
+_reg = tuple(Reg(REGISTERS[code & 7]) for code in range(256)).__getitem__
+
+
 def _enc32(value: int) -> bytes:
     return struct.pack("<I", wrap32(value))
 
@@ -186,11 +191,8 @@ def decode_instruction(data: bytes, offset: int, address: int
         raise EncodingError(f"truncated {m} at {address:#x}")
     body = data[offset:offset + length]
 
-    def reg(code):
-        return Reg(REGISTERS[code & 7])
-
     if m in _REG_FAMILIES:
-        r = reg(opcode - OPCODE_OF[m])
+        r = _reg(opcode - OPCODE_OF[m])
         if m == "mov_ri":
             return NInstruction(m, (r, Imm(_dec32(body, 1)))), length
         return NInstruction(m, (r,)), length
@@ -202,16 +204,16 @@ def decode_instruction(data: bytes, offset: int, address: int
     if m in ("jmp_a", "call_a"):
         return NInstruction(m, (Mem(disp=_dec32(body, 2)),)), length
     if m == "jmp_r":
-        return NInstruction(m, (reg(body[1]),)), length
+        return NInstruction(m, (_reg(body[1]),)), length
     if m == "pushi":
         return NInstruction(m, (Imm(_dec32(body, 1)),)), length
     if m == "mov_rx":
-        r = reg(body[1] >> 4)
+        r = _reg(body[1] >> 4)
         idx = REGISTERS[body[1] & 7]
         return NInstruction(m, (r, Mem(disp=_dec32(body, 2), index=idx))), length
 
     if sig == ("r", "m") or sig == ("m", "r"):
-        r = reg(body[1] >> 4)
+        r = _reg(body[1] >> 4)
         base_code = body[1] & 0xF
         base = None if base_code == 0x8 else REGISTERS[base_code & 7]
         # Base-relative displacements are signed (frame offsets);
@@ -221,7 +223,7 @@ def decode_instruction(data: bytes, offset: int, address: int
         ops = (r, mem) if sig == ("r", "m") else (mem, r)
         return NInstruction(m, ops), length
     if sig == ("r", "a") or sig == ("a", "r"):
-        r = reg(body[1])
+        r = _reg(body[1])
         mem = Mem(disp=_dec32(body, 2))
         ops = (r, mem) if sig == ("r", "a") else (mem, r)
         return NInstruction(m, ops), length
@@ -232,17 +234,17 @@ def decode_instruction(data: bytes, offset: int, address: int
         mem = Mem(base=base, disp=disp)
         return NInstruction(m, (mem, Imm(_dec32(body, 6)))), length
     if sig == ("r", "i"):
-        return NInstruction(m, (reg(body[1]), Imm(_dec32(body, 2)))), length
+        return NInstruction(m, (_reg(body[1]), Imm(_dec32(body, 2)))), length
     if sig == ("r", "s8"):
-        return NInstruction(m, (reg(body[1]), Imm(body[2]))), length
+        return NInstruction(m, (_reg(body[1]), Imm(body[2]))), length
     if sig == ("r", "r", "i"):
         return NInstruction(
-            m, (reg(body[1] >> 4), reg(body[1]), Imm(_dec32(body, 2)))
+            m, (_reg(body[1] >> 4), _reg(body[1]), Imm(_dec32(body, 2)))
         ), length
     if sig == ("r", "r"):
-        return NInstruction(m, (reg(body[1] >> 4), reg(body[1]))), length
+        return NInstruction(m, (_reg(body[1] >> 4), _reg(body[1]))), length
     if sig == ("r",):
-        return NInstruction(m, (reg(body[1]),)), length
+        return NInstruction(m, (_reg(body[1]),)), length
     if sig == ():
         return NInstruction(m, ()), length
     raise EncodingError(f"unhandled decode for {m}")  # pragma: no cover

@@ -13,21 +13,34 @@ Faithful to the properties Section 4 uses:
   machine state before it executes — the "tracer tool that uses
   hardware single-stepping" of Section 4.2.3.
 
+Execution dispatches through a per-address handler table: the first
+time an address executes in a run, its instruction is decoded once and
+bound into a closure with its register codes, immediates, branch
+targets, fall-through address and memory-operand address function
+resolved. The closure performs the instruction and returns the next
+``eip``.
+
 Time is measured in executed instructions (see DESIGN.md).
 """
 
 from __future__ import annotations
 
+import operator
+import struct
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .encoding import EncodingError
 from .image import BinaryImage, STACK_SIZE, STACK_TOP
-from .isa import Mem, NInstruction, Reg, signed32, wrap32
+from .isa import Mem, NInstruction, REG_INDEX, wrap32
 
 DEFAULT_MAX_STEPS = 80_000_000
 
 #: Sentinel return address for the entry frame; `ret` to it ends the run.
 EXIT_ADDRESS = 0x0000DEAD
+
+_MASK = 0xFFFFFFFF
+_SIGN = 0x80000000  # (v ^ _SIGN) - _SIGN is signed32(v) for 32-bit v
+_WORD = struct.Struct("<I")
 
 
 class MachineFault(Exception):
@@ -37,6 +50,10 @@ class MachineFault(Exception):
         super().__init__(f"fault at {eip:#x}: {reason}")
         self.reason = reason
         self.eip = eip
+
+
+class _Halt(Exception):
+    """Raised by the ``halt`` handler to end the run in place."""
 
 
 class NRunResult:
@@ -51,6 +68,8 @@ class NRunResult:
 
 
 StepHook = Callable[["Machine", int, NInstruction], None]
+#: Performs one instruction and returns the next eip.
+Handler = Callable[[], int]
 
 
 class Machine:
@@ -75,39 +94,38 @@ class Machine:
         # is a fresh process.
         self._data = bytearray(image.data)
         self._data_base = image.data_base
+        self._data_last = len(self._data) - 4
         self._inputs: Sequence[int] = ()
         self._input_pos = 0
-        self._decode_cache: Dict[int, Tuple[NInstruction, int]] = {}
         self.regs[4] = STACK_TOP - 64  # esp
 
     # -- memory -----------------------------------------------------------
 
     def read32(self, addr: int) -> int:
-        addr = wrap32(addr)
-        image = self.image
+        addr &= _MASK
         off = addr - self._data_base
-        if 0 <= off <= len(self._data) - 4:
-            return int.from_bytes(self._data[off:off + 4], "little")
-        if self._stack_base <= addr <= STACK_TOP - 4:
-            off = addr - self._stack_base
-            return int.from_bytes(self._stack[off:off + 4], "little")
+        if 0 <= off <= self._data_last:
+            return _WORD.unpack_from(self._data, off)[0]
+        off = addr - self._stack_base
+        if 0 <= off <= STACK_SIZE - 4:
+            return _WORD.unpack_from(self._stack, off)[0]
+        image = self.image
         if image.in_text(addr):
             off = addr - image.text_base
             return int.from_bytes(image.text[off:off + 4], "little")
         raise MachineFault(f"bad read at {addr:#x}", self.eip)
 
     def write32(self, addr: int, value: int) -> None:
-        addr = wrap32(addr)
-        image = self.image
+        addr &= _MASK
         off = addr - self._data_base
-        if 0 <= off <= len(self._data) - 4:
-            self._data[off:off + 4] = wrap32(value).to_bytes(4, "little")
+        if 0 <= off <= self._data_last:
+            _WORD.pack_into(self._data, off, value & _MASK)
             return
-        if self._stack_base <= addr <= STACK_TOP - 4:
-            off = addr - self._stack_base
-            self._stack[off:off + 4] = wrap32(value).to_bytes(4, "little")
+        off = addr - self._stack_base
+        if 0 <= off <= STACK_SIZE - 4:
+            _WORD.pack_into(self._stack, off, value & _MASK)
             return
-        if image.in_text(addr):
+        if self.image.in_text(addr):
             raise MachineFault(f"write to text at {addr:#x}", self.eip)
         raise MachineFault(f"bad write at {addr:#x}", self.eip)
 
@@ -120,19 +138,6 @@ class Machine:
         self.regs[4] = wrap32(self.regs[4] + 4)
         return value
 
-    # -- operand helpers ----------------------------------------------------
-
-    def _mem_addr(self, mem: Mem) -> int:
-        addr = mem.disp
-        if mem.base is not None:
-            addr += self.regs[Reg(mem.base).code]
-        if mem.index is not None:
-            addr += self.regs[Reg(mem.index).code] * 4
-        return wrap32(addr)
-
-    def _set_flags(self, result: int) -> None:
-        self.flags_val = result
-
     # -- execution ---------------------------------------------------------
 
     def run(
@@ -140,229 +145,544 @@ class Machine:
         inputs: Sequence[int] = (),
         step_hook: Optional[StepHook] = None,
     ) -> NRunResult:
-        """Execute until halt/exit; returns output + instruction count."""
+        """Execute until halt/exit; returns output + instruction count.
+
+        ``eip`` always names the instruction being executed (it is
+        where faults are reported); ``steps`` is exact whenever the
+        hook runs and once the run ends, faulting or not.
+        """
         self._inputs = inputs
         self._input_pos = 0
         self.push(EXIT_ADDRESS)
-        running = True
-        while running:
-            running = self.step(step_hook)
-        return NRunResult(self.output, self.steps)
-
-    def step(self, step_hook: Optional[StepHook] = None) -> bool:
-        """Execute one instruction; False when the program has ended."""
+        # eip -> (handler, decoded instruction), filled on first
+        # execution. Writes to text fault, so text cannot change under
+        # the run and no entry goes stale. The table is local to the
+        # run: handlers refer to the machine, so a table kept on it
+        # would form a cycle that only the garbage collector frees, and
+        # one kept per image would live as long as the image does.
+        table: Dict[int, Tuple[Handler, NInstruction]] = {}
+        max_steps = self.max_steps
+        steps = self.steps
         eip = self.eip
+        try:
+            while eip != EXIT_ADDRESS:
+                self.eip = eip
+                entry = table.get(eip)
+                if entry is None:
+                    entry = table[eip] = self._bind(eip)
+                steps += 1
+                if steps > max_steps:
+                    raise MachineFault("instruction budget exceeded", eip)
+                if step_hook is not None:
+                    self.steps = steps
+                    step_hook(self, eip, entry[1])
+                eip = entry[0]()
+            self.eip = eip
+        except _Halt:
+            pass
+        finally:
+            self.steps = steps
+        return NRunResult(self.output, steps)
+
+    def _bind(self, eip: int) -> Tuple[Handler, NInstruction]:
+        """Decode the instruction at ``eip`` into its table entry."""
         image = self.image
-        if eip == EXIT_ADDRESS:
-            return False
         if not image.in_text(eip):
             raise MachineFault(f"eip outside text: {eip:#x}", eip)
-        cached = self._decode_cache.get(eip)
-        if cached is None:
-            try:
-                cached = image.decode_at(eip)
-            except EncodingError as exc:
-                raise MachineFault(f"undecodable instruction: {exc}", eip)
-            self._decode_cache[eip] = cached
-        instr, length = cached
-
-        self.steps += 1
-        if self.steps > self.max_steps:
-            raise MachineFault("instruction budget exceeded", eip)
-        if step_hook is not None:
-            step_hook(self, eip, instr)
-
-        regs = self.regs
-        m = instr.mnemonic
-        ops = instr.operands
-        next_eip = eip + length
-
-        if m == "mov_ri":
-            regs[ops[0].code] = wrap32(ops[1].value)
-        elif m == "mov_rr":
-            regs[ops[0].code] = regs[ops[1].code]
-        elif m == "mov_rm":
-            regs[ops[0].code] = self.read32(self._mem_addr(ops[1]))
-        elif m == "mov_mr":
-            self.write32(self._mem_addr(ops[0]), regs[ops[1].code])
-        elif m == "mov_ra":
-            regs[ops[0].code] = self.read32(ops[1].disp)
-        elif m == "mov_ar":
-            self.write32(ops[0].disp, regs[ops[1].code])
-        elif m == "mov_mi":
-            self.write32(self._mem_addr(ops[0]), ops[1].value)
-        elif m == "mov_rx":
-            regs[ops[0].code] = self.read32(self._mem_addr(ops[1]))
-        elif m == "lea":
-            regs[ops[0].code] = self._mem_addr(ops[1])
-        elif m == "xchg_rm":
-            addr = self._mem_addr(ops[1])
-            tmp = self.read32(addr)
-            self.write32(addr, regs[ops[0].code])
-            regs[ops[0].code] = tmp
-        elif m == "xchg_rr":
-            a, b = ops[0].code, ops[1].code
-            regs[a], regs[b] = regs[b], regs[a]
-        elif m == "push":
-            self.push(regs[ops[0].code])
-        elif m == "pop":
-            regs[ops[0].code] = self.pop()
-        elif m == "pushi":
-            self.push(ops[0].value)
-        elif m == "pushf":
-            zf = 1 if self.flags_val == 0 else 0
-            sf = 1 if self.flags_val < 0 else 0
-            self.push(zf | (sf << 1))
-        elif m == "popf":
-            packed = self.pop()
-            if packed & 1:
-                self.flags_val = 0
-            else:
-                self.flags_val = -1 if packed & 2 else 1
-        elif m in _ALU_RR:
-            a = regs[ops[0].code]
-            b = regs[ops[1].code]
-            result = _ALU_RR[m](signed32(a), signed32(b))
-            if m not in ("cmp_rr", "test_rr"):
-                regs[ops[0].code] = wrap32(result)
-            self._set_flags(result)
-        elif m in _ALU_RI:
-            a = regs[ops[0].code]
-            b = ops[1].value
-            result = _ALU_RI[m](signed32(a), signed32(wrap32(b)))
-            if m != "cmp_ri":
-                regs[ops[0].code] = wrap32(result)
-            self._set_flags(result)
-        elif m in ("add_mr", "sub_mr", "xor_mr"):
-            addr = self._mem_addr(ops[0])
-            a = signed32(self.read32(addr))
-            b = signed32(regs[ops[1].code])
-            result = {"add_mr": a + b, "sub_mr": a - b,
-                      "xor_mr": a ^ b}[m]
-            self.write32(addr, result)
-            self._set_flags(result)
-        elif m in ("add_rm", "xor_rm", "cmp_rm"):
-            a = signed32(regs[ops[0].code])
-            b = signed32(self.read32(self._mem_addr(ops[1])))
-            result = {"add_rm": a + b, "xor_rm": a ^ b,
-                      "cmp_rm": a - b}[m]
-            if m != "cmp_rm":
-                regs[ops[0].code] = wrap32(result)
-            self._set_flags(result)
-        elif m == "cmp_mi":
-            a = signed32(self.read32(self._mem_addr(ops[0])))
-            self._set_flags(a - signed32(wrap32(ops[1].value)))
-        elif m == "shl_ri":
-            result = regs[ops[0].code] << (ops[1].value & 31)
-            regs[ops[0].code] = wrap32(result)
-            self._set_flags(signed32(result))
-        elif m == "shr_ri":
-            result = regs[ops[0].code] >> (ops[1].value & 31)
-            regs[ops[0].code] = wrap32(result)
-            self._set_flags(result)
-        elif m == "sar_ri":
-            result = signed32(regs[ops[0].code]) >> (ops[1].value & 31)
-            regs[ops[0].code] = wrap32(result)
-            self._set_flags(result)
-        elif m == "shl_rr":
-            result = regs[ops[0].code] << (regs[ops[1].code] & 31)
-            regs[ops[0].code] = wrap32(result)
-            self._set_flags(signed32(result))
-        elif m == "shr_rr":
-            result = regs[ops[0].code] >> (regs[ops[1].code] & 31)
-            regs[ops[0].code] = wrap32(result)
-            self._set_flags(result)
-        elif m == "sar_rr":
-            result = signed32(regs[ops[0].code]) >> (regs[ops[1].code] & 31)
-            regs[ops[0].code] = wrap32(result)
-            self._set_flags(result)
-        elif m == "neg":
-            result = -signed32(regs[ops[0].code])
-            regs[ops[0].code] = wrap32(result)
-            self._set_flags(result)
-        elif m == "not":
-            regs[ops[0].code] = wrap32(~regs[ops[0].code])
-        elif m == "imul_rr":
-            result = signed32(regs[ops[0].code]) * signed32(regs[ops[1].code])
-            regs[ops[0].code] = wrap32(result)
-            self._set_flags(signed32(wrap32(result)))
-        elif m == "imul_rri":
-            result = signed32(regs[ops[1].code]) * signed32(wrap32(ops[2].value))
-            regs[ops[0].code] = wrap32(result)
-            self._set_flags(signed32(wrap32(result)))
-        elif m == "idiv":
-            divisor = signed32(regs[ops[0].code])
-            if divisor == 0:
-                raise MachineFault("division by zero", eip)
-            dividend = signed32(regs[0])
-            q = abs(dividend) // abs(divisor)
-            if (dividend < 0) != (divisor < 0):
-                q = -q
-            r = dividend - q * divisor
-            regs[0] = wrap32(q)
-            regs[2] = wrap32(r)
-        elif m == "jmp":
-            next_eip = ops[0].value
-        elif m == "call":
-            self.push(next_eip)
-            next_eip = ops[0].value
-        elif m == "jmp_a":
-            next_eip = self.read32(ops[0].disp)
-        elif m == "call_a":
-            self.push(next_eip)
-            next_eip = self.read32(ops[0].disp)
-        elif m == "jmp_r":
-            next_eip = regs[ops[0].code]
-        elif m == "ret":
-            next_eip = self.pop()
-        elif m in _JCC:
-            if _JCC[m](self.flags_val):
-                next_eip = ops[0].value
-        elif m == "sys_out":
-            self.output.append(signed32(regs[0]))
-        elif m == "sys_in":
-            if self._input_pos >= len(self._inputs):
-                raise MachineFault("input exhausted", eip)
-            regs[0] = wrap32(self._inputs[self._input_pos])
-            self._input_pos += 1
-        elif m == "nop":
-            pass
-        elif m == "halt":
-            return False
-        else:  # pragma: no cover - forms table is closed
-            raise MachineFault(f"unimplemented {m}", eip)
-
-        self.eip = wrap32(next_eip)
-        if self.eip == EXIT_ADDRESS:
-            return False
-        return True
+        try:
+            instr, length = image.decode_at(eip)
+        except EncodingError as exc:
+            raise MachineFault(f"undecodable instruction: {exc}", eip)
+        build = _BUILDERS[instr.mnemonic]
+        return build(self, instr, eip, eip + length), instr
 
 
-_ALU_RR = {
-    "add_rr": lambda a, b: a + b,
-    "sub_rr": lambda a, b: a - b,
-    "and_rr": lambda a, b: a & b,
-    "or_rr": lambda a, b: a | b,
-    "xor_rr": lambda a, b: a ^ b,
-    "cmp_rr": lambda a, b: a - b,
-    "test_rr": lambda a, b: a & b,
+# -- handler builders ---------------------------------------------------
+#
+# Each builder takes (machine, instruction, eip, fall-through address)
+# and returns the instruction's handler. Arithmetic reads operands as
+# signed 32-bit values; registers and memory keep the wrapped result
+# and flags_val the unwrapped one.
+
+
+def _address(regs: List[int], mem: Mem) -> Callable[[], int]:
+    """A function computing the effective address of ``mem``. Decoded
+    operands have a base or an index register, never both."""
+    disp = mem.disp
+    if mem.index is not None:
+        i = REG_INDEX[mem.index]
+        return lambda: (disp + regs[i] * 4) & _MASK
+    if mem.base is not None:
+        b = REG_INDEX[mem.base]
+        return lambda: (regs[b] + disp) & _MASK
+    addr = disp & _MASK
+    return lambda: addr
+
+
+def _b_mov_ri(m, instr, eip, nxt):
+    regs = m.regs
+    d, v = instr.operands[0].code, instr.operands[1].value & _MASK
+
+    def h():
+        regs[d] = v
+        return nxt
+    return h
+
+
+def _b_mov_rr(m, instr, eip, nxt):
+    regs = m.regs
+    d, s = (op.code for op in instr.operands)
+
+    def h():
+        regs[d] = regs[s]
+        return nxt
+    return h
+
+
+def _b_load(m, instr, eip, nxt):
+    """mov_rm, mov_ra, mov_rx: register <- [address]."""
+    regs, read = m.regs, m.read32
+    d, ea = instr.operands[0].code, _address(m.regs, instr.operands[1])
+
+    def h():
+        regs[d] = read(ea())
+        return nxt
+    return h
+
+
+def _b_store(m, instr, eip, nxt):
+    """mov_mr, mov_ar: [address] <- register."""
+    regs, write = m.regs, m.write32
+    ea, s = _address(m.regs, instr.operands[0]), instr.operands[1].code
+
+    def h():
+        write(ea(), regs[s])
+        return nxt
+    return h
+
+
+def _b_mov_mi(m, instr, eip, nxt):
+    write = m.write32
+    ea, v = _address(m.regs, instr.operands[0]), instr.operands[1].value
+
+    def h():
+        write(ea(), v)
+        return nxt
+    return h
+
+
+def _b_lea(m, instr, eip, nxt):
+    regs = m.regs
+    d, ea = instr.operands[0].code, _address(m.regs, instr.operands[1])
+
+    def h():
+        regs[d] = ea()
+        return nxt
+    return h
+
+
+def _b_xchg_rm(m, instr, eip, nxt):
+    regs, read, write = m.regs, m.read32, m.write32
+    d, ea = instr.operands[0].code, _address(m.regs, instr.operands[1])
+
+    def h():
+        addr = ea()
+        tmp = read(addr)
+        write(addr, regs[d])
+        regs[d] = tmp
+        return nxt
+    return h
+
+
+def _b_xchg_rr(m, instr, eip, nxt):
+    regs = m.regs
+    a, b = (op.code for op in instr.operands)
+
+    def h():
+        regs[a], regs[b] = regs[b], regs[a]
+        return nxt
+    return h
+
+
+def _b_push(m, instr, eip, nxt):
+    regs, write = m.regs, m.write32
+    s = instr.operands[0].code
+
+    def h():
+        value = regs[s]
+        esp = regs[4] = (regs[4] - 4) & _MASK
+        write(esp, value)
+        return nxt
+    return h
+
+
+def _b_pop(m, instr, eip, nxt):
+    regs, read = m.regs, m.read32
+    d = instr.operands[0].code
+
+    def h():
+        esp = regs[4]
+        value = read(esp)
+        regs[4] = (esp + 4) & _MASK
+        regs[d] = value
+        return nxt
+    return h
+
+
+def _b_pushi(m, instr, eip, nxt):
+    regs, write = m.regs, m.write32
+    v = instr.operands[0].value
+
+    def h():
+        esp = regs[4] = (regs[4] - 4) & _MASK
+        write(esp, v)
+        return nxt
+    return h
+
+
+def _b_pushf(m, instr, eip, nxt):
+    def h():
+        flags = m.flags_val
+        m.push((1 if flags == 0 else 0) | ((1 if flags < 0 else 0) << 1))
+        return nxt
+    return h
+
+
+def _b_popf(m, instr, eip, nxt):
+    def h():
+        packed = m.pop()
+        if packed & 1:
+            m.flags_val = 0
+        else:
+            m.flags_val = -1 if packed & 2 else 1
+        return nxt
+    return h
+
+
+_ALU = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "and": operator.and_,
+    "or": operator.or_,
+    "xor": operator.xor,
+    "cmp": operator.sub,
+    "test": operator.and_,
 }
-_ALU_RI = {
-    "add_ri": lambda a, b: a + b,
-    "sub_ri": lambda a, b: a - b,
-    "and_ri": lambda a, b: a & b,
-    "or_ri": lambda a, b: a | b,
-    "xor_ri": lambda a, b: a ^ b,
-    "cmp_ri": lambda a, b: a - b,
+_COMPARES = frozenset({"cmp", "test"})
+
+
+def _alu_parts(instr):
+    op = instr.mnemonic.partition("_")[0]
+    return _ALU[op], op in _COMPARES
+
+
+def _b_alu_rr(m, instr, eip, nxt):
+    regs = m.regs
+    d, s = (op.code for op in instr.operands)
+    fn, compare = _alu_parts(instr)
+
+    def h():
+        r = fn((regs[d] ^ _SIGN) - _SIGN, (regs[s] ^ _SIGN) - _SIGN)
+        if not compare:
+            regs[d] = r & _MASK
+        m.flags_val = r
+        return nxt
+    return h
+
+
+def _b_alu_ri(m, instr, eip, nxt):
+    regs = m.regs
+    d = instr.operands[0].code
+    b = ((instr.operands[1].value & _MASK) ^ _SIGN) - _SIGN
+    fn, compare = _alu_parts(instr)
+
+    def h():
+        r = fn((regs[d] ^ _SIGN) - _SIGN, b)
+        if not compare:
+            regs[d] = r & _MASK
+        m.flags_val = r
+        return nxt
+    return h
+
+
+def _b_alu_mr(m, instr, eip, nxt):
+    """add_mr, sub_mr, xor_mr: [address] op= register."""
+    regs, read, write = m.regs, m.read32, m.write32
+    ea, s = _address(m.regs, instr.operands[0]), instr.operands[1].code
+    fn, _compare = _alu_parts(instr)
+
+    def h():
+        addr = ea()
+        r = fn((read(addr) ^ _SIGN) - _SIGN, (regs[s] ^ _SIGN) - _SIGN)
+        write(addr, r)
+        m.flags_val = r
+        return nxt
+    return h
+
+
+def _b_alu_rm(m, instr, eip, nxt):
+    """add_rm, xor_rm, cmp_rm: register op= [address]."""
+    regs, read = m.regs, m.read32
+    d, ea = instr.operands[0].code, _address(m.regs, instr.operands[1])
+    fn, compare = _alu_parts(instr)
+
+    def h():
+        r = fn((regs[d] ^ _SIGN) - _SIGN, (read(ea()) ^ _SIGN) - _SIGN)
+        if not compare:
+            regs[d] = r & _MASK
+        m.flags_val = r
+        return nxt
+    return h
+
+
+def _b_cmp_mi(m, instr, eip, nxt):
+    read = m.read32
+    ea = _address(m.regs, instr.operands[0])
+    b = ((instr.operands[1].value & _MASK) ^ _SIGN) - _SIGN
+
+    def h():
+        m.flags_val = ((read(ea()) ^ _SIGN) - _SIGN) - b
+        return nxt
+    return h
+
+
+def _shift_amount(regs: List[int], instr: NInstruction) -> Callable[[], int]:
+    """The shift count: an immediate (``_ri``) or a register (``_rr``)."""
+    if instr.mnemonic.endswith("_ri"):
+        count = instr.operands[1].value & 31
+
+        def amount():
+            return count
+    else:
+        s = instr.operands[1].code
+
+        def amount():
+            return regs[s] & 31
+    return amount
+
+
+def _b_shl(m, instr, eip, nxt):
+    regs = m.regs
+    d, amount = instr.operands[0].code, _shift_amount(m.regs, instr)
+
+    def h():
+        r = (regs[d] << amount()) & _MASK
+        regs[d] = r
+        m.flags_val = (r ^ _SIGN) - _SIGN
+        return nxt
+    return h
+
+
+def _b_shr(m, instr, eip, nxt):
+    regs = m.regs
+    d, amount = instr.operands[0].code, _shift_amount(m.regs, instr)
+
+    def h():
+        r = regs[d] >> amount()
+        regs[d] = r
+        m.flags_val = r
+        return nxt
+    return h
+
+
+def _b_sar(m, instr, eip, nxt):
+    regs = m.regs
+    d, amount = instr.operands[0].code, _shift_amount(m.regs, instr)
+
+    def h():
+        r = ((regs[d] ^ _SIGN) - _SIGN) >> amount()
+        regs[d] = r & _MASK
+        m.flags_val = r
+        return nxt
+    return h
+
+
+def _b_neg(m, instr, eip, nxt):
+    regs = m.regs
+    d = instr.operands[0].code
+
+    def h():
+        r = -((regs[d] ^ _SIGN) - _SIGN)
+        regs[d] = r & _MASK
+        m.flags_val = r
+        return nxt
+    return h
+
+
+def _b_not(m, instr, eip, nxt):
+    regs = m.regs
+    d = instr.operands[0].code
+
+    def h():
+        regs[d] = ~regs[d] & _MASK
+        return nxt
+    return h
+
+
+def _b_imul_rr(m, instr, eip, nxt):
+    regs = m.regs
+    d, s = (op.code for op in instr.operands)
+
+    def h():
+        r = (((regs[d] ^ _SIGN) - _SIGN) * ((regs[s] ^ _SIGN) - _SIGN)) & _MASK
+        regs[d] = r
+        m.flags_val = (r ^ _SIGN) - _SIGN
+        return nxt
+    return h
+
+
+def _b_imul_rri(m, instr, eip, nxt):
+    regs = m.regs
+    d, s = instr.operands[0].code, instr.operands[1].code
+    k = ((instr.operands[2].value & _MASK) ^ _SIGN) - _SIGN
+
+    def h():
+        r = (((regs[s] ^ _SIGN) - _SIGN) * k) & _MASK
+        regs[d] = r
+        m.flags_val = (r ^ _SIGN) - _SIGN
+        return nxt
+    return h
+
+
+def _b_idiv(m, instr, eip, nxt):
+    regs = m.regs
+    s = instr.operands[0].code
+
+    def h():
+        divisor = (regs[s] ^ _SIGN) - _SIGN
+        if divisor == 0:
+            raise MachineFault("division by zero", eip)
+        dividend = (regs[0] ^ _SIGN) - _SIGN
+        q = abs(dividend) // abs(divisor)
+        if (dividend < 0) != (divisor < 0):
+            q = -q
+        regs[0] = q & _MASK
+        regs[2] = (dividend - q * divisor) & _MASK
+        return nxt
+    return h
+
+
+def _b_jmp(m, instr, eip, nxt):
+    target = instr.operands[0].value & _MASK
+    return lambda: target
+
+
+def _b_call(m, instr, eip, nxt):
+    regs, write = m.regs, m.write32
+    target = instr.operands[0].value & _MASK
+
+    def h():
+        esp = regs[4] = (regs[4] - 4) & _MASK
+        write(esp, nxt)
+        return target
+    return h
+
+
+def _b_jmp_a(m, instr, eip, nxt):
+    read = m.read32
+    cell = instr.operands[0].disp
+    return lambda: read(cell)
+
+
+def _b_call_a(m, instr, eip, nxt):
+    regs, read, write = m.regs, m.read32, m.write32
+    cell = instr.operands[0].disp
+
+    def h():
+        esp = regs[4] = (regs[4] - 4) & _MASK
+        write(esp, nxt)
+        return read(cell)
+    return h
+
+
+def _b_jmp_r(m, instr, eip, nxt):
+    regs = m.regs
+    s = instr.operands[0].code
+    return lambda: regs[s]
+
+
+def _b_ret(m, instr, eip, nxt):
+    regs, read = m.regs, m.read32
+
+    def h():
+        esp = regs[4]
+        target = read(esp)
+        regs[4] = (esp + 4) & _MASK
+        return target
+    return h
+
+
+#: Conditional jumps: (machine, target, fall-through) -> handler.
+_JCC: Dict[str, Callable[..., Handler]] = {
+    "je": lambda m, t, nxt: lambda: t if m.flags_val == 0 else nxt,
+    "jne": lambda m, t, nxt: lambda: t if m.flags_val != 0 else nxt,
+    "jl": lambda m, t, nxt: lambda: t if m.flags_val < 0 else nxt,
+    "jle": lambda m, t, nxt: lambda: t if m.flags_val <= 0 else nxt,
+    "jg": lambda m, t, nxt: lambda: t if m.flags_val > 0 else nxt,
+    "jge": lambda m, t, nxt: lambda: t if m.flags_val >= 0 else nxt,
 }
-_JCC = {
-    "je": lambda f: f == 0,
-    "jne": lambda f: f != 0,
-    "jl": lambda f: f < 0,
-    "jle": lambda f: f <= 0,
-    "jg": lambda f: f > 0,
-    "jge": lambda f: f >= 0,
+
+
+def _b_jcc(m, instr, eip, nxt):
+    return _JCC[instr.mnemonic](m, instr.operands[0].value & _MASK, nxt)
+
+
+def _b_sys_out(m, instr, eip, nxt):
+    regs, output = m.regs, m.output
+
+    def h():
+        output.append((regs[0] ^ _SIGN) - _SIGN)
+        return nxt
+    return h
+
+
+def _b_sys_in(m, instr, eip, nxt):
+    regs = m.regs
+
+    def h():
+        if m._input_pos >= len(m._inputs):
+            raise MachineFault("input exhausted", eip)
+        regs[0] = m._inputs[m._input_pos] & _MASK
+        m._input_pos += 1
+        return nxt
+    return h
+
+
+def _b_nop(m, instr, eip, nxt):
+    return lambda: nxt
+
+
+def _b_halt(m, instr, eip, nxt):
+    def h():
+        raise _Halt()
+    return h
+
+
+_BUILDERS: Dict[str, Callable[..., Handler]] = {
+    "mov_ri": _b_mov_ri, "mov_rr": _b_mov_rr,
+    "mov_rm": _b_load, "mov_ra": _b_load, "mov_rx": _b_load,
+    "mov_mr": _b_store, "mov_ar": _b_store, "mov_mi": _b_mov_mi,
+    "lea": _b_lea, "xchg_rm": _b_xchg_rm, "xchg_rr": _b_xchg_rr,
+    "push": _b_push, "pop": _b_pop, "pushi": _b_pushi,
+    "pushf": _b_pushf, "popf": _b_popf,
+    "add_mr": _b_alu_mr, "sub_mr": _b_alu_mr, "xor_mr": _b_alu_mr,
+    "add_rm": _b_alu_rm, "xor_rm": _b_alu_rm, "cmp_rm": _b_alu_rm,
+    "cmp_mi": _b_cmp_mi,
+    "neg": _b_neg, "not": _b_not,
+    "imul_rr": _b_imul_rr, "imul_rri": _b_imul_rri, "idiv": _b_idiv,
+    "jmp": _b_jmp, "call": _b_call, "jmp_a": _b_jmp_a, "call_a": _b_call_a,
+    "jmp_r": _b_jmp_r, "ret": _b_ret,
+    "sys_out": _b_sys_out, "sys_in": _b_sys_in,
+    "nop": _b_nop, "halt": _b_halt,
 }
+for _op in ("add", "sub", "and", "or", "xor", "cmp", "test"):
+    _BUILDERS[f"{_op}_rr"] = _b_alu_rr
+for _op in ("add", "sub", "and", "or", "xor", "cmp"):
+    _BUILDERS[f"{_op}_ri"] = _b_alu_ri
+for _op, _build in (("shl", _b_shl), ("shr", _b_shr), ("sar", _b_sar)):
+    _BUILDERS[f"{_op}_ri"] = _BUILDERS[f"{_op}_rr"] = _build
+for _op in _JCC:
+    _BUILDERS[_op] = _b_jcc
 
 
 def run_image(

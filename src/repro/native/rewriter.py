@@ -55,6 +55,15 @@ class LiftedProgram:
         except KeyError:
             raise RewriteError(f"no instruction at {addr:#x}") from None
 
+    def copy(self) -> "LiftedProgram":
+        """An independently editable copy. The instructions themselves
+        are shared: edits replace or insert items, never change one in
+        place."""
+        return LiftedProgram(
+            list(self.items), self.image, self.entry_label,
+            dict(self.index_of_addr),
+        )
+
     def insert(self, index: int, instructions: List[NInstruction]) -> None:
         """Insert instructions before item ``index``; invalidates no
         labels (they are symbolic) but shifts later indices."""
@@ -115,8 +124,10 @@ def lower(prog: LiftedProgram) -> BinaryImage:
     """
     image = prog.image
     symbols: Dict[str, int] = {}
+    item_addr: List[int] = []  # layout address of each item
     addr = image.text_base
     for item in prog.items:
+        item_addr.append(addr)
         if isinstance(item, tuple):
             name = item[1]
             if name in symbols:
@@ -133,8 +144,7 @@ def lower(prog: LiftedProgram) -> BinaryImage:
         raise RewriteError(f"entry label {prog.entry_label!r} lost")
 
     text = bytearray()
-    addr = image.text_base
-    for item in prog.items:
+    for item, addr in zip(prog.items, item_addr):
         if isinstance(item, tuple):
             continue
         resolved = item
@@ -149,7 +159,6 @@ def lower(prog: LiftedProgram) -> BinaryImage:
             text += encode_instruction(resolved, addr)
         except Exception as exc:
             raise RewriteError(f"encode failed for {resolved!r}: {exc}")
-        addr += resolved.length
 
     new_symbols = dict(image.symbols)
     # Remap original text symbols through the edit when possible.
@@ -159,9 +168,7 @@ def lower(prog: LiftedProgram) -> BinaryImage:
             if label in symbols:
                 new_symbols[name] = symbols[label]
             elif sym_addr in prog.index_of_addr:
-                new_symbols[name] = _address_of_index(
-                    prog, symbols, image.text_base, prog.index_of_addr[sym_addr]
-                )
+                new_symbols[name] = item_addr[prog.index_of_addr[sym_addr]]
     return BinaryImage(
         bytes(text),
         bytearray(image.data),
@@ -171,19 +178,6 @@ def lower(prog: LiftedProgram) -> BinaryImage:
         new_symbols,
         image.bss_bytes,
     )
-
-
-def _address_of_index(
-    prog: LiftedProgram,
-    symbols: Dict[str, int],
-    text_base: int,
-    index: int,
-) -> int:
-    addr = text_base
-    for item in prog.items[:index]:
-        if not isinstance(item, tuple):
-            addr += item.length
-    return addr
 
 
 def patch_bytes(image: BinaryImage, addr: int, new_bytes: bytes) -> BinaryImage:

@@ -26,6 +26,7 @@ Pipeline:
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -42,7 +43,13 @@ from ..native.isa import (
 )
 from ..native.cfg import build_native_cfg
 from ..native.profiler import Profile, profile_image
-from ..native.rewriter import LiftedProgram, RewriteError, lift, lower
+from ..native.rewriter import (
+    LiftedProgram,
+    RewriteError,
+    TextItem,
+    lift,
+    lower,
+)
 from .branch_function import (
     BranchFunctionSpec,
     ENTRY_LABEL,
@@ -90,36 +97,20 @@ def _item_addresses(prog: LiftedProgram) -> Tuple[Dict[int, int], Dict[str, int]
     return instr_addr, label_addr
 
 
-def _slot_positions(prog: LiftedProgram, used: Set[int]) -> List[int]:
+def _slot_positions(items: List[TextItem]) -> List[int]:
     """Item indices where a call can be inserted without ever executing.
 
     A slot is the position *immediately* after an unconditional
     transfer, before any label: a label in between would make the
     position reachable (branches land on labels), and so would a
     fall-through from any non-transfer instruction. One slot per
-    transfer; ``used`` holds the transfers already consumed.
+    transfer.
     """
-    slots: List[int] = []
-    pending: Optional[NInstruction] = None
-    for idx, item in enumerate(prog.items):
-        if pending is not None and id(pending) not in used:
-            slots.append(idx)
-        if isinstance(item, tuple):
-            pending = None  # a label makes the next position reachable
-        elif item.mnemonic in UNCONDITIONAL_FLOW:
-            pending = item
-        else:
-            pending = None
-    if pending is not None and id(pending) not in used:
-        slots.append(len(prog.items))
-    return slots
-
-
-def _preceding_instr(prog: LiftedProgram, index: int) -> Optional[NInstruction]:
-    for item in reversed(prog.items[:index]):
-        if not isinstance(item, tuple):
-            return item
-    return None
+    return [
+        idx for idx in range(1, len(items) + 1)
+        if not isinstance(items[idx - 1], tuple)
+        and items[idx - 1].mnemonic in UNCONDITIONAL_FLOW
+    ]
 
 
 def _begin_candidates(
@@ -185,7 +176,8 @@ def embed_native(
     for begin_addr, _idx in candidates[:8]:
         try:
             result = _embed_at(
-                image, watermark, width, bits, begin_addr, profile,
+                image, base_prog.copy(), watermark, width, bits,
+                begin_addr, profile,
                 random.Random(rng_seed), tamper_proof, max_tamper_count,
                 inputs, obfuscate_extra, loop_addresses,
             )
@@ -206,6 +198,7 @@ def embed_native(
 
 def _embed_at(
     image: BinaryImage,
+    prog: LiftedProgram,
     watermark: int,
     width: int,
     bits: List[int],
@@ -219,7 +212,6 @@ def _embed_at(
     loop_addresses: Optional[Set[int]] = None,
 ) -> NativeEmbedding:
     loop_addresses = loop_addresses if loop_addresses is not None else set()
-    prog = lift(image)
     begin_idx = prog.find(begin_addr)
     begin_jmp = prog.items[begin_idx]
     assert isinstance(begin_jmp, NInstruction) and begin_jmp.mnemonic == "jmp"
@@ -227,35 +219,45 @@ def _embed_at(
 
     # a_0 replaces the begin jump (both are 5 bytes).
     a0 = ni("call", Label(ENTRY_LABEL))
-    prog.items[begin_idx] = a0
+    items = prog.items
+    items[begin_idx] = a0
     calls: List[NInstruction] = [a0]
-    used: Set[int] = set()
+    # Original address of each lifted instruction, to rebuild
+    # index_of_addr once the chain is placed.
+    addr_of = {id(items[idx]): addr
+               for addr, idx in prog.index_of_addr.items()}
+    # The free slots, ascending. A call inserted at a slot consumes it
+    # (its transfer now precedes a call) and shifts every later
+    # position by one; no other slot appears or goes.
+    slots = _slot_positions(items)
     cur = begin_idx
     for bit in bits:
-        slots = _slot_positions(prog, used)
+        pos = bisect.bisect_right(slots, cur)  # slots[:pos] are <= cur
         if bit:
-            choices = [s for s in slots if s > cur]
-            if not choices:
+            if pos < len(slots):
+                target_idx = slots.pop(pos)
+            else:
                 # Extend the text with a dead halt to mint a new slot.
-                prog.items.append(ni("halt"))
-                choices = [len(prog.items)]
-            target_idx = choices[0]
+                items.append(ni("halt"))
+                target_idx = len(items)
+        elif pos:
+            pos -= 1
+            target_idx = slots.pop(pos)
         else:
-            choices = [s for s in slots if s <= cur]
-            if not choices:
-                # Mint a dead slot at the very top of the text: a halt
-                # nothing falls into, with the call right after it.
-                prog.insert(0, [ni("halt")])
-                cur += 1
-                choices = [1]
-            target_idx = choices[-1]
+            # Mint a dead slot at the very top of the text: a halt
+            # nothing falls into, with the call right after it.
+            items.insert(0, ni("halt"))
+            slots = [s + 1 for s in slots]
+            target_idx = 1
         call = ni("call", Label(ENTRY_LABEL))
-        prog.insert(target_idx, [call])
-        marker = _preceding_instr(prog, target_idx)
-        if marker is not None:
-            used.add(id(marker))
+        items.insert(target_idx, call)
+        slots[pos:] = [s + 1 for s in slots[pos:]]
         calls.append(call)
-        cur = prog.items.index(call)  # identity equality: finds this call
+        cur = target_idx
+    prog.index_of_addr = {
+        addr_of[id(item)]: idx for idx, item in enumerate(items)
+        if id(item) in addr_of
+    }
 
     # Extra obfuscated transfers: ordinary executed jumps rerouted
     # through the branch function. Same 5-byte size, so this is a

@@ -1,5 +1,9 @@
 """Tests for the N32 substrate: encoding, assembler, machine, rewriter."""
 
+import gc
+import hashlib
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +31,7 @@ from repro.native import (
     wrap32,
 )
 from repro.native.isa import INSTRUCTION_FORMS
+from repro.native.machine import EXIT_ADDRESS
 
 
 class TestEncodingRoundtrip:
@@ -251,6 +256,163 @@ less:
     halt
 """
         assert run_image(assemble_text(src)).output == [99]
+
+
+MANGLER_SRC = """
+.entry main
+.word cell 0
+main:
+    call mangler
+    mov eax, 1
+    sys_out
+    halt
+elsewhere:
+    mov eax, 2
+    sys_out
+    halt
+mangler:
+    mov eax, [esp+0]
+    mov ebx, elsewhere
+    xor eax, ebx
+    xor [esp+0], eax
+    ret
+"""
+
+
+def _fault(image, inputs=(), max_steps=1000):
+    machine = Machine(image, max_steps)
+    with pytest.raises(MachineFault) as info:
+        machine.run(inputs)
+    return machine, info.value
+
+
+class TestMachineContract:
+    """What a fault reports and what a step hook sees. Faults name the
+    instruction that faulted (or the bad eip) and leave ``steps``
+    counting it; the hook sees the machine before the instruction."""
+
+    def _check(self, machine, fault, reason, eip, steps):
+        assert fault.reason == reason
+        assert fault.eip == eip
+        assert str(fault) == f"fault at {eip:#x}: {reason}"
+        assert machine.steps == steps
+        assert machine.eip == eip
+
+    def test_bad_read(self):
+        image = assemble_text(".entry main\nmain:\n    mov eax, [0x100]\n"
+                              "    halt\n")
+        self._check(*_fault(image), "bad read at 0x100", image.entry, 1)
+
+    def test_write_to_text(self):
+        image = assemble_text(
+            ".entry main\nmain:\n    mov ebx, 7\n"
+            f"    mov eax, {TEXT_BASE}\n    mov [eax+0], ebx\n    halt\n"
+        )
+        self._check(*_fault(image), f"write to text at {TEXT_BASE:#x}",
+                    image.entry + 10, 3)
+
+    def test_eip_outside_text(self):
+        image = assemble_text(".entry main\nmain:\n    mov eax, 0x100\n"
+                              "    jmp eax\n    halt\n")
+        self._check(*_fault(image), "eip outside text: 0x100", 0x100, 2)
+
+    def test_undecodable_byte(self):
+        image = assemble_text(".entry main\nmain:\n    nop\n    nop\n"
+                              "    halt\n")
+        broken = patch_bytes(image, image.entry + 1, b"\xff")
+        addr = image.entry + 1
+        self._check(
+            *_fault(broken),
+            f"undecodable instruction: bad opcode 0xff at {addr:#x}",
+            addr, 1,
+        )
+
+    def test_step_budget(self):
+        image = assemble_text(".entry main\nmain:\nspin:\n    jmp spin\n")
+        self._check(*_fault(image, max_steps=1000),
+                    "instruction budget exceeded", image.entry, 1001)
+
+    def test_division_by_zero(self):
+        image = assemble_text(".entry main\nmain:\n    mov eax, 5\n"
+                              "    mov ebx, 0\n    idiv ebx\n    halt\n")
+        self._check(*_fault(image), "division by zero", image.entry + 10, 3)
+
+    def test_input_exhausted(self):
+        image = assemble_text(".entry main\nmain:\n    sys_in\n"
+                              "    sys_in\n    halt\n")
+        self._check(*_fault(image, [7]), "input exhausted",
+                    image.entry + 2, 2)
+        assert _fault(image, [7])[0].regs[0] == 7
+
+    def test_end_of_run_state(self):
+        halted = Machine(assemble_text(".entry main\nmain:\n    nop\n"
+                                       "    halt\n"))
+        assert halted.run().steps == 2
+        assert (halted.steps, halted.eip) == (2, halted.image.entry + 1)
+        returned = Machine(assemble_text(".entry main\nmain:\n    ret\n"))
+        assert returned.run().steps == 1
+        assert (returned.steps, returned.eip) == (1, EXIT_ADDRESS)
+
+    def test_finished_machine_is_freed_without_the_collector(self):
+        """No handler table outlives its run: a machine that ran (or
+        faulted) is freed as soon as the last reference goes."""
+        gc.disable()
+        try:
+            for src, inputs in ((FACT_SRC, ()), (MANGLER_SRC, ()),
+                                (".entry main\nmain:\n    sys_in\n", ())):
+                machine = Machine(assemble_text(src))
+                try:
+                    machine.run(inputs)
+                except MachineFault:
+                    pass
+                ref = weakref.ref(machine)
+                del machine
+                assert ref() is None
+        finally:
+            gc.enable()
+
+    @staticmethod
+    def _hook_view(src):
+        seen = []
+
+        def hook(machine, addr, instr):
+            seen.append((
+                machine.steps, machine.eip, addr, repr(instr),
+                tuple(machine.regs), machine.flags_val,
+                machine.read32(machine.regs[4]), list(machine.output),
+            ))
+
+        image = assemble_text(src)
+        result = Machine(image).run((), hook)
+        return image, result, seen
+
+    # sha256 of the step-by-step hook view, captured while Machine.step
+    # still dispatched through a mnemonic if/elif chain.
+    HOOK_VIEWS = {
+        "fact":
+            "c5bfdd2da7a764057f6209adeaf10adb5f676568c4e8cf76808a249b533ed64e",
+        "mangler":
+            "35e1ff50c70dd696302bc52a1f004493c3c42ff3c2fc2c359475f61d87c35c22",
+    }
+
+    @pytest.mark.parametrize("name,src", [("fact", FACT_SRC),
+                                          ("mangler", MANGLER_SRC)])
+    def test_step_hook_view(self, name, src):
+        image, result, seen = self._hook_view(src)
+        assert [view[0] for view in seen] == list(range(1, result.steps + 1))
+        assert all(view[1] == view[2] for view in seen)
+        digest = hashlib.sha256(repr(seen).encode()).hexdigest()
+        assert digest == self.HOOK_VIEWS[name]
+
+    def test_ret_through_rewritten_slot_lands_on_target(self):
+        """The branch-function trick: the ret after ``xor [esp], eax``
+        goes where the rewritten word says, not to the call's return."""
+        image, result, seen = self._hook_view(MANGLER_SRC)
+        rets = [i for i, view in enumerate(seen) if view[3] == "ret"]
+        assert len(rets) == 1
+        assert seen[rets[0]][6] == image.symbol("elsewhere")
+        assert seen[rets[0] + 1][2] == image.symbol("elsewhere")
+        assert result.output == [2]
 
 
 class TestRewriter:
