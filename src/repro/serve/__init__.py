@@ -11,12 +11,12 @@ service:
   once per *(program, key)* release and survives process restarts;
 * :mod:`repro.serve.daemon` — a zero-dependency asyncio HTTP daemon
   (``POST /v1/embed``, ``POST /v1/recognize``, ``GET /healthz``,
-  ``GET /metrics``) that dispatches requests to a worker pool with
-  bounded-queue backpressure, per-request timeouts, retry-once on
-  worker death, per-route circuit breakers, graceful SIGTERM drain,
-  and per-request spans + Prometheus metrics;
+  ``GET /metrics``) that validates requests and hands every embed and
+  recognize to its one dispatcher, with graceful SIGTERM drain and
+  per-request spans + Prometheus metrics;
 * :mod:`repro.serve.circuit` — the consecutive-failure
-  :class:`CircuitBreaker` state machine behind those routes;
+  :class:`CircuitBreaker` state machine behind the local routes and
+  the fleet's worker health;
 * :mod:`repro.serve.client` — a stdlib :class:`ServiceClient` that
   honors the daemon's ``Retry-After`` backpressure with the shared
   :class:`~repro.faults.retry.RetryPolicy` backoff;
@@ -25,8 +25,10 @@ service:
   hardened shard roots, with minimal-movement rebalancing and the
   :func:`open_store` factory that makes fabrics and plain stores
   interchangeable;
-* :mod:`repro.serve.dispatch` — pluggable job dispatch behind the
-  daemon: the in-process pool (:class:`LocalDispatcher`) or a
+* :mod:`repro.serve.dispatch` — the job dispatch behind the daemon:
+  this process's own pool (:class:`LocalDispatcher`, with
+  bounded-queue backpressure, per-request timeouts, retry-once on
+  worker death and per-route circuit breakers) or a
   :class:`FleetDispatcher` routing to N worker daemons with bounded
   in-flight, requeue-on-loss, priority load-shed, and a
   :class:`HealthMonitor` that probes, ejects, and readmits workers.
@@ -56,6 +58,7 @@ from .daemon import (
 )
 from .dispatch import (
     Dispatcher,
+    DispatchError,
     DispatchOverload,
     FleetDispatcher,
     HealthMonitor,
@@ -83,6 +86,7 @@ __all__ = [
     "ArtifactStore",
     "CircuitBreaker",
     "Dispatcher",
+    "DispatchError",
     "DispatchOverload",
     "FleetDispatcher",
     "HashRing",

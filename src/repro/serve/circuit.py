@@ -1,4 +1,4 @@
-"""A per-route circuit breaker for the serving daemon.
+"""A per-route circuit breaker for the serving daemon's local jobs.
 
 When a route's worker jobs start dying in a row — a poisoned artifact
 that segfaults every worker, a pool that cannot be rebuilt, a machine
@@ -39,9 +39,14 @@ class CircuitBreaker:
     """Consecutive-failure breaker: closed -> open -> half-open -> ...
 
     ``allow()`` asks permission before dispatching; ``record_success``
-    / ``record_failure`` report how the dispatch went. The breaker is
-    not thread-safe by itself — the daemon drives it from its single
-    event loop.
+    / ``record_failure`` report how the dispatch went. Each ``allow()``
+    that returned True owes exactly one report: a half-open probe that
+    never reports keeps every later caller out, so an owner asks only
+    once nothing else can refuse the request. The breaker is
+    not thread-safe by itself: its owners call it under their own lock
+    (:class:`~repro.serve.dispatch.LocalDispatcher` from submitting
+    threads and pool callbacks, :class:`~repro.serve.dispatch.
+    HealthMonitor` from the prober and send threads).
     """
 
     def __init__(

@@ -8,48 +8,25 @@ connection, request line + headers + ``Content-Length`` body, one
 response, close. That is the entire protocol surface a fingerprinting
 API needs, and it keeps the daemon importable anywhere the library is.
 
-Requests never execute on the event loop. Embed and recognize jobs —
-pure CPU, seconds each — dispatch to a pool of workers (the same
-worker functions the batch pipeline uses, see
-:func:`repro.pipeline.batch.service_embed_copy`) via
-``loop.run_in_executor``. The loop itself only parses, validates,
-admits, and serializes, so health and metrics stay responsive while
-every worker is busy.
+Requests never execute on the event loop. The daemon holds one
+:class:`~repro.serve.dispatch.Dispatcher` — a ``LocalDispatcher``
+over its own worker pool, or a ``FleetDispatcher`` over worker
+daemons when ``ServerConfig.fleet`` is set — and every embed and
+recognize takes one path through it: validate, submit a ``Job``,
+await it, map a failure to its status, build the response. Admission
+(``429``), circuit breaking, timeouts (``504``) and worker-death
+retry belong to the local dispatcher (:mod:`repro.serve.dispatch`).
 
-Operational behavior, in the order a request meets it:
-
-* **admission** — at most ``workers + queue_depth`` requests may be
-  in flight; the next one is refused immediately with ``429`` and a
-  ``Retry-After`` hint (bounded queue, shed-at-the-door backpressure);
-* **dispatch** — the job runs on a process pool by default (true
-  parallelism, crash isolation) or a thread pool
-  (``executor="thread"``: cheaper startup, in-process);
-* **timeout** — each job gets ``request_timeout`` seconds, then the
-  client sees ``504`` (a process-pool worker may still finish the
-  orphaned job; its slot frees when it does);
-* **worker death** — a job that dies with its worker (``BrokenProcess
-  Pool``) gets the pool rebuilt and exactly one retry, then ``503``;
-* **circuit breaking** — each worker-pool route carries a
-  :class:`~repro.serve.circuit.CircuitBreaker`: after
-  ``circuit_threshold`` consecutive job failures the route fails fast
-  with ``503`` + ``Retry-After`` without touching the pool, probes
-  half-open after ``circuit_reset`` seconds, and closes again on the
-  first success;
-* **graceful drain** — ``SIGTERM`` (or :meth:`WatermarkService.
-  shutdown`) stops admitting work (new jobs see ``503`` +
-  ``Retry-After``, ``/healthz`` reports ``"draining"``) while
-  in-flight jobs get up to ``drain_timeout`` seconds to finish; only
-  then is the pool torn down (stragglers see ``503``);
-* **observability** — every request opens an ``http.request`` span
-  (worker-side spans are grafted under it, exactly like batch runs),
-  increments ``repro_http_requests_total{route,method,status}`` and
-  observes ``repro_http_request_seconds{route}``, all visible at
-  ``GET /metrics``.
-
-Jobs also declare a :mod:`repro.faults` site (``daemon.job``) just
-inside the worker, so tests can pin a worker with an injected delay
-(driving real 429/504 responses) or kill it (driving the rebuild and
-circuit paths) deterministically.
+The daemon keeps request validation (a ``400`` never costs a job),
+the rebalance gate (``503`` while a fabric shard moves), graceful
+drain — ``SIGTERM`` (or :meth:`WatermarkService.shutdown`) refuses
+new jobs with ``503`` + ``Retry-After``, ``/healthz`` reports
+``"draining"``, and in-flight jobs get ``drain_timeout`` seconds
+before the dispatcher closes — and observability: every request opens
+an ``http.request`` span (worker-side spans are grafted under it),
+increments ``repro_http_requests_total{route,method,status}`` and
+observes ``repro_http_request_seconds{route}``, visible at
+``GET /metrics``.
 """
 
 from __future__ import annotations
@@ -63,26 +40,25 @@ import sys
 import threading
 import time
 import urllib.parse
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from .. import faults, obs
 from ..codec import CodecError, resolve_codec
-from ..faults.injector import FaultPlan
 from ..obs.journal import HubConfig, TelemetryHub
 from ..obs.metrics import DEFAULT_LATENCY_BUCKETS, Counter, Gauge, Histogram
 from ..obs.slo import SLOEngine, load_objectives
 from ..obs.spans import render_span_tree
-from ..pipeline.batch import CopySpec, service_embed_copy, service_recognize
-from .circuit import CircuitBreaker
+from ..pipeline.batch import CopySpec
 from .client import ServiceError
-from .dispatch import DispatchOverload, FleetDispatcher, Job, load_workers
+from .dispatch import (
+    DispatchError,
+    Dispatcher,
+    FleetDispatcher,
+    Job,
+    LocalDispatcher,
+    load_workers,
+)
 from .fabric import ShardedArtifactStore, open_store
 from .store import StoreError
 
@@ -121,22 +97,13 @@ _MAX_BODY_BYTES = 16 * 1024 * 1024
 _PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
-class BadRequest(Exception):
-    """A malformed or oversized HTTP request; carries the status code.
+class BadRequest(DispatchError):
+    """A request the daemon itself refuses: malformed, oversized, or
+    arriving while it drains or rebalances.
 
-    ``retry_after`` (seconds) becomes a ``Retry-After`` header on the
-    response — backpressure (429), drain and open-circuit (503)
-    rejections all tell the client when trying again is worthwhile.
+    Like the dispatcher's own refusals it carries the status code, and
+    ``retry_after`` (seconds) becomes a ``Retry-After`` header.
     """
-
-    def __init__(
-        self, status: int, message: str,
-        retry_after: Optional[float] = None,
-    ):
-        super().__init__(message)
-        self.status = status
-        self.message = message
-        self.retry_after = retry_after
 
 
 @dataclass
@@ -323,21 +290,14 @@ class ServerConfig:
     #: default objective set.
     slo_spec: Optional[str] = None
     #: Path to a ``workers.json`` fleet file. When set, this daemon is
-    #: a front-end router: validated embed/recognize requests forward
-    #: to the listed worker daemons through a
-    #: :class:`~repro.serve.dispatch.FleetDispatcher` instead of the
-    #: local pool. ``None`` keeps the pre-fleet local execution.
+    #: a front-end router: its dispatcher is a
+    #: :class:`~repro.serve.dispatch.FleetDispatcher` over the listed
+    #: worker daemons instead of a local pool. ``None`` runs jobs
+    #: locally.
     fleet: Optional[str] = None
     #: Fleet front-end backlog bound: pending jobs beyond this are
     #: load-shed by route priority (503 + Retry-After).
     fleet_max_pending: int = 256
-    #: Self-healing: probe workers, eject the unhealthy, readmit the
-    #: recovered. Off restores blind routing (every job burns its
-    #: retry budget against a dead worker) — mostly for the chaos
-    #: soak's control arm.
-    fleet_eject: bool = True
-    #: Seconds between health-probe sweeps (seeded jitter on top).
-    fleet_probe_interval: float = 1.0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -356,8 +316,6 @@ class ServerConfig:
             raise ValueError("drain_timeout must be non-negative")
         if self.fleet_max_pending < 1:
             raise ValueError("fleet_max_pending must be positive")
-        if self.fleet_probe_interval <= 0:
-            raise ValueError("fleet_probe_interval must be positive")
 
 
 class WatermarkService:
@@ -370,26 +328,15 @@ class WatermarkService:
         # handlers use.
         self.store = open_store(config.store_root)
         self.port = config.port
-        self._fleet: Optional[FleetDispatcher] = None
         self._fleet_specs = (
             load_workers(config.fleet) if config.fleet else None
         )
+        #: The one dispatcher every embed and recognize goes through;
+        #: it exists between :meth:`start` and :meth:`stop`.
+        self.dispatcher: Optional[Dispatcher] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._executor: Optional[Executor] = None
-        self._inflight = 0
-        self._max_inflight = config.workers + config.queue_depth
         self._draining = False
         self._rebalancing = False
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._breakers: Dict[str, CircuitBreaker] = {
-            route: CircuitBreaker(
-                threshold=config.circuit_threshold,
-                reset_after=config.circuit_reset,
-                name=route,
-            )
-            for route in ("/v1/embed", "/v1/recognize")
-        }
         registry = obs.get_registry()
         self._requests: Counter = registry.counter(
             "repro_http_requests_total", "HTTP requests served"
@@ -398,10 +345,6 @@ class WatermarkService:
             "repro_http_request_seconds",
             "HTTP request wall time",
             buckets=DEFAULT_LATENCY_BUCKETS,
-        )
-        self._retries: Counter = registry.counter(
-            "repro_http_worker_retries_total",
-            "Jobs retried after a worker death",
         )
         self._inflight_gauge: Gauge = registry.gauge(
             "repro_http_inflight",
@@ -440,39 +383,27 @@ class WatermarkService:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _make_executor(self) -> Executor:
-        if self.config.executor == "thread":
-            return ThreadPoolExecutor(
-                max_workers=self.config.workers,
-                thread_name_prefix="repro-serve",
+    def _make_dispatcher(self) -> Dispatcher:
+        config = self.config
+        if self._fleet_specs is not None:
+            return FleetDispatcher(
+                self._fleet_specs,
+                request_timeout=config.request_timeout,
+                max_pending=config.fleet_max_pending,
             )
-        # An armed fault plan in the daemon process rides into pool
-        # workers, same as the batch pipeline's initializer does —
-        # and so does the telemetry hub's config, so worker-side
-        # events (fault firings, store quarantines) land in the same
-        # journal as the daemon's own.
-        return ProcessPoolExecutor(
-            max_workers=self.config.workers,
-            initializer=_init_service_worker,
-            initargs=(faults.get_plan(), self.hub.worker_config()),
+        return LocalDispatcher(
+            config.store_root,
+            workers=config.workers,
+            executor=config.executor,
+            queue_depth=config.queue_depth,
+            request_timeout=config.request_timeout,
+            circuit_threshold=config.circuit_threshold,
+            circuit_reset=config.circuit_reset,
         )
 
     async def start(self) -> None:
-        """Bind the listening socket and spin up the worker pool.
-
-        In fleet mode the local pool still exists (cheap when idle —
-        obs routes and health probes never touch it) but embeds and
-        recognitions forward to the fleet dispatcher instead.
-        """
-        if self._fleet_specs is not None:
-            self._fleet = FleetDispatcher(
-                self._fleet_specs,
-                request_timeout=self.config.request_timeout,
-                max_pending=self.config.fleet_max_pending,
-                eject=self.config.fleet_eject,
-                probe_interval=self.config.fleet_probe_interval,
-            )
-        self._executor = self._make_executor()
+        """Start the dispatcher and bind the listening socket."""
+        self.dispatcher = self._make_dispatcher()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -489,29 +420,25 @@ class WatermarkService:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-        if self._fleet is not None:
-            self._fleet.close()
-            self._fleet = None
+        if self.dispatcher is not None:
+            self.dispatcher.close()
+            self.dispatcher = None
 
     async def shutdown(self) -> None:
         """Graceful drain, then stop.
 
-        New worker jobs are refused with ``503`` + ``Retry-After`` the
-        moment this is called (``/healthz`` flips to ``"draining"``);
-        jobs already in flight get up to ``drain_timeout`` seconds to
-        finish before the pool is torn down — a straggler cancelled at
-        the deadline reports ``503`` rather than vanishing.
+        New jobs are refused with ``503`` + ``Retry-After`` the moment
+        this is called (``/healthz`` flips to ``"draining"``); jobs
+        already in flight (local jobs and fleet forwards alike) get up
+        to ``drain_timeout`` seconds to finish before the dispatcher is
+        closed; a straggler cancelled at the deadline reports ``503``
+        rather than vanishing.
         """
         self._draining = True
-        try:
-            await asyncio.wait_for(
-                self._idle.wait(), timeout=self.config.drain_timeout
+        if self.dispatcher is not None:
+            await asyncio.to_thread(
+                self.dispatcher.drain, self.config.drain_timeout
             )
-        except asyncio.TimeoutError:
-            pass  # deadline: stop() cancels whatever is still running
         await self.stop()
 
     async def run(self) -> None:
@@ -534,7 +461,7 @@ class WatermarkService:
             try:
                 request = await read_request(reader)
             except BadRequest as exc:
-                response = error_response(exc.status, exc.message)
+                response = error_response(exc.status, str(exc))
             else:
                 if request is None:
                     return
@@ -598,13 +525,18 @@ class WatermarkService:
                     response = await self._handle_rebalance(request)
                 else:
                     response = await self._handle_recognize(request)
-            except BadRequest as exc:
+            except DispatchError as exc:  # BadRequest is one too
                 headers = None
                 if exc.retry_after is not None:
                     headers = {
                         "Retry-After": f"{max(1, round(exc.retry_after))}"
                     }
-                response = error_response(exc.status, exc.message, headers)
+                response = error_response(exc.status, str(exc), headers)
+            except ServiceError as exc:
+                # A fleet worker's own error answer, mirrored whole.
+                response = json_response(
+                    exc.status, exc.doc or {"error": exc.message}
+                )
             except StoreError as exc:
                 response = error_response(404, str(exc))
             except Exception as exc:  # the daemon must outlive any request
@@ -616,38 +548,42 @@ class WatermarkService:
 
     # -- cheap, loop-local endpoints ---------------------------------------
 
+    def _dispatch_stats(self) -> Dict[str, Any]:
+        """A fleet front-end runs no local jobs: no in-flight, capacity
+        or circuits of its own."""
+        assert self.dispatcher is not None, "service not started"
+        return self.dispatcher.stats()
+
     def _handle_healthz(self) -> Response:
         slo = self.slo.report(self.hub.tail(limit=self.hub.config.ring_events))
+        stats = self._dispatch_stats()
         body: Dict[str, Any] = {
             "status": "draining" if self._draining else "ok",
             "rebalancing": self._rebalancing,
             "artifacts": len(self.store),
-            "inflight": self._inflight,
-            "capacity": self._max_inflight,
+            "inflight": stats.get("inflight", 0),
+            "capacity": stats.get("capacity", 0),
             "workers": self.config.workers,
             "executor": self.config.executor,
-            "circuits": {
-                route: breaker.state
-                for route, breaker in self._breakers.items()
-            },
+            "circuits": stats.get("circuits", {}),
             "slo": {
                 "met": slo["met"],
                 "breached": slo["breached"],
                 "max_burn_rate": slo["max_burn_rate"],
             },
         }
-        if self._fleet is not None:
-            body["fleet"] = self._fleet.stats()
+        if stats["mode"] == "fleet":
+            body["fleet"] = stats
         return json_response(200, body)
 
     def _sample_gauges(self) -> None:
         """Refresh live-state gauges so a scrape sees *now*, not the
         last time a request happened to update them."""
-        self._inflight_gauge.set(self._inflight)
-        self._capacity_gauge.set(self._max_inflight)
-        self._queue_gauge.set(
-            max(0, self._inflight - self.config.workers)
-        )
+        stats = self._dispatch_stats()
+        inflight = stats.get("inflight", 0)
+        self._inflight_gauge.set(inflight)
+        self._capacity_gauge.set(stats.get("capacity", 0))
+        self._queue_gauge.set(max(0, inflight - self.config.workers))
         self._journal_gauge.set(self.hub.journal_bytes())
 
     def _handle_metrics(self) -> Response:
@@ -771,7 +707,7 @@ class WatermarkService:
             "shards": fabric.shard_names,
         })
 
-    # -- worker-pool endpoints ---------------------------------------------
+    # -- job endpoints -----------------------------------------------------
 
     def _resolve_artifact(self, doc: Dict[str, Any]) -> str:
         ref = doc.get("artifact")
@@ -780,34 +716,24 @@ class WatermarkService:
         self.store.refresh()
         return self.store.resolve(ref)  # StoreError -> 404 upstream
 
-    async def _forward_to_fleet(
+    async def _run(
         self, route: str, payload: Dict[str, Any]
     ) -> Dict[str, Any]:
-        """Proxy one *validated* request through the fleet dispatcher.
+        """Submit one *validated* job unless draining; await its body.
 
-        The front-end keeps request validation (bad input never costs
-        a fleet round-trip) and the drain gate; everything else —
-        worker choice, bounded in-flight, requeue on loss, priority
-        shed — is the dispatcher's. Raises :class:`BadRequest` for
-        conditions the front-end owns (draining, saturation, a fleet
-        that lost every worker); a worker's own error status
-        propagates as :class:`ServiceError` for the caller to mirror.
+        Failures arrive as :class:`DispatchError` or, from a fleet
+        worker, :class:`ServiceError` (both mapped in :meth:`_dispatch`);
+        a fleet that cannot reach a worker at all is a 502.
         """
-        assert self._fleet is not None
         if self._draining:
             raise BadRequest(
                 503, "server is draining",
                 retry_after=self.config.drain_timeout,
             )
-        job = Job(route=route, payload=payload)
+        assert self.dispatcher is not None, "service not started"
+        future = self.dispatcher.submit(Job(route=route, payload=payload))
         try:
-            return await asyncio.wrap_future(self._fleet.submit(job))
-        except DispatchOverload as exc:
-            # The dispatcher's own words: a priority shed and a fleet
-            # brownout are different situations for the client.
-            raise BadRequest(
-                503, str(exc), retry_after=exc.retry_after,
-            ) from None
+            return await asyncio.wrap_future(future)
         except (OSError, faults.FaultError) as exc:
             raise BadRequest(
                 502, f"fleet worker unreachable: {exc}"
@@ -831,7 +757,7 @@ class WatermarkService:
         if not isinstance(self_check, bool):
             raise BadRequest(400, "'self_check' must be a boolean")
         try:
-            spec = CopySpec(copy_id=copy_id, watermark=watermark, seed=seed)
+            CopySpec(copy_id=copy_id, watermark=watermark, seed=seed)
         except ValueError as exc:
             raise BadRequest(400, str(exc)) from None
         if watermark >= (1 << record.watermark_bits):
@@ -841,80 +767,26 @@ class WatermarkService:
                 f"{record.watermark_bits}-bit fingerprint width",
             )
         codec = _parse_codec_field(doc)
-
-        if self._fleet is not None:
-            payload: Dict[str, Any] = {
-                "artifact": digest,
-                "copy_id": copy_id,
-                "watermark": watermark,
-                "seed": seed,
-                "self_check": self_check,
-            }
-            if codec is not None:
-                payload["codec"] = codec
-            try:
-                body = await self._forward_to_fleet("/v1/embed", payload)
-            except ServiceError as exc:
-                return json_response(
-                    exc.status, exc.doc or {"error": exc.message}
-                )
-            self.hub.emit(
-                "embed",
-                copy_id,
-                artifact=digest,
-                ok=bool(body.get("ok", True)),
-                verified=bool(body.get("verified", True)),
-                wall_seconds=body.get("wall_seconds"),
-            )
-            return json_response(200, body)
-
-        job = functools.partial(
-            service_embed_copy,
-            self.config.store_root,
-            digest,
-            spec,
-            self_check,
-            self._parent_context(),
-            self._drain_spans(),
-            codec,
-        )
-        result = await self._run_job("/v1/embed", job)
-        tracer = obs.get_tracer()
-        if tracer.enabled and result.spans:
-            tracer.adopt(result.spans)
-            result.spans = []
-        body = {
-            "copy_id": result.copy_id,
-            "watermark": result.watermark,
-            "seed": result.seed,
+        payload: Dict[str, Any] = {
             "artifact": digest,
-            "codec": codec or record.codec,
-            "ok": result.ok,
-            "checked": result.checked,
-            "verified": result.verified,
-            "self_check": result.self_check,
-            "output_ok": result.output_ok,
-            "recognized": result.recognized,
-            "piece_count": result.piece_count,
-            "byte_size_increase": result.byte_size_increase,
-            "wall_seconds": result.wall_seconds,
-            "module": result.text,
+            "copy_id": copy_id,
+            "watermark": watermark,
+            "seed": seed,
+            "self_check": self_check,
         }
+        if codec is not None:
+            payload["codec"] = codec
+        body = await self._run("/v1/embed", payload)
+        body["codec"] = codec or record.codec
         self.hub.emit(
             "embed",
-            result.copy_id,
+            copy_id,
             artifact=digest,
-            ok=result.ok,
-            verified=result.verified,
-            wall_seconds=result.wall_seconds,
+            ok=bool(body["ok"]),
+            verified=bool(body["verified"]),
+            wall_seconds=body["wall_seconds"],
         )
-        if not result.ok:
-            body["error"] = result.error
-            return json_response(500, body)
-        if not result.verified:
-            body["error"] = "copy failed its self-check"
-            return json_response(500, body)
-        return json_response(200, body)
+        return json_response(500 if "error" in body else 200, body)
 
     async def _handle_recognize(self, request: Request) -> Response:
         self._admission_gate()
@@ -926,173 +798,20 @@ class WatermarkService:
                 400, "'module' (WVM assembly text) is required"
             )
         codec = _parse_codec_field(doc)
-
-        if self._fleet is not None:
-            payload: Dict[str, Any] = {
-                "artifact": digest,
-                "module": module_text,
-            }
-            if codec is not None:
-                payload["codec"] = codec
-            try:
-                body = await self._forward_to_fleet(
-                    "/v1/recognize", payload
-                )
-            except ServiceError as exc:
-                return json_response(
-                    exc.status, exc.doc or {"error": exc.message}
-                )
-            body["artifact"] = digest
-            self.hub.emit(
-                "recognize",
-                digest,
-                artifact=digest,
-                complete=bool(body.get("complete")),
-                watermark=body.get("watermark"),
-            )
-            return json_response(
-                200 if body.get("complete") else 422, body
-            )
-
-        job = functools.partial(
-            service_recognize,
-            self.config.store_root,
-            digest,
-            module_text,
-            self._parent_context(),
-            self._drain_spans(),
-            codec,
-        )
-        outcome = await self._run_job("/v1/recognize", job)
-        tracer = obs.get_tracer()
-        spans = outcome.pop("spans", [])
-        if tracer.enabled and spans:
-            tracer.adopt(spans)
-        status = 200 if outcome.get("complete") else 422
-        outcome["artifact"] = digest
+        payload: Dict[str, Any] = {"artifact": digest, "module": module_text}
+        if codec is not None:
+            payload["codec"] = codec
+        body = await self._run("/v1/recognize", payload)
+        body["artifact"] = digest
+        complete = bool(body.get("complete"))
         self.hub.emit(
             "recognize",
             digest,
             artifact=digest,
-            complete=bool(outcome.get("complete")),
-            watermark=outcome.get("watermark"),
+            complete=complete,
+            watermark=body.get("watermark"),
         )
-        return json_response(status, outcome)
-
-    # -- dispatch plumbing -------------------------------------------------
-
-    def _parent_context(self) -> Optional[obs.SpanContext]:
-        return obs.current_context() if obs.get_tracer().enabled else None
-
-    def _drain_spans(self) -> bool:
-        """Process workers hand spans back; threads record in place."""
-        return self.config.executor == "process"
-
-    async def _run_job(self, route: str, job: Callable[[], Any]) -> Any:
-        """Admission, circuit, timeout, and one retry on worker death.
-
-        Gate order is cheapest-first: drain check, circuit check,
-        queue-bound check — only then does the job touch the pool.
-        Job outcomes feed the route's breaker: worker-infrastructure
-        failures (pool died twice, timeout, cancelled at drain) count
-        against it, anything the worker actually computed resets it.
-        """
-        if self._draining:
-            raise BadRequest(
-                503, "server is draining", retry_after=self.config.drain_timeout
-            )
-        breaker = self._breakers[route]
-        if not breaker.allow():
-            self._requests.inc(route=route, method="-", status="503")
-            raise BadRequest(
-                503,
-                f"circuit open for {route} after repeated worker failures",
-                retry_after=breaker.retry_after(),
-            )
-        if self._inflight >= self._max_inflight:
-            self._requests.inc(route="rejected", method="-", status="429")
-            raise BadRequest429()
-        self._inflight += 1
-        self._idle.clear()
-        try:
-            result = await asyncio.wait_for(
-                self._submit(job), timeout=self.config.request_timeout
-            )
-        except asyncio.TimeoutError:
-            breaker.record_failure()
-            raise BadRequest(
-                504,
-                f"request exceeded {self.config.request_timeout:g}s budget",
-            ) from None
-        except asyncio.CancelledError:
-            if self._draining:
-                # The drain deadline cancelled this straggler.
-                raise BadRequest(
-                    503, "job cancelled by server shutdown"
-                ) from None
-            raise
-        except BadRequest as exc:
-            if exc.status == 503:
-                breaker.record_failure()
-            raise
-        else:
-            breaker.record_success()
-            return result
-        finally:
-            self._inflight -= 1
-            if self._inflight == 0:
-                self._idle.set()
-
-    async def _submit(self, job: Callable[[], Any]) -> Any:
-        loop = asyncio.get_running_loop()
-        assert self._executor is not None, "service not started"
-        job = functools.partial(_faultable_job, job)
-        try:
-            return await loop.run_in_executor(self._executor, job)
-        except BrokenExecutor:
-            # The worker died under the job (OOM-kill, segfault in an
-            # extension, operator signal). The pool is unusable now:
-            # rebuild it and give the job exactly one more chance.
-            self._retries.inc()
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = self._make_executor()
-            try:
-                return await loop.run_in_executor(self._executor, job)
-            except BrokenExecutor as exc:
-                raise BadRequest(
-                    503, "worker pool died twice running this request"
-                ) from exc
-
-
-def _init_service_worker(
-    fault_plan: Optional[FaultPlan],
-    hub_config: Optional[HubConfig] = None,
-) -> None:
-    """Process-pool initializer: arm the parent's fault plan and point
-    the worker's telemetry hub at the parent's journal."""
-    if fault_plan is not None:
-        faults.install(fault_plan)
-    if hub_config is not None:
-        obs.set_hub(TelemetryHub(hub_config))
-
-
-def _faultable_job(job: Callable[[], Any]) -> Any:
-    """Run one dispatched job behind the ``daemon.job`` fault site.
-
-    The hook runs *inside the worker* (thread or process), so an
-    injected delay genuinely occupies a pool slot — that is what lets
-    tests drive real 429 backpressure and 504 timeouts — and an
-    injected kill takes the worker process down for real.
-    """
-    faults.check("daemon.job")
-    return job()
-
-
-class BadRequest429(BadRequest):
-    """Queue full; carries the Retry-After hint."""
-
-    def __init__(self) -> None:
-        super().__init__(429, "queue full, retry shortly", retry_after=1.0)
+        return json_response(200 if complete else 422, body)
 
 
 class ServerThread:

@@ -1,14 +1,14 @@
 """Pluggable job dispatch: one pool, or a fleet of worker daemons.
 
 The daemon and the CLI mint copies by submitting *jobs* — an HTTP-
-shaped ``(route, payload)`` pair — to a :class:`Dispatcher`. Two
-implementations share that contract:
+shaped ``(route, payload)`` pair — to a :class:`Dispatcher`; the
+daemon sends every embed and recognize through its one dispatcher.
+Two implementations share that contract:
 
-* :class:`LocalDispatcher` — the existing in-process pool, wearing
-  the protocol: jobs run on a ``ProcessPoolExecutor`` (or thread pool)
-  via the same ``service_embed_copy``/``service_recognize`` entry
-  points the daemon uses, fault plans and telemetry riding the pool
-  initializer exactly as before.
+* :class:`LocalDispatcher` — this process's own thread or process
+  pool running ``service_embed_copy``/``service_recognize``, with
+  admission, per-route circuit breakers, timeout and worker-death
+  rebuild; fault plans and telemetry ride the pool initializer.
 * :class:`FleetDispatcher` — the scale-out path: jobs route to N
   worker daemons over the existing :class:`~repro.serve.client.
   ServiceClient` HTTP transport. A poller loop assigns queued jobs to
@@ -21,6 +21,9 @@ implementations share that contract:
   saturated and the backlog hits its bound — recognitions (the
   evidence path) outlive embeds (re-mintable at leisure).
 
+A refused or failed job carries a :class:`DispatchError` naming its
+HTTP status (:class:`DispatchOverload` is the 503 load-shed form).
+
 Determinism: the dispatcher adds no randomness of its own beyond the
 retry policy's seeded jitter. Job identity, payloads, and results are
 caller-owned; completion *order* under a fleet is inherently racy,
@@ -30,7 +33,7 @@ which is why callers that need stable output (the campaign runner,
 The fleet is **self-healing**: a :class:`HealthMonitor` drives a
 per-worker state machine (``healthy → suspect → ejected → half-open
 probe → readmitted``) off the same circuit-breaker semantics the
-daemon uses per route (:mod:`repro.serve.circuit`), fed by a
+local dispatcher uses per route (:mod:`repro.serve.circuit`), fed by a
 background ``/healthz`` prober on a seeded-jitter interval *and* by
 passive send outcomes. An ejected worker stops receiving jobs and its
 in-flight jobs are immediately re-planned onto live peers; when every
@@ -38,11 +41,12 @@ worker is ejected the dispatcher browns out — submissions fail fast
 with :class:`DispatchOverload` (a 503 + ``Retry-After`` at the
 front-end) instead of building an unservable queue.
 
-The transport declares :mod:`repro.faults` sites — ``fleet.send``,
-keyed by worker name, and ``fleet.probe`` for the health prober — so
-worker loss is injectable: a pinned :class:`~repro.faults.FaultPlan`
-can kill the first K sends to one worker (or every probe) and a test
-can watch the requeue/ejection machinery recover.
+Fault sites: local jobs pass ``daemon.job`` inside the worker; the
+fleet transport declares ``fleet.send``, keyed by worker name, and
+``fleet.probe`` for the health prober — so worker loss is injectable:
+a pinned :class:`~repro.faults.FaultPlan` can kill the first K sends
+to one worker (or every probe) and a test can watch the
+requeue/ejection machinery recover.
 """
 
 from __future__ import annotations
@@ -53,19 +57,30 @@ import json
 import random
 import threading
 import time
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import (
+    BrokenExecutor,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
 
 from .. import faults, obs
+from ..faults.injector import FaultPlan
 from ..faults.retry import RetryPolicy
+from ..obs.journal import HubConfig, TelemetryHub
 from ..obs.metrics import get_registry
 from ..pipeline.batch import CopySpec, service_embed_copy, service_recognize
+from ..pipeline.metrics import CopyResult
 from .circuit import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from .client import ServiceClient, ServiceError
+from .store import StoreError
 
 __all__ = [
     "Dispatcher",
+    "DispatchError",
     "DispatchOverload",
     "FleetDispatcher",
     "HealthMonitor",
@@ -90,7 +105,20 @@ ROUTE_PRIORITY: Dict[str, int] = {
 }
 
 
-class DispatchOverload(Exception):
+class DispatchError(Exception):
+    """A job refused or not finished: the HTTP ``status`` to answer
+    with, and ``retry_after`` seconds for a ``Retry-After`` hint."""
+
+    def __init__(
+        self, status: int, message: str,
+        retry_after: Optional[float] = None,
+    ):
+        super().__init__(message)
+        self.status = status
+        self.retry_after = retry_after
+
+
+class DispatchOverload(DispatchError):
     """Every worker is saturated and the pending queue is full.
 
     ``retry_after`` is the dispatcher's advice, in seconds — the
@@ -99,13 +127,12 @@ class DispatchOverload(Exception):
     """
 
     def __init__(self, message: str, retry_after: float = 1.0):
-        super().__init__(message)
-        self.retry_after = retry_after
+        super().__init__(503, message, retry_after)
 
 
 @dataclass
 class Job:
-    """One unit of fleet work: an HTTP-shaped request plus callbacks.
+    """One unit of work: an HTTP-shaped request plus callbacks.
 
     ``priority`` defaults from :data:`ROUTE_PRIORITY`; higher values
     survive load-shed longer. ``on_success``/``on_error`` fire on the
@@ -170,11 +197,16 @@ class Dispatcher(Protocol):
     """What the daemon and CLI require of a job dispatcher."""
 
     def submit(self, job: Job) -> "Future[Dict[str, Any]]":
-        """Enqueue a job; the future resolves to the response body."""
+        """Enqueue a job; the future resolves to the response body
+        (or fails, a refusal with a :class:`DispatchError`)."""
         ...
 
     def stats(self) -> Dict[str, Any]:
         """A snapshot for gauges/introspection (shape is impl-owned)."""
+        ...
+
+    def drain(self, timeout: float = 60.0) -> bool:
+        """Wait until no submitted job is left unresolved."""
         ...
 
     def close(self) -> None:
@@ -183,87 +215,311 @@ class Dispatcher(Protocol):
 
 
 # ---------------------------------------------------------------------------
-# Local: the pre-fleet process pool behind the protocol
+# Local: this process's own worker pool
 # ---------------------------------------------------------------------------
+
+#: The routes a local pool runs; a job for any other fails its future.
+_LOCAL_ROUTES = ("/v1/embed", "/v1/recognize")
 
 
 class LocalDispatcher:
-    """Jobs run in this process's pool — the PR-4 serving path.
+    """Jobs run on this process's own pool: the daemon's local mode.
 
-    ``pool`` is caller-owned when provided (the daemon already builds
-    one with fault-plan/telemetry initializers); otherwise a thread
-    pool of ``workers`` is created and owned here. Payloads are the
-    same documents the HTTP API accepts, with ``artifact`` already a
-    full digest.
+    In the order a job meets them: at most ``workers + queue_depth``
+    jobs in flight (else 429, ``Retry-After: 1``); the route's
+    :class:`~repro.serve.circuit.CircuitBreaker`, asked only after
+    admission so a refused job never claims the half-open probe; a
+    thread or process pool (the initializer arms the parent's fault
+    plan and telemetry hub); a 504 after ``request_timeout`` seconds
+    (an orphan may still finish; its answer is dropped); and one pool
+    rebuild and resubmit after a ``BrokenExecutor``, then 503.
+
+    Every admitted job records exactly one breaker outcome: a timeout,
+    a second worker death or a close is a failure, anything a worker
+    computed (a result, or an exception the job raised) a success.
+    Submitters, pool callbacks and timers run on different threads, so
+    one lock guards the live set, breakers and counters, and a job is
+    settled under it: whoever sees the answer sees the freed slot.
+    Jobs reach the pool as plain data (:func:`_local_job`), so a
+    process pool never pickles the dispatcher.
     """
 
     def __init__(
         self,
         store_root: str,
-        pool: Optional[Executor] = None,
         workers: int = 2,
+        executor: str = "thread",
+        queue_depth: int = 8,
+        request_timeout: float = 60.0,
+        circuit_threshold: int = 5,
+        circuit_reset: float = 30.0,
     ):
+        if executor not in ("process", "thread"):
+            raise ValueError("executor must be 'process' or 'thread'")
         self.store_root = store_root
-        self._own_pool = pool is None
-        self._pool: Executor = pool or ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-dispatch"
+        self.workers = workers
+        self.executor = executor
+        self.capacity = workers + queue_depth
+        self.request_timeout = request_timeout
+        self._breakers = {
+            route: CircuitBreaker(
+                threshold=circuit_threshold, reset_after=circuit_reset,
+                name=route,
+            )
+            for route in _LOCAL_ROUTES
+        }
+        registry = get_registry()
+        self._requests = registry.counter(
+            "repro_http_requests_total", "HTTP requests served"
         )
+        self._retries = registry.counter(
+            "repro_http_worker_retries_total",
+            "Jobs retried after a worker death",
+        )
+        # Admitted, unsettled jobs by id, each with its timeout timer.
+        self._live: Dict[int, Tuple[Job, threading.Timer]] = {}
         self._submitted = 0
-        self._lock = threading.Lock()
+        self._closed = False
+        self._lock = threading.Condition(threading.RLock())
+        self._pool = self._make_pool()
 
-    def _run(self, job: Job) -> Dict[str, Any]:
-        payload = job.payload
-        if job.route not in ("/v1/embed", "/v1/recognize"):
-            raise ValueError(f"no local handler for route {job.route!r}")
-        digest = str(payload["artifact"])
-        codec = payload.get("codec")
-        if job.route == "/v1/embed":
-            spec = CopySpec(
-                copy_id=str(payload["copy_id"]),
-                watermark=int(payload["watermark"]),
-                seed=int(payload.get("seed", 0)),
+    def _make_pool(self) -> Executor:
+        if self.executor == "thread":
+            return ThreadPoolExecutor(
+                max_workers=self.workers, thread_name_prefix="repro-serve"
             )
-            result = service_embed_copy(
-                self.store_root, digest, spec,
-                self_check=bool(payload.get("self_check", True)),
-                codec=codec,
-            )
-            return {
-                "copy_id": result.copy_id,
-                "artifact": digest,
-                "ok": result.ok,
-                "verified": result.verified,
-                "wall_seconds": result.wall_seconds,
-                "module": result.text,
-            }
-        if job.route == "/v1/recognize":
-            return service_recognize(
-                self.store_root, digest, str(payload["module"]),
-                codec=codec,
-            )
-        raise ValueError(f"no local handler for route {job.route!r}")
+        hub = obs.get_hub()
+        return ProcessPoolExecutor(
+            max_workers=self.workers,
+            initializer=_init_worker,
+            initargs=(
+                faults.get_plan(),
+                hub.worker_config() if hub is not None else None,
+            ),
+        )
+
+    # -- public surface ----------------------------------------------------
 
     def submit(self, job: Job) -> "Future[Dict[str, Any]]":
         with self._lock:
+            if self._closed:
+                raise RuntimeError("dispatcher is closed")
             self._submitted += 1
-        inner = self._pool.submit(self._run, job)
-
-        def _done(f: "Future[Dict[str, Any]]") -> None:
-            exc = f.exception()
-            if exc is None:
-                job._succeed(f.result())
-            else:
-                job._fail(exc)
-
-        inner.add_done_callback(_done)
+            breaker = self._breakers.get(job.route)
+            if breaker is None:
+                job._fail(ValueError(f"no local handler for route {job.route!r}"))
+                return job.future
+            if len(self._live) >= self.capacity:
+                self._requests.inc(route="rejected", method="-", status="429")
+                job._fail(DispatchError(429, "queue full, retry shortly", 1.0))
+                return job.future
+            if not breaker.allow():
+                self._requests.inc(route=job.route, method="-", status="503")
+                job._fail(DispatchError(
+                    503, f"circuit open for {job.route} after repeated "
+                    "worker failures", breaker.retry_after(),
+                ))
+                return job.future
+            timeout = DispatchError(
+                504, f"request exceeded {self.request_timeout:g}s budget"
+            )
+            timer = threading.Timer(
+                self.request_timeout, self._settle, (job, False, timeout)
+            )
+            timer.daemon = True
+            self._live[id(job)] = (job, timer)
+        timer.start()
+        tracer = obs.get_tracer()
+        parent = obs.current_context() if tracer.enabled else None
+        self._attempt(job, parent, retried=False)
         return job.future
 
     def stats(self) -> Dict[str, Any]:
-        return {"mode": "local", "submitted": self._submitted}
+        with self._lock:
+            return {
+                "mode": "local",
+                "submitted": self._submitted,
+                "inflight": len(self._live),
+                "capacity": self.capacity,
+                "circuits": {
+                    route: breaker.state
+                    for route, breaker in self._breakers.items()
+                },
+            }
+
+    def drain(self, timeout: float = 60.0) -> bool:
+        """Block until no admitted job is left unsettled."""
+        with self._lock:
+            return self._lock.wait_for(lambda: not self._live, timeout)
 
     def close(self) -> None:
-        if self._own_pool:
-            self._pool.shutdown(wait=True)
+        """Fail every unsettled job with a 503 and tear the pool down."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            orphans = [job for job, _timer in self._live.values()]
+        cancelled = DispatchError(503, "job cancelled by server shutdown")
+        for job in orphans:
+            self._settle(job, False, cancelled)
+        self._pool.shutdown(wait=False, cancel_futures=True)
+
+    # -- internals ---------------------------------------------------------
+
+    def _attempt(
+        self, job: Job, parent: Optional[obs.SpanContext], retried: bool
+    ) -> None:
+        with self._lock:
+            pool = self._pool
+        try:
+            inner = pool.submit(
+                _local_job, self.store_root, job.route, job.payload, parent,
+                self.executor == "process",
+            )
+        except RuntimeError:  # broken or shut down: as good as a death
+            inner = Future()
+            inner.cancel()
+        inner.add_done_callback(
+            lambda f: self._finished(job, parent, retried, pool, f)
+        )
+
+    def _finished(
+        self,
+        job: Job,
+        parent: Optional[obs.SpanContext],
+        retried: bool,
+        pool: Executor,
+        inner: "Future[Dict[str, Any]]",
+    ) -> None:
+        if inner.cancelled() or isinstance(inner.exception(), BrokenExecutor):
+            # The worker died under the job: rebuild the pool (once per
+            # death) and give the job exactly one more chance.
+            if retried:
+                died = "worker pool died twice running this request"
+                self._settle(job, False, DispatchError(503, died))
+                return
+            with self._lock:
+                if self._closed or id(job) not in self._live:
+                    return  # settled meanwhile: timed out, or closed
+                self._retries.inc()
+                retired = None
+                if self._pool is pool:
+                    retired, self._pool = pool, self._make_pool()
+            if retired is not None:  # not from inside its own callbacks
+                threading.Thread(
+                    target=retired.shutdown,
+                    kwargs={"wait": False, "cancel_futures": True},
+                    name="repro-serve-retire", daemon=True,
+                ).start()
+            self._attempt(job, parent, retried=True)
+            return
+        exc = inner.exception()
+        if exc is not None:
+            # The job raised: the worker is fine, the request is not.
+            # A store problem stays itself (404); the rest are 500s.
+            if not isinstance(exc, StoreError):
+                cause, exc = exc, DispatchError(
+                    500, f"{type(exc).__name__}: {exc}"
+                )
+                exc.__cause__ = cause
+            self._settle(job, True, exc)
+            return
+        body = inner.result()
+        spans = body.pop("spans", [])
+        if spans:
+            obs.get_tracer().adopt(spans)
+        self._settle(job, True, body)
+
+    def _settle(self, job: Job, ok: bool, outcome: Any) -> None:
+        """Settle one admitted job with a body or an exception, once:
+        whichever of its worker, its timer or :meth:`close` comes
+        first wins."""
+        with self._lock:
+            entry = self._live.pop(id(job), None)
+            if entry is None:
+                return
+            entry[1].cancel()
+            breaker = self._breakers[job.route]
+            if ok:
+                breaker.record_success()
+            else:
+                breaker.record_failure()
+            if isinstance(outcome, BaseException):
+                job._fail(outcome)
+            else:
+                job._succeed(outcome)
+            self._lock.notify_all()
+
+
+def _init_worker(
+    fault_plan: Optional[FaultPlan], hub_config: Optional[HubConfig]
+) -> None:
+    """Process-pool initializer: arm the parent's fault plan and point
+    the worker's telemetry hub at the parent's journal."""
+    if fault_plan is not None:
+        faults.install(fault_plan)
+    if hub_config is not None:
+        obs.set_hub(TelemetryHub(hub_config))
+
+
+def _local_job(
+    store_root: str,
+    route: str,
+    payload: Dict[str, Any],
+    parent: Optional[obs.SpanContext],
+    drain_spans: bool,
+) -> Dict[str, Any]:
+    """Run one job inside a pool worker: plain data in and out.
+
+    The ``daemon.job`` fault site fires here, so an injected delay
+    really holds a pool slot and an injected kill really kills the
+    worker. The body keeps the worker's ``"spans"`` for adoption.
+    """
+    faults.check("daemon.job")
+    digest = str(payload["artifact"])
+    codec = payload.get("codec")
+    if route == "/v1/recognize":
+        return service_recognize(
+            store_root, digest, str(payload["module"]), parent,
+            drain_spans, codec,
+        )
+    spec = CopySpec(
+        copy_id=str(payload["copy_id"]),
+        watermark=int(payload["watermark"]),
+        seed=int(payload.get("seed", 0)),
+    )
+    result = service_embed_copy(
+        store_root, digest, spec, bool(payload.get("self_check", True)),
+        parent, drain_spans, codec,
+    )
+    return _embed_body(result, digest)
+
+
+def _embed_body(result: CopyResult, digest: str) -> Dict[str, Any]:
+    """The ``/v1/embed`` body, less the ``"codec"`` the daemon adds; a
+    copy that failed or failed its self-check carries an ``"error"``."""
+    body: Dict[str, Any] = {
+        "copy_id": result.copy_id,
+        "watermark": result.watermark,
+        "seed": result.seed,
+        "artifact": digest,
+        "ok": result.ok,
+        "checked": result.checked,
+        "verified": result.verified,
+        "self_check": result.self_check,
+        "output_ok": result.output_ok,
+        "recognized": result.recognized,
+        "piece_count": result.piece_count,
+        "byte_size_increase": result.byte_size_increase,
+        "wall_seconds": result.wall_seconds,
+        "module": result.text,
+        "spans": result.spans,
+    }
+    if not result.ok:
+        body["error"] = result.error
+    elif not result.verified:
+        body["error"] = "copy failed its self-check"
+    return body
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +596,7 @@ class HealthMonitor:
     """Per-worker health from active ``/healthz`` probes + passive sends.
 
     One :class:`~repro.serve.circuit.CircuitBreaker` per worker reuses
-    the daemon's per-route circuit semantics for the worker life
+    the local per-route circuit semantics for the worker life
     cycle::
 
         healthy ──(eject_threshold consecutive failures)──► ejected

@@ -25,6 +25,7 @@ from repro.serve import (
     ServiceClient,
     ServiceError,
 )
+from repro.vm import disassemble
 from repro.workloads import gcd_module
 
 KEY = WatermarkKey(secret=b"pldi-2004", inputs=[25, 10])
@@ -225,6 +226,93 @@ class TestInjectedBackpressure:
             # delayed job to free the single worker slot.
             time.sleep(1.3)
             doc = client.embed(digest, "probe", 3)
+            assert doc["verified"]
+            assert client.healthz()["circuits"]["/v1/embed"] == "closed"
+
+
+class TestHalfOpenProbeAccounting:
+    """A half-open route must never stay wedged: every admitted probe
+    records exactly one outcome, and a refused request never claims
+    the probe slot in the first place.
+
+    Both scenarios open the embed circuit with one timed-out job
+    (threshold 1), let the reset window pass, and then spoil the probe
+    — once by refusing it at admission, once by having it raise.
+    Afterwards the route must serve again instead of answering
+    "circuit open" forever.
+    """
+
+    def wedge_config(self, store_root):
+        return thread_config(
+            store_root, workers=1, queue_depth=0, request_timeout=0.5,
+            circuit_threshold=1, circuit_reset=0.5,
+        )
+
+    def trip(self, client, digest):
+        """One 504 opens the embed circuit; its orphaned job holds the
+        only worker thread for another half second."""
+        with pytest.raises(ServiceError) as info:
+            client.embed(digest, "trip", 1)
+        assert info.value.status == 504
+        assert client.healthz()["circuits"]["/v1/embed"] == "open"
+
+    def test_probe_refused_at_admission_does_not_wedge(
+        self, store_root, digest
+    ):
+        plan = FaultPlan(rules=[
+            FaultRule(site="daemon.job", action="delay",
+                      delay_seconds=1.0, times=1),
+            # The recognize that holds the only admission slot.
+            FaultRule(site="daemon.job", action="delay",
+                      delay_seconds=1.5, after=2, times=1),
+        ])
+        unmarked = disassemble(gcd_module())
+        with faults.injected(plan), \
+                ServerThread(self.wedge_config(store_root)) as server:
+            client = ServiceClient(server.base_url, retry=NO_RETRY)
+            self.trip(client, digest)
+            time.sleep(0.7)  # window elapsed, orphaned job finished
+            held = {}
+
+            def hold_slot():
+                try:
+                    client.recognize(digest, unmarked)
+                except ServiceError as exc:
+                    held["status"] = exc.status
+
+            hold = threading.Thread(target=hold_slot)
+            hold.start()
+            time.sleep(0.15)  # the recognize now owns the only slot
+            with pytest.raises(ServiceError) as info:
+                client.embed(digest, "refused-probe", 2)
+            assert info.value.status == 429
+            hold.join(timeout=30)
+            assert held["status"] == 504
+            time.sleep(1.5)  # the recognize's orphan frees the worker
+            doc = client.embed(digest, "after", 3)
+            assert doc["verified"]
+            assert client.healthz()["circuits"]["/v1/embed"] == "closed"
+
+    def test_probe_that_raises_does_not_wedge(self, store_root, digest):
+        plan = FaultPlan(rules=[
+            FaultRule(site="daemon.job", action="delay",
+                      delay_seconds=1.0, times=1),
+            FaultRule(site="daemon.job", action="raise", after=2,
+                      times=1, exception=RuntimeError),
+        ])
+        with faults.injected(plan), \
+                ServerThread(self.wedge_config(store_root)) as server:
+            client = ServiceClient(server.base_url, retry=NO_RETRY)
+            self.trip(client, digest)
+            time.sleep(0.7)
+            with pytest.raises(ServiceError) as info:
+                client.embed(digest, "raising-probe", 2)
+            assert info.value.status == 500
+            assert "RuntimeError" in info.value.message
+            # Whatever the probe's outcome counted as, the route gets
+            # another chance within one reset window.
+            time.sleep(0.7)
+            doc = client.embed(digest, "after", 3)
             assert doc["verified"]
             assert client.healthz()["circuits"]["/v1/embed"] == "closed"
 

@@ -8,7 +8,9 @@ tests assert on dispatch behaviour, not embedding speed.
 
 import collections
 import json
+import random
 import socket
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -23,6 +25,7 @@ from repro.faults.retry import RetryPolicy
 from repro.obs.journal import HubConfig, TelemetryHub
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import prepare
+from repro.serve import dispatch as dispatch_module
 from repro.serve.client import ServiceClient, ServiceError
 from repro.serve.dispatch import (
     WORKER_EJECTED,
@@ -200,6 +203,86 @@ class TestLocalDispatcher:
             assert dispatcher.stats()["submitted"] == 2
         finally:
             dispatcher.close()
+
+    def test_process_pool_roundtrip(self, tmp_path):
+        """Jobs travel to a process pool as plain data: the dispatcher
+        itself (locks, breakers, the pool) is never pickled."""
+        store = ArtifactStore(str(tmp_path / "store"))
+        record = store.put(prepare(gcd_module(), KEY, 16, 8))
+        dispatcher = LocalDispatcher(
+            store.root, workers=1, executor="process"
+        )
+        try:
+            embed = dispatcher.submit(Job("/v1/embed", {
+                "artifact": record.digest, "copy_id": "p0",
+                "watermark": 9, "seed": 2,
+            })).result(timeout=120)
+            assert embed["verified"] and embed["recognized"] == 9
+            recog = dispatcher.submit(Job("/v1/recognize", {
+                "artifact": record.digest, "module": embed["module"],
+            })).result(timeout=120)
+            assert recog["complete"] and recog["value"] == 9
+        finally:
+            dispatcher.close()
+
+    def test_books_balance_under_thread_contention(self, monkeypatch):
+        """Submitters, pool callbacks and timeout timers race over the
+        live set and the counters: admission never overbooks, every
+        job settles exactly once, and the books return to empty."""
+
+        def fake_recognize(store_root, digest, text, *rest):
+            time.sleep(random.uniform(0.0, 0.004))
+            return {"complete": True, "value": 1, "spans": []}
+
+        monkeypatch.setattr(
+            dispatch_module, "service_recognize", fake_recognize
+        )
+        dispatcher = LocalDispatcher(
+            "unused", workers=4, queue_depth=4, request_timeout=0.006,
+            circuit_threshold=10**6,
+        )
+        futures, overbooked = [], []
+        lock = threading.Lock()
+
+        def submitter():
+            for _ in range(60):
+                future = dispatcher.submit(Job(
+                    "/v1/recognize", {"artifact": "d", "module": "m"}
+                ))
+                inflight = dispatcher.stats()["inflight"]
+                with lock:
+                    futures.append(future)
+                    if inflight > dispatcher.capacity:
+                        overbooked.append(inflight)
+                time.sleep(random.uniform(0.0, 0.002))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=submitter) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert dispatcher.drain(timeout=30)
+            statuses = collections.Counter()
+            for future in futures:
+                exc = future.exception(timeout=30)
+                statuses[200 if exc is None else exc.status] += 1
+        finally:
+            sys.setswitchinterval(interval)
+            dispatcher.close()
+        assert sum(statuses.values()) == 360
+        assert set(statuses) <= {200, 429, 504}
+        assert statuses[200] > 0 and statuses[429] > 0
+        assert overbooked == []
+        stats = dispatcher.stats()
+        assert (stats["inflight"], stats["submitted"]) == (0, 360)
+        requests = obs.get_registry().counter("repro_http_requests_total")
+        assert requests.value(
+            route="rejected", method="-", status="429"
+        ) == statuses[429]
 
     def test_unknown_route_fails_the_future(self, tmp_path):
         dispatcher = LocalDispatcher(str(tmp_path), workers=1)

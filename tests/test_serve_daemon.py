@@ -20,7 +20,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import prepare
 from repro.pipeline.metrics import CopyResult
 from repro.serve import ArtifactStore, ServerConfig, ServerThread, StoreError
-from repro.serve import daemon as daemon_module
+from repro.serve import dispatch as dispatch_module
 from repro.vm import disassemble
 from repro.workloads import gcd_module
 
@@ -245,7 +245,7 @@ class TestBackpressure:
             return fake_result(args)
 
         monkeypatch.setattr(
-            daemon_module, "service_embed_copy", blocking_embed
+            dispatch_module, "service_embed_copy", blocking_embed
         )
         config = thread_config(store_root, workers=1, queue_depth=0)
         with ServerThread(config) as server:
@@ -281,7 +281,7 @@ class TestBackpressure:
             time.sleep(0.5)
             return fake_result(args)
 
-        monkeypatch.setattr(daemon_module, "service_embed_copy", slow_embed)
+        monkeypatch.setattr(dispatch_module, "service_embed_copy", slow_embed)
         config = thread_config(
             store_root, workers=1, request_timeout=0.05
         )
@@ -305,7 +305,7 @@ class TestWorkerDeathRetry:
                 raise BrokenExecutor("worker died under the job")
             return fake_result(args)
 
-        monkeypatch.setattr(daemon_module, "service_embed_copy", dying_embed)
+        monkeypatch.setattr(dispatch_module, "service_embed_copy", dying_embed)
         with ServerThread(thread_config(store_root, workers=1)) as server:
             status, doc, _ = request(server, "POST", "/v1/embed", {
                 "artifact": digest, "copy_id": "phoenix", "watermark": 5,
@@ -323,7 +323,7 @@ class TestWorkerDeathRetry:
             raise BrokenExecutor("unlucky host")
 
         monkeypatch.setattr(
-            daemon_module, "service_embed_copy", always_dying
+            dispatch_module, "service_embed_copy", always_dying
         )
         with ServerThread(thread_config(store_root, workers=1)) as server:
             status, doc, _ = request(server, "POST", "/v1/embed", {
@@ -457,3 +457,82 @@ class TestOnlineRebalance:
                 "artifact": digest, "copy_id": "x", "watermark": 1,
             })
             assert status == 200
+
+
+class TestFleetFrontEnd:
+    """A daemon started with ``fleet=`` answers like a local one.
+
+    One worker daemon (thread executor) serves both as the fleet's only
+    worker and as the local-mode reference: the same request sent to
+    the front end and straight to the worker must come back with the
+    same status and body, ``wall_seconds`` aside.
+    """
+
+    @pytest.fixture()
+    def servers(self, store_root, tmp_path):
+        worker = ServerThread(thread_config(store_root, workers=1)).start()
+        fleet_file = tmp_path / "workers.json"
+        fleet_file.write_text(json.dumps({"workers": [
+            {"name": "w0", "url": worker.base_url, "capacity": 1},
+        ]}))
+        try:
+            front = ServerThread(
+                thread_config(store_root, fleet=str(fleet_file))
+            ).start()
+            try:
+                yield front, worker
+            finally:
+                front.stop()
+        finally:
+            worker.stop()
+
+    @staticmethod
+    def same_answer(front, worker, path, doc):
+        front_status, front_body, _ = request(front, "POST", path, doc)
+        local_status, local_body, _ = request(worker, "POST", path, doc)
+        assert front_status == local_status
+        assert set(front_body) == set(local_body)
+        for body in (front_body, local_body):
+            body.pop("wall_seconds", None)
+        assert front_body == local_body
+        return front_status, front_body
+
+    def test_embed_and_recognize_match_local_mode(self, servers, digest):
+        front, worker = servers
+        status, embed = self.same_answer(front, worker, "/v1/embed", {
+            "artifact": digest, "copy_id": "fleet", "watermark": 0x0BAD,
+            "seed": 3,
+        })
+        assert status == 200 and embed["verified"] is True
+        status, found = self.same_answer(front, worker, "/v1/recognize", {
+            "artifact": digest, "module": embed["module"],
+        })
+        assert (status, found["value"]) == (200, 0x0BAD)
+        status, missing = self.same_answer(front, worker, "/v1/recognize", {
+            "artifact": digest, "module": disassemble(gcd_module()),
+        })
+        assert status == 422 and missing["complete"] is False
+
+    def test_validation_errors_never_reach_a_worker(self, servers, digest):
+        front, _worker = servers
+        status, body, _ = request(front, "POST", "/v1/embed", {
+            "artifact": digest, "copy_id": "wide", "watermark": 1 << BITS,
+        })
+        assert status == 400 and "fingerprint width" in body["error"]
+        # Front end and worker share this process's registry: a
+        # forwarded request would have been counted twice.
+        requests = obs.get_registry().counter("repro_http_requests_total")
+        assert requests.value(
+            route="/v1/embed", method="POST", status="400"
+        ) == 1
+        _, health, _ = request(front, "GET", "/healthz")
+        assert health["fleet"]["completed"] == 0
+        assert health["fleet"]["errors"] == 0
+
+    def test_healthz_carries_fleet_stats(self, servers):
+        front, worker = servers
+        _, front_health, _ = request(front, "GET", "/healthz")
+        _, local_health, _ = request(worker, "GET", "/healthz")
+        assert front_health["fleet"]["mode"] == "fleet"
+        assert "fleet" not in local_health
+        assert set(front_health) - {"fleet"} == set(local_health)
