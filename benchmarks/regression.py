@@ -2,7 +2,8 @@
 """CI-gated benchmark regression harness for the WVM engine.
 
 Runs the interpreter micro-benchmarks (fast engine vs the seed
-reference engine, interleaved in the same process) plus, with
+reference engine, interleaved in the same process), scalar vs batched
+window decryption over one recognition's windows, plus, with
 ``--figures``, the ``benchmarks/test_*`` figure reproductions under
 pytest-benchmark, and writes a schema-versioned ``BENCH_<date>.json``
 report with per-benchmark median, IQR and steps/sec.
@@ -15,8 +16,9 @@ machines (and between runs on the *same* machine), so comparing a
 fresh timing against a committed absolute number would flake
 constantly. Every gated metric is therefore a **ratio measured inside
 one process with the two sides interleaved** — fast-engine throughput
-over reference-engine throughput, binary trace size over JSON trace
-size — which cancels the machine out. Raw seconds and steps/sec are
+over reference-engine throughput, scalar over batched decryption time,
+binary trace size over JSON trace size — which cancels the machine
+out. Raw seconds and steps/sec are
 still recorded (they are what humans read) but never gated.
 
 Usage::
@@ -28,8 +30,9 @@ Usage::
 
 Exit status is non-zero when any gated metric regresses more than
 ``--tolerance`` (default 0.20) below/above its committed baseline in
-``benchmarks/baseline.json``, or when the fast engine's trace is not
-byte-identical to the reference engine's.
+``benchmarks/baseline.json``, when the fast engine's trace is not
+byte-identical to the reference engine's, or when a batched window
+decryption differs from the scalar cipher's.
 """
 
 from __future__ import annotations
@@ -51,6 +54,13 @@ REPO = os.path.dirname(HERE)
 sys.path.insert(0, os.path.join(REPO, "src"))
 
 from repro import faults  # noqa: E402
+from repro.bytecode_wm import (  # noqa: E402
+    WatermarkKey,
+    embed,
+    trace_bitstring,
+)
+from repro.core.bitstring import window_multiset  # noqa: E402
+from repro.core.cipher import BlockCipher  # noqa: E402
 from repro.obs.vmprofile import profile_run  # noqa: E402
 from repro.vm._reference import run_module_reference  # noqa: E402
 from repro.vm.interpreter import run_module  # noqa: E402
@@ -152,6 +162,58 @@ def _trace_identity_check() -> bool:
         dump_trace(fast.trace, module, fast_buf)
         ok = ok and ref_buf.getvalue() == fast_buf.getvalue()
     return ok
+
+
+def _recognition_windows() -> Tuple[BlockCipher, List[int]]:
+    """The distinct trace windows one recognition decrypts, and its cipher.
+
+    A 64-bit mark in CaffeineMark: its self-check recognition opens
+    about 4.7k distinct windows, the mint workload's typical batch.
+    """
+    key = WatermarkKey(b"decrypt-batch", list(CAFFEINE_INPUT))
+    marked = embed(
+        caffeinemark_module(), 0x0123456789ABCDEF, key, watermark_bits=64
+    ).module
+    windows = window_multiset(trace_bitstring(marked, key))
+    return key.cipher(), list(windows)
+
+
+def _decrypt_batch_pair(repeats: int, results: Dict[str, dict]) -> bool:
+    """Scalar vs batched window decryption, interleaved like the engines.
+
+    Returns whether every batch equalled the scalar map block for block.
+    """
+    cipher, windows = _recognition_windows()
+    scalar_times: List[float] = []
+    batch_times: List[float] = []
+    exact = True
+    for _ in range(repeats):
+        t_scalar, want = _time_run(
+            lambda: [cipher.decrypt_block(w) for w in windows]
+        )
+        t_batch, got = _time_run(lambda: cipher.decrypt_blocks(windows))
+        exact = exact and got == want
+        scalar_times.append(t_scalar)
+        batch_times.append(t_batch)
+    for side, times in (("scalar", scalar_times), ("batch", batch_times)):
+        med, iqr = _median_iqr(times)
+        results[f"cipher.decrypt_batch.{side}"] = {
+            "unit": "seconds",
+            "median": med,
+            "iqr": iqr,
+            "repeats": repeats,
+            "blocks": len(windows),
+            "gate": None,
+        }
+    med, iqr = _median_iqr([s / b for s, b in zip(scalar_times, batch_times)])
+    results["cipher.decrypt_batch.speedup"] = {
+        "unit": "ratio",
+        "median": med,
+        "iqr": iqr,
+        "repeats": repeats,
+        "gate": "min",
+    }
+    return exact
 
 
 def _trace_size_ratio(results: Dict[str, dict]) -> None:
@@ -288,6 +350,8 @@ def run_benchmarks(repeats: int, figures: bool) -> dict:
     )
     _trace_size_ratio(results)
     trace_identical = _trace_identity_check()
+    print("== window decryption ==", flush=True)
+    decrypt_exact = _decrypt_batch_pair(repeats, results)
     fault_hooks = _fault_hook_inertness_check()
     print("== dispatch profiles ==", flush=True)
     dispatch = _dispatch_profiles()
@@ -304,6 +368,7 @@ def run_benchmarks(repeats: int, figures: bool) -> dict:
         "dispatch": dispatch,
         "checks": {
             "trace_byte_identical": trace_identical,
+            "decrypt_batch_exact": decrypt_exact,
             "fault_hooks": fault_hooks,
         },
     }
@@ -336,6 +401,8 @@ def print_report(report: dict) -> None:
         )
     ident = report["checks"]["trace_byte_identical"]
     print(f"trace byte-identical vs reference engine: {ident}")
+    exact = report["checks"]["decrypt_batch_exact"]
+    print(f"batched window decryption equals the scalar cipher: {exact}")
     hooks = report["checks"].get("fault_hooks")
     if hooks:
         print(
@@ -352,6 +419,10 @@ def compare_to_baseline(
     if not report["checks"]["trace_byte_identical"]:
         failures.append(
             "fast engine's trace is not byte-identical to the reference"
+        )
+    if not report["checks"]["decrypt_batch_exact"]:
+        failures.append(
+            "batched window decryption differs from the scalar cipher"
         )
     hooks = report["checks"].get("fault_hooks", {})
     if not hooks.get("inert", True):

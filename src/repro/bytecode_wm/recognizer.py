@@ -87,8 +87,16 @@ def recognize(
         bits = decode_bits(trace.branch_pairs())
     else:
         bits = trace_bitstring(module, key, max_steps)
-    with obs.span("recognize.recover", bits=len(bits)):
-        return recognize_bits(bits, key, watermark_bits, use_voting, codec)
+    with obs.span("recognize.recover", bits=len(bits)) as sp:
+        result = recognize_bits(bits, key, watermark_bits, use_voting, codec)
+        sp.set(
+            windows=result.windows_inspected,
+            distinct_windows=result.distinct_windows,
+            candidates=result.candidates_found,
+            candidates_after_voting=result.candidates_after_voting,
+            accepted=len(result.accepted),
+        )
+    return result
 
 
 def recognition_report(

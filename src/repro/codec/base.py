@@ -37,7 +37,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.cipher import BlockCipher
 from ..core.enumeration import Statement
@@ -167,13 +167,7 @@ def open_symbol(
     ``positions`` bounds the valid position range (the codeword length
     ``n``), tightening junk rejection beyond the MAC check.
     """
-    return check_symbol(cipher, tag, cipher.decrypt_block(block), positions)
-
-
-def check_symbol(
-    cipher: BlockCipher, tag: int, plain: int, positions: int
-) -> Optional[tuple]:
-    """:func:`open_symbol` on an already-decrypted block."""
+    plain = cipher.decrypt_block(block)
     sym = plain & 0xFF
     pos = (plain >> 8) & 0xFF
     if pos >= positions:
@@ -182,6 +176,30 @@ def check_symbol(
     if cipher.encrypt_block(inner) & _MASK48 != plain >> 16:
         return None
     return pos, sym
+
+
+def check_symbols(
+    cipher: BlockCipher, tag: int, plains: Sequence[int], positions: int
+) -> List[Tuple[int, int, int]]:
+    """The check of :func:`open_symbol` over many decrypted blocks at once.
+
+    Returns ``(index, pos, sym)`` for each block of ``plains`` that
+    opens, in order. The MAC inputs of every block with an in-range
+    position are encrypted in one :meth:`~BlockCipher.encrypt_blocks`
+    call.
+    """
+    in_range = [
+        (k, plain) for k, plain in enumerate(plains)
+        if (plain >> 8) & 0xFF < positions
+    ]
+    checks = cipher.encrypt_blocks(
+        [(tag << 16) | (plain & 0xFFFF) for _, plain in in_range]
+    )
+    return [
+        (k, (plain >> 8) & 0xFF, plain & 0xFF)
+        for (k, plain), check in zip(in_range, checks)
+        if check & _MASK48 == plain >> 16
+    ]
 
 
 def keyed_mac(cipher: BlockCipher, data: bytes, out_bytes: int) -> bytes:

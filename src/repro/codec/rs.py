@@ -34,7 +34,7 @@ from ..core.recovery import RecoveryResult, open_windows
 from .base import (
     EncodedPiece,
     WatermarkCodec,
-    check_symbol,
+    check_symbols,
     keyed_mac,
     seal_symbol,
     validate_recovery,
@@ -56,14 +56,12 @@ def symbol_votes(
     carries that count. Returns ``(votes, hits)``. Shared with the
     hybrid codec, which seals its parity symbols under a different tag.
     """
+    counts = list(plaintexts.values())
     votes: Dict[int, Counter] = {}
     hits = 0
-    for plain, count in plaintexts.items():
-        opened = check_symbol(cipher, tag, plain, positions)
-        if opened is not None:
-            pos, sym = opened
-            votes.setdefault(pos, Counter())[sym] += count
-            hits += count
+    for k, pos, sym in check_symbols(cipher, tag, list(plaintexts), positions):
+        votes.setdefault(pos, Counter())[sym] += counts[k]
+        hits += counts[k]
     return votes, hits
 
 

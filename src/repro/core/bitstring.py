@@ -94,9 +94,16 @@ def sliding_windows(bits: List[Bit], width: int = 64) -> Iterable[Tuple[int, int
 
     Used by the recognizer: the embedded pieces may start at any bit
     offset in the trace string, so every alignment is tried. Packing is
-    incremental (O(1) per window) so very long traces stay cheap.
+    incremental (O(1) per window) so very long traces stay cheap. Every
+    bit must be 0 or 1, else ``ValueError`` names the first one that is
+    not.
     """
     n = len(bits)
+    # Two C-level scans check every bit; only a bad string pays for the
+    # Python-level search that names the first offender.
+    if bits.count(0) + bits.count(1) != n:
+        k, b = next((k, b) for k, b in enumerate(bits) if b not in (0, 1))
+        raise ValueError(f"bit at index {k} is {b!r}, not 0/1")
     if n < width:
         return
     window = bits_to_int_lsb_first(bits[:width])

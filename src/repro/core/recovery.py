@@ -85,10 +85,12 @@ class RecoveryResult:
 def decrypt_windows(windows: Counter, cipher: BlockCipher) -> Counter:
     """Decrypt each distinct window once: plaintext -> occurrence count.
 
-    The cipher permutes 64-bit blocks, so distinct windows stay distinct
-    and the first-occurrence order of ``windows`` carries over.
+    One :meth:`~BlockCipher.decrypt_blocks` call covers every distinct
+    window. The cipher permutes 64-bit blocks, so distinct windows stay
+    distinct and the first-occurrence order of ``windows`` carries over.
     """
-    return Counter({cipher.decrypt_block(w): n for w, n in windows.items()})
+    plaintexts = cipher.decrypt_blocks(list(windows))
+    return Counter(dict(zip(plaintexts, windows.values())))
 
 
 def open_windows(bits: Sequence[int], cipher: BlockCipher) -> Counter:

@@ -15,6 +15,7 @@ from repro.core.bitstring import (
     decode_bits,
     int_to_bits_lsb_first,
     sliding_windows,
+    window_multiset,
 )
 
 
@@ -114,3 +115,20 @@ class TestSlidingWindows:
             for t in range(len(bits) - 63)
         ]
         assert list(sliding_windows(bits, 64)) == naive
+
+    def test_rejects_a_non_bit_after_the_first_window(self):
+        # A bad bit past the first window must not pack into a window
+        # wider than 64 bits.
+        bits = [0] * 64 + [2, 1]
+        with pytest.raises(ValueError, match="bit at index 64 is 2, not 0/1"):
+            window_multiset(bits)
+        with pytest.raises(ValueError, match="bit at index 64 is 2, not 0/1"):
+            list(sliding_windows(bits, 64))
+
+    @given(st.lists(st.integers(0, 1), max_size=150), st.data())
+    def test_names_the_first_non_bit(self, bits, data):
+        k = data.draw(st.integers(0, len(bits)))
+        bad = data.draw(st.sampled_from([2, -1, 7, "1", None]))
+        bits = bits[:k] + [bad] + bits[k:] + [bad]
+        with pytest.raises(ValueError, match=f"bit at index {k} is "):
+            window_multiset(bits)

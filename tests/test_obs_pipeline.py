@@ -21,7 +21,7 @@ from repro.pipeline import (
 from repro.vm import disassemble
 from repro.workloads import collatz_module, gcd_module
 
-from repro.bytecode_wm import WatermarkKey
+from repro.bytecode_wm import WatermarkKey, embed, recognize
 
 KEY = WatermarkKey(secret=b"pldi-2004", inputs=[25, 10])
 BITS = 16
@@ -203,6 +203,29 @@ class TestBatchObservability:
         for stage in ("prepare.trace", "prepare.cfg",
                       "prepare.placement", "prepare.plan"):
             assert stage in names
+
+
+class TestRecognitionSpans:
+    @pytest.mark.parametrize("codec", ["gcrt", "rs-8", "hybrid-4"])
+    def test_recover_span_carries_the_work_counters(self, codec):
+        key = WatermarkKey(secret=b"looping", inputs=[27])
+        marked = embed(collatz_module(), 0x2BAD, key, watermark_bits=BITS,
+                       codec=codec).module
+        tracer = obs.enable_tracing()
+        result = recognize(marked, key, BITS, codec=codec)
+        assert result.complete and result.value == 0x2BAD
+        (span,) = [sp for sp in tracer.drain()
+                   if sp.name == "recognize.recover"]
+        attrs = span.attributes
+        assert attrs["windows"] == result.windows_inspected
+        assert attrs["distinct_windows"] == result.distinct_windows
+        assert attrs["candidates"] == result.candidates_found
+        assert attrs["candidates_after_voting"] == \
+            result.candidates_after_voting
+        assert attrs["accepted"] == len(result.accepted)
+        # A looping program repeats windows, so the counters differ.
+        assert 0 < attrs["distinct_windows"] < attrs["windows"]
+        assert attrs["candidates"] > 0
 
 
 class TestObservabilityCli:

@@ -8,8 +8,9 @@ Both are pure work savings, so the oracle is the code they replaced:
   and :func:`recover` on candidates *and their order*, votes, clear
   winners, accepted statements, value and confidence, over bit-strings
   built from repeated segments the way a hot loop repeats trace bits;
-* a looping program's gcrt and rs-8 recognitions call
-  ``decrypt_block`` exactly once per distinct window;
+* a looping program's gcrt, rs-8 and hybrid-4 recognitions decrypt
+  exactly one block per distinct window, counting the blocks of
+  ``decrypt_blocks`` calls as well as single ``decrypt_block`` calls;
 * ``Trace.site_snapshots`` returns what the linear scan returned,
   never aliases or serves a stale index, and leaves trace equality,
   the binary trace blob and the prepared-program pickle untouched.
@@ -250,6 +251,11 @@ class CountingCipher(BlockCipher):
     def decrypt_block(self, block):
         self.decrypts += 1
         return super().decrypt_block(block)
+
+    def decrypt_blocks(self, blocks):
+        blocks = list(blocks)
+        self.decrypts += len(blocks)
+        return super().decrypt_blocks(blocks)
 
 
 class TestOneDecryptPerDistinctWindow:
