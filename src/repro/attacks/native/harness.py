@@ -38,10 +38,6 @@ class NativeAttackOutcome:
     extracted_simple: bool
     extracted_smart: bool
 
-    @property
-    def breaks_program(self) -> bool:
-        return not self.program_ok
-
 
 def _program_ok(
     original: BinaryImage,

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -202,44 +201,46 @@ def _attack_cell(
         copy_watermarks=[s.watermark for s in specs],
         copy_seeds=[s.seed for s in specs],
     )
-    start = time.perf_counter()
-    branch_deltas: List[float] = []
-    size_deltas: List[float] = []
-    for spec, module in zip(specs, marked):
-        rng = copy_rng(seed, spec.copy_id)
-        try:
-            attacked = schedule.apply(module, intensity, rng)
-        except Exception as exc:  # attack itself broke — isolate it
-            cell.errored += 1
-            if len(cell.errors) < _MAX_CELL_ERRORS:
-                cell.errors.append(f"{spec.copy_id}: attack: {exc}")
-            continue
-        branch_deltas.append(branch_increase_fraction(module, attacked))
-        size_deltas.append(
-            float(attacked.byte_size() - module.byte_size())
-        )
-        try:
-            out = run_module(attacked, workload.inputs,
-                             max_steps=config.max_steps)
-            if out.output == prepared.baseline_output:
-                cell.program_ok += 1
-        except VMError as exc:
-            if len(cell.errors) < _MAX_CELL_ERRORS:
-                cell.errors.append(f"{spec.copy_id}: run: {exc}")
-        try:
-            found = recognize(attacked, prepared.key,
-                              watermark_bits=bits,
-                              max_steps=config.max_steps,
-                              codec=prepared.codec)
-            if found.complete and found.value == spec.watermark:
-                cell.recovered += 1
-        except VMError as exc:
-            if len(cell.errors) < _MAX_CELL_ERRORS:
-                cell.errors.append(f"{spec.copy_id}: recognize: {exc}")
-    if branch_deltas:
-        cell.branch_delta = sum(branch_deltas) / len(branch_deltas)
-        cell.size_delta_bytes = sum(size_deltas) / len(size_deltas)
-    cell.wall_seconds = time.perf_counter() - start
+    with obs.span("campaign.cell", workload=workload.name, bits=bits,
+                  codec=prepared.codec, attack=schedule.name,
+                  intensity=intensity) as cell_span:
+        branch_deltas: List[float] = []
+        size_deltas: List[float] = []
+        for spec, module in zip(specs, marked):
+            rng = copy_rng(seed, spec.copy_id)
+            try:
+                attacked = schedule.apply(module, intensity, rng)
+            except Exception as exc:  # attack itself broke — isolate it
+                cell.errored += 1
+                if len(cell.errors) < _MAX_CELL_ERRORS:
+                    cell.errors.append(f"{spec.copy_id}: attack: {exc}")
+                continue
+            branch_deltas.append(branch_increase_fraction(module, attacked))
+            size_deltas.append(
+                float(attacked.byte_size() - module.byte_size())
+            )
+            try:
+                out = run_module(attacked, workload.inputs,
+                                 max_steps=config.max_steps)
+                if out.output == prepared.baseline_output:
+                    cell.program_ok += 1
+            except VMError as exc:
+                if len(cell.errors) < _MAX_CELL_ERRORS:
+                    cell.errors.append(f"{spec.copy_id}: run: {exc}")
+            try:
+                found = recognize(attacked, prepared.key,
+                                  watermark_bits=bits,
+                                  max_steps=config.max_steps,
+                                  codec=prepared.codec)
+                if found.complete and found.value == spec.watermark:
+                    cell.recovered += 1
+            except VMError as exc:
+                if len(cell.errors) < _MAX_CELL_ERRORS:
+                    cell.errors.append(f"{spec.copy_id}: recognize: {exc}")
+        if branch_deltas:
+            cell.branch_delta = sum(branch_deltas) / len(branch_deltas)
+            cell.size_delta_bytes = sum(size_deltas) / len(size_deltas)
+    cell.wall_seconds = cell_span.duration
     return cell
 
 
@@ -311,7 +312,6 @@ def run_campaign(
         "repro_campaign_cell_seconds", "Wall time per campaign cell"
     )
 
-    start = time.perf_counter()
     schedules = campaign_attacks(config.attacks)
     codec_list = [resolve_codec(c).spec for c in config.codecs]
     report = CampaignReport(
@@ -359,7 +359,7 @@ def run_campaign(
     try:
         with obs.span("campaign", seed=config.seed,
                       workloads=config.workloads,
-                      attacks=len(schedules)):
+                      attacks=len(schedules)) as campaign_span:
             with obs.span("campaign.generate", count=config.workloads):
                 corpus = generate_corpus(
                     config.workloads, base_seed=config.seed,
@@ -477,18 +477,11 @@ def run_campaign(
                                     record(future.result())
                         else:
                             for schedule, intensity, index in pending:
-                                with obs.span("campaign.cell",
-                                              workload=program.name,
-                                              bits=bits,
-                                              codec=codec,
-                                              attack=schedule.name,
-                                              intensity=intensity):
-                                    cell = _attack_cell(
-                                        config, program, bits, prepared,
-                                        specs, marked, schedule,
-                                        intensity, index,
-                                    )
-                                record(cell)
+                                record(_attack_cell(
+                                    config, program, bits, prepared,
+                                    specs, marked, schedule,
+                                    intensity, index,
+                                ))
                         say(f"{program.name} b{bits} {codec}: "
                             f"{len(schedules)} attacks swept")
     finally:
@@ -498,5 +491,5 @@ def run_campaign(
             journal_fp.close()
 
     report.cells.sort(key=CampaignCell.key)
-    report.wall_seconds = time.perf_counter() - start
+    report.wall_seconds = campaign_span.duration
     return report

@@ -334,6 +334,7 @@ def cmd_obs_summary(args) -> int:
     spans = 0
     snapshots = 0
     kinds: dict = {}
+    by_name: dict = {}
     traces: set = set()
     first = None
     last = None
@@ -350,12 +351,23 @@ def cmd_obs_summary(args) -> int:
             spans += 1
             if doc.get("trace_id"):
                 traces.add(doc["trace_id"])
+            duration = doc.get("duration")
+            if isinstance(duration, (int, float)):
+                name = doc.get("name", "?")
+                count, total = by_name.get(name, (0, 0.0))
+                by_name[name] = (count + 1, total + duration)
         elif rec == "metrics":
             snapshots += 1
     print(f"events    {events}")
     for kind in sorted(kinds):
         print(f"  {kind:<18} {kinds[kind]}")
     print(f"spans     {spans}  ({len(traces)} trace(s))")
+    if by_name:
+        print(f"  {'name':<18} {'count':>6} {'total s':>10} {'mean ms':>10}")
+    for name in sorted(by_name):
+        count, total = by_name[name]
+        print(f"  {name:<18} {count:>6} {total:>10.3f} "
+              f"{total / count * 1000:>10.1f}")
     print(f"snapshots {snapshots}")
     if first is not None and last is not None:
         print(f"window    {last - first:.1f}s of activity")
@@ -1028,8 +1040,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="only events for this HTTP route")
     o.set_defaults(fn=cmd_obs_tail)
 
-    o = osub.add_parser("summary",
-                        help="count journal records by kind")
+    o = osub.add_parser(
+        "summary",
+        help="count journal records by kind; time spent per span name",
+    )
     o.add_argument("--journal", required=True, metavar="PATH")
     o.set_defaults(fn=cmd_obs_summary)
 

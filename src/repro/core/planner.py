@@ -45,10 +45,6 @@ class RedundancyPlan:
     expected_success: float
     codec: str = "gcrt"
 
-    @property
-    def copies_per_statement(self) -> float:
-        return self.pieces / self.pair_count
-
 
 def success_probability_for_pieces(
     n: int, pieces: int, piece_loss: float

@@ -335,14 +335,6 @@ def recover_candidates(
     return result
 
 
-def expected_modulus(moduli: Sequence[int]) -> int:
-    """Product of all moduli: the modulus of a complete recovery."""
-    acc = 1
-    for m in moduli:
-        acc *= m
-    return acc
-
-
 def gcd_consistency_check(statements: Sequence[Statement], moduli: Sequence[int]) -> bool:
     """Pairwise consistency of a statement set (used by tests)."""
     for idx, a in enumerate(statements):

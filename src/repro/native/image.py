@@ -72,10 +72,6 @@ class BinaryImage:
         off = addr - self.data_base
         return int.from_bytes(self.data[off:off + 4], "little")
 
-    def write_data_word(self, addr: int, value: int) -> None:
-        off = addr - self.data_base
-        self.data[off:off + 4] = (value & 0xFFFFFFFF).to_bytes(4, "little")
-
     def copy(self) -> "BinaryImage":
         return BinaryImage(
             bytes(self.text),

@@ -36,22 +36,6 @@ class Profile:
     def executed(self, addr: int) -> bool:
         return addr in self.counts
 
-    def first_execution(self, addr: int) -> Optional[int]:
-        return self.first_seen.get(addr)
-
-    def hotness_threshold(self, fraction: float = 0.9) -> int:
-        """Count level below which an address is considered cold.
-
-        Addresses are ranked by count; the threshold is the count at
-        the given quantile (default: anything below the top decile's
-        level is cold).
-        """
-        if not self.counts:
-            return 0
-        ranked = sorted(self.counts.values())
-        idx = min(len(ranked) - 1, int(len(ranked) * fraction))
-        return ranked[idx]
-
 
 def profile_image(
     image: BinaryImage,

@@ -32,11 +32,12 @@ superinstructions". Seven pieces:
   :class:`~repro.obs.recognition.RecognitionReport` diagnostics for
   both recognizers (window/voting/CRT funnel, native chain linkage).
 
-Everything is **pay-for-use**: with tracing disabled, :func:`span` is
-a no-op context manager; the interpreter's profiled loops are separate
-generated specializations that plain runs never touch; the ambient
-metrics registry is a handful of dict updates per pipeline *stage*
-(never per instruction).
+Everything is **pay-for-use**: with tracing disabled, :func:`span`
+only keeps time (two clock reads; its ``duration`` is the one clock
+the reports read) and records nothing; the interpreter's profiled
+loops are separate generated specializations that plain runs never
+touch; the ambient metrics registry is a handful of dict updates per
+pipeline *stage* (never per instruction).
 
 Typical use::
 
@@ -51,9 +52,6 @@ Typical use::
 
 from __future__ import annotations
 
-from contextlib import AbstractContextManager
-from typing import Any, Optional, Union
-
 from .journal import (
     Event,
     HubConfig,
@@ -66,7 +64,6 @@ from .journal import (
     set_hub,
 )
 from .metrics import (
-    DEFAULT_BUCKETS,
     DEFAULT_LATENCY_BUCKETS,
     Counter,
     Gauge,
@@ -77,22 +74,23 @@ from .metrics import (
 )
 from .promcheck import check_exposition
 from .recognition import RecognitionReport
-from .slo import Objective, SLOEngine, SLOStatus, default_objectives
+from .slo import Objective, SLOEngine, default_objectives
 from .spans import (
-    NullTracer,
     Span,
     SpanContext,
     Tracer,
     attach,
     current_context,
+    disable_tracing,
+    enable_tracing,
+    get_tracer,
     render_span_tree,
+    span,
 )
-from .timing import StageAccumulator, Stopwatch
 from .vmprofile import DispatchProfile, profile_run
 
 __all__ = [
     "Counter",
-    "DEFAULT_BUCKETS",
     "DEFAULT_LATENCY_BUCKETS",
     "DispatchProfile",
     "Event",
@@ -100,15 +98,11 @@ __all__ = [
     "Histogram",
     "HubConfig",
     "MetricsRegistry",
-    "NullTracer",
     "Objective",
     "RecognitionReport",
     "SLOEngine",
-    "SLOStatus",
     "Span",
     "SpanContext",
-    "StageAccumulator",
-    "Stopwatch",
     "TelemetryHub",
     "Tracer",
     "attach",
@@ -130,35 +124,3 @@ __all__ = [
     "set_registry",
     "span",
 ]
-
-#: The ambient tracer. A ``NullTracer`` until :func:`enable_tracing`
-#: swaps a recording one in — library code calls :func:`span`
-#: unconditionally and pays nothing while disabled.
-_ACTIVE: Union[Tracer, NullTracer] = NullTracer()
-
-
-def get_tracer() -> Union[Tracer, NullTracer]:
-    """The ambient tracer (check ``.enabled`` to see which kind)."""
-    return _ACTIVE
-
-
-def enable_tracing(tracer: Optional[Tracer] = None) -> Tracer:
-    """Install (and return) a recording tracer as the ambient one."""
-    global _ACTIVE
-    _ACTIVE = tracer if tracer is not None else Tracer()
-    return _ACTIVE
-
-
-def disable_tracing() -> None:
-    """Restore the no-op ambient tracer."""
-    global _ACTIVE
-    _ACTIVE = NullTracer()
-
-
-def span(
-    name: str,
-    parent: Optional[SpanContext] = None,
-    **attributes: Any,
-) -> AbstractContextManager:
-    """Open a span on the ambient tracer (no-op while disabled)."""
-    return _ACTIVE.span(name, parent=parent, **attributes)

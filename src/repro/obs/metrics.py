@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import json
 import re
-import time
-from contextlib import contextmanager
 from typing import (
     Any,
     Dict,
@@ -179,15 +177,6 @@ class Histogram:
                 break
         agg[0] += value
         agg[1] += 1.0
-
-    @contextmanager
-    def time(self, **labels: Any) -> Iterator[None]:
-        """Observe the wall time of a ``with`` block."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(time.perf_counter() - start, **labels)
 
     def count(self, **labels: Any) -> int:
         series = self._series.get(_labelset(labels))

@@ -20,9 +20,12 @@ The design is deliberately minimal and dependency-free:
   :meth:`Span.from_dict`), exported as JSON lines and re-importable,
   which is how worker spans return home (:meth:`Tracer.adopt`).
 
-When tracing is disabled the module-level :func:`span` goes through a
-:class:`NullTracer` whose context manager touches no clocks and
-allocates nothing per call beyond the singleton no-op span.
+A span's duration is the program's one clock: stage timings, copy
+and cell wall times and request latencies are all read from the span
+that wraps their interval. So a span measures its interval even when
+tracing is disabled. :func:`span` then goes through a
+:class:`NullTracer`, which yields a :class:`TimedSpan` — two
+``perf_counter`` reads, no ids, no context switch, never recorded.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import contextvars
 import json
 import os
 import time
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -150,20 +153,24 @@ def attach(parent: Optional[SpanContext]) -> Iterator[None]:
         _CURRENT.reset(token)
 
 
-class _NoopSpan:
-    """Singleton stand-in yielded by :class:`NullTracer`."""
+class TimedSpan:
+    """What :class:`NullTracer` yields: a span that only keeps time.
 
-    __slots__ = ()
+    It has a ``duration`` (set when the interval closes, also when
+    the body raises) and accepts attributes, which it drops.
+    """
+
+    __slots__ = ("duration",)
+
+    def __init__(self) -> None:
+        self.duration = 0.0
 
     def set(self, **attributes: Any) -> None:
         pass
 
 
-_NOOP_SPAN = _NoopSpan()
-
-
 class NullTracer:
-    """Tracing disabled: spans cost two attribute loads and no clock."""
+    """Tracing disabled: spans keep time but record nothing."""
 
     enabled = False
 
@@ -173,8 +180,13 @@ class NullTracer:
         name: str,
         parent: Optional[SpanContext] = None,
         **attributes: Any,
-    ) -> Iterator[_NoopSpan]:
-        yield _NOOP_SPAN
+    ) -> Iterator[TimedSpan]:
+        sp = TimedSpan()
+        start = time.perf_counter()
+        try:
+            yield sp
+        finally:
+            sp.duration = time.perf_counter() - start
 
     def drain(self) -> List[Span]:
         return []
@@ -259,6 +271,72 @@ class Tracer:
         parent is still open) render as roots rather than vanishing.
         """
         return render_span_tree(self.finished)
+
+
+#: The ambient tracer. A ``NullTracer`` until :func:`enable_tracing`
+#: swaps a recording one in — library code calls :func:`span`
+#: unconditionally and records nothing while disabled.
+_ACTIVE: Union[Tracer, NullTracer] = NullTracer()
+
+
+def get_tracer() -> Union[Tracer, NullTracer]:
+    """The ambient tracer (check ``.enabled`` to see which kind)."""
+    return _ACTIVE
+
+
+def enable_tracing(tracer: Optional[Tracer] = None) -> Tracer:
+    """Install (and return) a recording tracer as the ambient one."""
+    global _ACTIVE
+    _ACTIVE = tracer if tracer is not None else Tracer()
+    return _ACTIVE
+
+
+def disable_tracing() -> None:
+    """Restore the non-recording ambient tracer."""
+    global _ACTIVE
+    _ACTIVE = NullTracer()
+
+
+def span(
+    name: str,
+    parent: Optional[SpanContext] = None,
+    **attributes: Any,
+) -> AbstractContextManager:
+    """Open a span on the ambient tracer; its ``duration`` is set on
+    exit whether or not tracing is enabled."""
+    return _ACTIVE.span(name, parent=parent, **attributes)
+
+
+@contextmanager
+def hand_off(
+    parent: Optional[SpanContext], drain: bool
+) -> Iterator[List[Span]]:
+    """Run a job's body under ``parent``; yield the list its spans land in.
+
+    The worker half of cross-process propagation. ``parent=None`` runs
+    the body untraced and the list stays empty. With a parent, the body
+    runs with it as the ambient context. ``drain=False`` (thread-pool
+    mode) records into the shared ambient tracer and leaves the list
+    empty. ``drain=True`` (process-pool mode) records on a local tracer
+    and, on exit, moves the job's finished spans into the list for the
+    parent process to adopt; leftovers of an earlier job are dropped
+    first so they cannot leak in.
+    """
+    spans: List[Span] = []
+    if parent is None:
+        yield spans
+        return
+    tracer = _ACTIVE
+    if drain:
+        if not tracer.enabled:
+            tracer = enable_tracing()
+        tracer.drain()
+    try:
+        with attach(parent):
+            yield spans
+    finally:
+        if drain:
+            spans.extend(tracer.drain())
 
 
 def render_span_tree(spans: List[Span]) -> str:

@@ -37,7 +37,7 @@ from .batch import (
     service_recognize,
 )
 from .manifest import BatchManifest, ManifestError, load_manifest, parse_manifest
-from .metrics import BatchReport, CopyResult, StageTimings, Stopwatch
+from .metrics import BatchReport, CopyResult, StageTimings
 from .prepare import (
     FORMAT_VERSION,
     PrepareCache,
@@ -59,7 +59,6 @@ __all__ = [
     "PrepareError",
     "PreparedProgram",
     "StageTimings",
-    "Stopwatch",
     "default_chunksize",
     "embed_copy",
     "load_manifest",

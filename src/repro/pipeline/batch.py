@@ -46,12 +46,12 @@ from ..bytecode_wm.embedder import embed
 from ..bytecode_wm.recognizer import recognize, recognize_with_report
 from ..faults.injector import FaultPlan
 from ..faults.retry import RetryPolicy
-from ..obs.spans import SpanContext, attach
+from ..obs.spans import SpanContext, hand_off
 from ..obs.vmprofile import DispatchProfile
 from ..vm.assembler import assemble
 from ..vm.disassembler import disassemble
 from ..vm.interpreter import run_module
-from .metrics import BatchReport, CopyResult, StageTimings, Stopwatch
+from .metrics import BatchReport, CopyResult, StageTimings, stage_span
 from .prepare import PreparedProgram
 
 #: Copy ids become output file names; keep them shell- and fs-safe.
@@ -106,11 +106,10 @@ def embed_copy(
     independent apart from the planned piece count, so overriding is
     always safe — recognition must then use the same codec.
     """
-    start = time.perf_counter()
     active_codec = codec or prepared.codec
     try:
         with obs.span("copy", copy_id=spec.copy_id,
-                      watermark=spec.watermark):
+                      watermark=spec.watermark) as copy_span:
             with obs.span("copy.embed"):
                 result = embed(
                     prepared.module,
@@ -165,7 +164,7 @@ def embed_copy(
             piece_count=result.piece_count,
             bytes_emitted=len(text.encode()),
             byte_size_increase=result.byte_size_increase,
-            wall_seconds=time.perf_counter() - start,
+            wall_seconds=copy_span.duration,
             text=text,
             dispatch_counts=dispatch_counts,
         )
@@ -178,7 +177,7 @@ def embed_copy(
             watermark=spec.watermark,
             seed=spec.seed,
             ok=False,
-            wall_seconds=time.perf_counter() - start,
+            wall_seconds=copy_span.duration,
             error=f"{type(exc).__name__}: {exc}",
             error_kind="permanent",
             traceback=traceback_module.format_exc(),
@@ -228,16 +227,11 @@ def _embed_in_worker(spec: CopySpec) -> CopyResult:
     # here simulate a worker lost mid-task, *outside* the per-copy
     # exception isolation of embed_copy.
     faults.check("batch.worker.task", copy_id=spec.copy_id)
-    if _WORKER_PARENT is None:
-        return embed_copy(
-            _WORKER_PREPARED, spec, _WORKER_SELF_CHECK, _WORKER_PROFILE
-        )
-    tracer = obs.get_tracer()
-    with attach(_WORKER_PARENT):
+    with hand_off(_WORKER_PARENT, drain=True) as spans:
         result = embed_copy(
             _WORKER_PREPARED, spec, _WORKER_SELF_CHECK, _WORKER_PROFILE
         )
-    result.spans = tracer.drain()
+    result.spans = spans
     return result
 
 
@@ -309,19 +303,10 @@ def service_embed_copy(
     the artifact's own codec.
     """
     prepared = load_prepared_artifact(store_root, digest)
-    if parent is None:
-        return embed_copy(prepared, spec, self_check, codec=codec)
-    if drain_spans:
-        tracer = obs.get_tracer()
-        if not tracer.enabled:
-            tracer = obs.enable_tracing()
-        tracer.drain()  # a prior job's leavings must not leak in
-        with attach(parent):
-            result = embed_copy(prepared, spec, self_check, codec=codec)
-        result.spans = tracer.drain()
-        return result
-    with attach(parent):
-        return embed_copy(prepared, spec, self_check, codec=codec)
+    with hand_off(parent, drain_spans) as spans:
+        result = embed_copy(prepared, spec, self_check, codec=codec)
+    result.spans = spans
+    return result
 
 
 def service_recognize(
@@ -343,34 +328,19 @@ def service_recognize(
     process-pool mode) the job's spans as dicts.
     """
 
-    def run() -> Dict[str, Any]:
+    with hand_off(parent, drain_spans) as spans:
         prepared = load_prepared_artifact(store_root, digest)
         module = assemble(module_text)
         found, report = recognize_with_report(
             module, prepared.key, watermark_bits=prepared.watermark_bits,
             codec=codec or prepared.codec,
         )
-        value = found.value if found.complete else None
-        return {
-            "complete": found.complete,
-            "value": value,
-            "report": report.to_dict(),
-            "spans": [],
-        }
-
-    if parent is None:
-        return run()
-    if drain_spans:
-        tracer = obs.get_tracer()
-        if not tracer.enabled:
-            tracer = obs.enable_tracing()
-        tracer.drain()
-        with attach(parent):
-            doc = run()
-        doc["spans"] = [sp.to_dict() for sp in tracer.drain()]
-        return doc
-    with attach(parent):
-        return run()
+    return {
+        "complete": found.complete,
+        "value": found.value if found.complete else None,
+        "report": report.to_dict(),
+        "spans": [sp.to_dict() for sp in spans],
+    }
 
 
 def default_chunksize(copy_count: int, workers: int) -> int:
@@ -556,7 +526,6 @@ def run_batch(
 
     tracer = obs.get_tracer()
     timings = StageTimings()
-    watch = Stopwatch()
     results: Dict[str, CopyResult] = {}
     retry_rounds = 0
 
@@ -581,7 +550,8 @@ def run_batch(
         so a journaled copy always has its module on disk."""
         results[result.copy_id] = result
         if outdir is not None and result.text is not None:
-            with timings.measure("write"):
+            with stage_span(timings, "write", "batch.write",
+                            copy_id=result.copy_id):
                 path = os.path.join(outdir, f"{result.copy_id}.wasm")
                 with open(path, "w") as fp:
                     fp.write(result.text)
@@ -597,42 +567,39 @@ def run_batch(
         )
 
     try:
-        with watch, obs.span("batch", copies=len(specs), workers=workers):
-            with timings.measure("embed"):
-                pending = [s for s in specs if s.copy_id not in results]
-                attempt = 1
-                while pending:
-                    round_errors = _run_round(
-                        prepared, pending, workers, chunksize,
-                        self_check, profile, attempt, record, tracer,
-                    )
-                    pending = [
-                        s for s in pending if s.copy_id not in results
-                    ]
-                    if not pending:
-                        break
-                    if not policy.retries_left(attempt):
-                        for spec in pending:
-                            record(_lost_copy_result(
-                                spec, attempt,
-                                round_errors.get(spec.copy_id),
-                            ))
-                        break
-                    # Transient loss: back off, then resubmit only the
-                    # unfinished specs on a fresh pool.
-                    retry_rounds += 1
-                    obs.get_registry().counter(
-                        "repro_batch_retries_total",
-                        "Copies resubmitted after a worker loss",
-                    ).inc(len(pending))
-                    obs.emit(
-                        "batch.retry",
-                        f"round-{retry_rounds}",
-                        count=len(pending),
-                        attempt=attempt,
-                    )
-                    time.sleep(policy.delay(attempt))
-                    attempt += 1
+        with stage_span(timings, "embed", "batch", copies=len(specs),
+                        workers=workers) as batch_span:
+            pending = [s for s in specs if s.copy_id not in results]
+            attempt = 1
+            while pending:
+                round_errors = _run_round(
+                    prepared, pending, workers, chunksize,
+                    self_check, profile, attempt, record, tracer,
+                )
+                pending = [s for s in pending if s.copy_id not in results]
+                if not pending:
+                    break
+                if not policy.retries_left(attempt):
+                    for spec in pending:
+                        record(_lost_copy_result(
+                            spec, attempt, round_errors.get(spec.copy_id),
+                        ))
+                    break
+                # Transient loss: back off, then resubmit only the
+                # unfinished specs on a fresh pool.
+                retry_rounds += 1
+                obs.get_registry().counter(
+                    "repro_batch_retries_total",
+                    "Copies resubmitted after a worker loss",
+                ).inc(len(pending))
+                obs.emit(
+                    "batch.retry",
+                    f"round-{retry_rounds}",
+                    count=len(pending),
+                    attempt=attempt,
+                )
+                time.sleep(policy.delay(attempt))
+                attempt += 1
     finally:
         if journal is not None:
             journal.close()
@@ -666,7 +633,7 @@ def run_batch(
         batch_timings=timings,
         cache_hits=cache_hits,
         cache_misses=cache_misses,
-        wall_seconds=watch.seconds,
+        wall_seconds=batch_span.duration,
         dispatch_profile=dispatch_profile,
         retry_rounds=retry_rounds,
     )

@@ -8,11 +8,9 @@ verification outcome — every emitted module is immediately re-run and
 re-recognized in-worker, so a report with ``all_ok`` set is a batch of
 copies that are *known* to decode to their own fingerprints.
 
-The timing internals live in :mod:`repro.obs.timing` now;
-:class:`StageTimings` keeps its public name and pickle format but is a
-reentrancy-safe accumulator that also feeds every completed stage into
-the ambient metrics registry (``repro_stage_seconds{stage=...}``), so
-a batch run's stage times are scrapeable without any call-site change.
+Every stage time is the duration of the span that wraps the stage
+(:func:`stage_span`): the report, the ``repro_stage_seconds{stage=...}``
+histogram and the ``--obs-out`` span stream read one clock.
 
 Reports serialize to JSON (``BatchReport.write``) and back
 (``BatchReport.from_json``) so deployments can archive one document
@@ -22,40 +20,53 @@ per fingerprinting run and tooling can re-load it.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
-from ..obs.metrics import get_registry
+from .. import obs
 from ..obs.spans import Span
-from ..obs.timing import StageAccumulator, Stopwatch
 from ..obs.vmprofile import DispatchProfile
 
 __all__ = [
     "BatchReport",
     "CopyResult",
     "StageTimings",
-    "Stopwatch",
+    "stage_span",
 ]
 
 
-class StageTimings(StageAccumulator):
-    """Accumulated wall time per named pipeline stage.
+@dataclass
+class StageTimings:
+    """Wall time per named pipeline stage, in seconds.
 
-    Reentrancy-safe (see :class:`repro.obs.timing.StageAccumulator`):
-    a stage re-entered recursively accumulates once per outermost
-    entry, not once per exit. Completed intervals are additionally
-    observed into the ambient registry's ``repro_stage_seconds``
-    histogram, labelled by stage.
+    Pickles as its ``stages`` dict alone, the state every earlier
+    version of this class pickled too, so old artifacts load.
     """
 
-    def __init__(self, stages: Optional[Dict[str, float]] = None) -> None:
-        super().__init__()
-        if stages:
-            self.stages.update(stages)
+    stages: Dict[str, float] = field(default_factory=dict)
 
-    def _accumulate(self, stage: str, seconds: float) -> None:
-        self.stages[stage] = self.stages.get(stage, 0.0) + seconds
-        get_registry().histogram(
+    def total(self) -> float:
+        return sum(self.stages.values())
+
+
+@contextmanager
+def stage_span(
+    timings: StageTimings, stage: str, name: str, **attributes: Any
+) -> Iterator[Any]:
+    """Open span ``name`` and credit its duration to ``stage``.
+
+    The credit lands when the span closes, also when its body raises,
+    and is observed into the ambient registry's ``repro_stage_seconds``
+    histogram, labelled by stage.
+    """
+    try:
+        with obs.span(name, **attributes) as sp:
+            yield sp
+    finally:
+        seconds = sp.duration
+        timings.stages[stage] = timings.stages.get(stage, 0.0) + seconds
+        obs.get_registry().histogram(
             "repro_stage_seconds", "Pipeline stage wall time"
         ).observe(seconds, stage=stage)
 

@@ -52,7 +52,7 @@ from ..vm.trace_io import (
 )
 from ..vm.tracing import SiteKey, Trace
 from ..vm.verifier import verify_module
-from .metrics import StageTimings
+from .metrics import StageTimings, stage_span
 
 #: Bumped whenever the artifact layout changes; ``load`` rejects other
 #: versions rather than mis-embedding from a stale cache file.
@@ -252,7 +252,8 @@ def prepare(
 ) -> PreparedProgram:
     """Run every watermark-independent stage once and snapshot it.
 
-    Stages (each individually timed in the returned artifact):
+    Stages (each timed by its ``prepare.<stage>`` span, whose duration
+    the returned artifact's ``timings`` keeps):
 
     * **verify** — the module must pass the bytecode verifier before
       any copies are minted from it;
@@ -275,10 +276,10 @@ def prepare(
         raise PrepareError("watermark_bits must be positive")
     timings = StageTimings()
     with obs.span("prepare", watermark_bits=watermark_bits):
-        with timings.measure("verify"), obs.span("prepare.verify"):
+        with stage_span(timings, "verify", "prepare.verify"):
             verify_module(module)
         snapshot = module.copy()
-        with timings.measure("trace"), obs.span("prepare.trace") as sp:
+        with stage_span(timings, "trace", "prepare.trace") as sp:
             try:
                 run = run_module(
                     snapshot, key.inputs, trace_mode="full",
@@ -291,11 +292,11 @@ def prepare(
             sp.set(steps=run.steps)
         trace = run.trace
         assert trace is not None
-        with timings.measure("cfg"), obs.span("prepare.cfg"):
+        with stage_span(timings, "cfg", "prepare.cfg"):
             cfgs = {
                 name: build_cfg(fn) for name, fn in snapshot.functions.items()
             }
-        with timings.measure("placement"), obs.span("prepare.placement"):
+        with stage_span(timings, "placement", "prepare.placement"):
             sites = eligible_sites(trace, snapshot)
             if not sites:
                 raise PrepareError(
@@ -307,7 +308,7 @@ def prepare(
                         f"trace site {site!r} has no CFG block — "
                         f"trace and module disagree"
                     )
-        with timings.measure("plan"), obs.span("prepare.plan"):
+        with stage_span(timings, "plan", "prepare.plan"):
             codec_spec = resolve_codec(codec).spec
             moduli, piece_count = resolve_piece_count(
                 watermark_bits, pieces, piece_loss, target_success,

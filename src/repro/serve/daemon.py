@@ -25,8 +25,8 @@ new jobs with ``503`` + ``Retry-After``, ``/healthz`` reports
 before the dispatcher closes — and observability: every request opens
 an ``http.request`` span (worker-side spans are grafted under it),
 increments ``repro_http_requests_total{route,method,status}`` and
-observes ``repro_http_request_seconds{route}``, visible at
-``GET /metrics``.
+observes the span's duration into ``repro_http_request_seconds{route}``,
+visible at ``GET /metrics``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import os
 import signal
 import sys
 import threading
-import time
 import urllib.parse
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
@@ -467,9 +466,12 @@ class WatermarkService:
                     return
                 known = {path for _, path in ROUTES}
                 route = request.path if request.path in known else "unmatched"
-                start = time.perf_counter()
-                response = await self._dispatch(request)
-                elapsed = time.perf_counter() - start
+                with obs.span(
+                    "http.request", method=request.method, path=request.path
+                ) as sp:
+                    response = await self._dispatch(request)
+                    sp.set(status=response.status)
+                elapsed = sp.duration
                 self._latency.observe(elapsed, route=route)
                 self._requests.inc(
                     route=route,
@@ -503,47 +505,43 @@ class WatermarkService:
             return error_response(
                 405, f"{request.method} not supported on {request.path}"
             )
-        with obs.span(
-            "http.request", method=request.method, path=request.path
-        ) as sp:
-            try:
-                if request.path == "/healthz":
-                    response = self._handle_healthz()
-                elif request.path == "/metrics":
-                    response = self._handle_metrics()
-                elif request.path == "/v1/artifacts":
-                    response = self._handle_artifacts()
-                elif request.path == "/v1/obs/events":
-                    response = self._handle_obs_events(request)
-                elif request.path == "/v1/obs/spans":
-                    response = self._handle_obs_spans(request)
-                elif request.path == "/v1/obs/slo":
-                    response = self._handle_obs_slo()
-                elif request.path == "/v1/embed":
-                    response = await self._handle_embed(request)
-                elif request.path == "/v1/store/rebalance":
-                    response = await self._handle_rebalance(request)
-                else:
-                    response = await self._handle_recognize(request)
-            except DispatchError as exc:  # BadRequest is one too
-                headers = None
-                if exc.retry_after is not None:
-                    headers = {
-                        "Retry-After": f"{max(1, round(exc.retry_after))}"
-                    }
-                response = error_response(exc.status, str(exc), headers)
-            except ServiceError as exc:
-                # A fleet worker's own error answer, mirrored whole.
-                response = json_response(
-                    exc.status, exc.doc or {"error": exc.message}
-                )
-            except StoreError as exc:
-                response = error_response(404, str(exc))
-            except Exception as exc:  # the daemon must outlive any request
-                response = error_response(
-                    500, f"{type(exc).__name__}: {exc}"
-                )
-            sp.set(status=response.status)
+        try:
+            if request.path == "/healthz":
+                response = self._handle_healthz()
+            elif request.path == "/metrics":
+                response = self._handle_metrics()
+            elif request.path == "/v1/artifacts":
+                response = self._handle_artifacts()
+            elif request.path == "/v1/obs/events":
+                response = self._handle_obs_events(request)
+            elif request.path == "/v1/obs/spans":
+                response = self._handle_obs_spans(request)
+            elif request.path == "/v1/obs/slo":
+                response = self._handle_obs_slo()
+            elif request.path == "/v1/embed":
+                response = await self._handle_embed(request)
+            elif request.path == "/v1/store/rebalance":
+                response = await self._handle_rebalance(request)
+            else:
+                response = await self._handle_recognize(request)
+        except DispatchError as exc:  # BadRequest is one too
+            headers = None
+            if exc.retry_after is not None:
+                headers = {
+                    "Retry-After": f"{max(1, round(exc.retry_after))}"
+                }
+            response = error_response(exc.status, str(exc), headers)
+        except ServiceError as exc:
+            # A fleet worker's own error answer, mirrored whole.
+            response = json_response(
+                exc.status, exc.doc or {"error": exc.message}
+            )
+        except StoreError as exc:
+            response = error_response(404, str(exc))
+        except Exception as exc:  # the daemon must outlive any request
+            response = error_response(
+                500, f"{type(exc).__name__}: {exc}"
+            )
         return response
 
     # -- cheap, loop-local endpoints ---------------------------------------

@@ -656,8 +656,3 @@ def slot_width(op: int) -> int:
     if 92 <= op <= 94:
         return 1
     return _width(op)
-
-
-def compile_function(fn: Function) -> CompiledFunction:
-    """Compile one function to its dense dispatch form."""
-    return CompiledFunction(fn)

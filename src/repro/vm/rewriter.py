@@ -84,10 +84,6 @@ def insert_at_site(
     fn.code[idx:idx] = list(code)
 
 
-def append_code(fn: Function, code: Sequence[Instruction]) -> None:
-    fn.code.extend(code)
-
-
 def count_conditional_branches(module: Module) -> int:
     """Total static conditional branches (Fig. 8(c)'s 'branch increase'
     denominators are computed from this)."""

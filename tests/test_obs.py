@@ -1,5 +1,5 @@
-"""Tests for the observability subsystem: spans, metrics, timing,
-VM dispatch profiles and recognition diagnostics."""
+"""Tests for the observability subsystem: spans, metrics, stage
+timings, VM dispatch profiles and recognition diagnostics."""
 
 import io
 import json
@@ -8,11 +8,13 @@ import pickle
 import pytest
 
 from repro import obs
+from repro.bytecode_wm import WatermarkKey
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recognition import RecognitionReport
 from repro.obs.spans import Span, Tracer, attach, render_span_tree
-from repro.obs.timing import StageAccumulator
 from repro.obs.vmprofile import DispatchProfile, profile_run
+from repro.pipeline import prepare
+from repro.pipeline.metrics import StageTimings, stage_span
 from repro.vm.compiler import NUM_OPCODES, OP_FUSED_BASE, opcode_name, slot_width
 from repro.vm.interpreter import run_module
 from repro.workloads import gcd_module
@@ -54,12 +56,31 @@ class TestSpans:
         (sp,) = tracer.finished
         assert sp.status == "error"
 
-    def test_null_tracer_is_inert(self):
+    def test_null_tracer_is_inert(self, monkeypatch):
+        """Tracing off: the span keeps time and nothing else — no ids
+        (so no ``os.urandom``), no ambient context, no record."""
+
+        def no_entropy(_n):
+            raise AssertionError("a disabled span asked for an id")
+
+        monkeypatch.setattr("repro.obs.spans.os.urandom", no_entropy)
         assert not obs.get_tracer().enabled
         with obs.span("ignored") as sp:
             sp.set(anything="goes")  # must not raise
+            assert obs.current_context() is None
+        assert sp.duration > 0.0
+        assert not hasattr(sp, "span_id")
         assert obs.get_tracer().drain() == []
         assert obs.current_context() is None
+
+    def test_duration_is_set_when_the_body_raises(self):
+        for traced in (False, True):
+            if traced:
+                obs.enable_tracing()
+            with pytest.raises(ValueError):
+                with obs.span("explodes") as sp:
+                    raise ValueError("boom")
+            assert sp.duration > 0.0
 
     def test_cross_process_graft(self):
         """Worker-side spans pickle home and rebuild one tree."""
@@ -212,55 +233,57 @@ class TestMetrics:
 
 
 class TestStageAccumulator:
+    """Stage times accumulate from span durations: ``stage_span``
+    credits each closed span to a ``StageTimings`` (it replaced the
+    old ``StageAccumulator`` and its second clock)."""
+
     def test_accumulates_across_entries(self):
-        acc = StageAccumulator()
-        with acc.measure("s"):
+        timings = StageTimings()
+        with stage_span(timings, "s", "first") as first:
             pass
-        with acc.measure("s"):
+        with stage_span(timings, "s", "second") as second:
             pass
-        assert acc.stages["s"] >= 0.0
-        assert acc.total() == sum(acc.stages.values())
+        assert timings.stages["s"] == first.duration + second.duration
+        assert timings.total() == sum(timings.stages.values())
 
     def test_recursive_reentry_counts_wall_time_once(self):
-        """Regression: the old measure() accumulated on every exit, so
-        a recursively re-entered stage double-counted the inner
-        interval. Only the outermost entry may accumulate."""
-        acc = StageAccumulator()
-        acc2 = StageAccumulator()
-
-        def recurse(depth):
-            with acc.measure("stage"):
-                if depth:
-                    recurse(depth - 1)
-
-        with acc2.measure("wall"):
-            recurse(3)
-        # Four nested entries must report (at most) the single outer
-        # wall time, not ~4x it.
-        assert acc.stages["stage"] <= acc2.stages["wall"] * 1.5
+        """No reentrancy guard is needed: each prepare stage is one
+        span, the stage spans are disjoint children of ``prepare``, so
+        their sum is wall time counted once."""
+        tracer = obs.enable_tracing()
+        prepared = prepare(
+            gcd_module(), WatermarkKey(secret=b"k", inputs=[25, 10]), 16
+        )
+        spans = tracer.drain()
+        (root,) = [sp for sp in spans if sp.name == "prepare"]
+        stages = [sp for sp in spans if sp.name.startswith("prepare.")]
+        assert len(stages) == len(prepared.timings.stages) == 5
+        assert all(sp.parent_id == root.span_id for sp in stages)
+        assert prepared.timings.total() <= root.duration
 
     def test_exception_still_accumulates(self):
-        acc = StageAccumulator()
-        with pytest.raises(RuntimeError):
-            with acc.measure("s"):
-                raise RuntimeError
-        assert "s" in acc.stages
+        for traced in (False, True):
+            if traced:
+                obs.enable_tracing()
+            timings = StageTimings()
+            with pytest.raises(RuntimeError):
+                with stage_span(timings, "s", "boom") as sp:
+                    raise RuntimeError
+            assert timings.stages["s"] == sp.duration > 0.0
 
     def test_feeds_attached_histogram(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("stage_seconds")
-        acc = StageAccumulator(histogram=h)
-        with acc.measure("trace"):
+        timings = StageTimings()
+        with stage_span(timings, "trace", "prepare.trace") as sp:
             pass
+        h = obs.get_registry().histogram("repro_stage_seconds")
         assert h.count(stage="trace") == 1
+        assert h.sum(stage="trace") == sp.duration
 
     def test_pickle_keeps_totals_only(self):
-        acc = StageAccumulator()
-        acc.record("s", 1.25)
-        clone = pickle.loads(pickle.dumps(acc))
+        timings = StageTimings({"s": 1.25})
+        clone = pickle.loads(pickle.dumps(timings))
         assert clone.stages == {"s": 1.25}
-        with clone.measure("s"):
-            pass  # restored object still measures
+        assert vars(clone) == {"stages": {"s": 1.25}}
 
 
 class TestDispatchProfile:

@@ -116,6 +116,30 @@ class TestHealthyPath:
         assert any(e.kind == "embed" for e in journaled)
         assert read_spans(journal_dir)  # span sink reached the file
 
+    def test_request_seconds_are_the_request_span(
+        self, store_root, tmp_path
+    ):
+        """The latency histogram and the ``http.request`` event read the
+        request span's duration, unrouted requests included."""
+        obs.enable_tracing()
+        with boot(store_root, tmp_path) as server:
+            client = client_for(server)
+            client.artifacts()
+            assert client.request("GET", "/nope")[0] == 404
+        journal_dir = str(tmp_path / "obs")
+        spans = {sp.attributes["path"]: sp for sp in read_spans(journal_dir)
+                 if sp.name == "http.request"}
+        events = {e.name: e for e in read_events(journal_dir)
+                  if e.kind == "http.request"}
+        latency = obs.get_registry().histogram("repro_http_request_seconds")
+        for path, route in (("/v1/artifacts", "/v1/artifacts"),
+                            ("/nope", "unmatched")):
+            sp = spans[path]
+            assert events[route].attrs["seconds"] == sp.duration
+            assert events[route].attrs["status"] == \
+                sp.attributes["status"]
+            assert latency.sum(route=route) == sp.duration
+
     def test_obs_routes_are_loop_local(self, store_root, tmp_path):
         """Introspection must answer without touching the worker pool
         (it works with zero traffic and zero artifacts embedded)."""

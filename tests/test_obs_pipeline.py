@@ -8,7 +8,9 @@ import pickle
 import pytest
 
 from repro import obs
+from repro.campaign import CampaignConfig, run_campaign
 from repro.cli import main as cli_main
+from repro.obs.journal import HubConfig, TelemetryHub, set_hub
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import (
     BatchReport,
@@ -56,39 +58,125 @@ def prepared():
     return prepare(gcd_module(), KEY, BITS)
 
 
+STAGES = ("verify", "trace", "cfg", "placement", "plan")
+
+
+def by_name(spans):
+    out = {}
+    for sp in spans:
+        out.setdefault(sp.name, []).append(sp)
+    return out
+
+
 class TestStageTimings:
-    def test_reentrant_measure_regression(self):
-        """StageTimings.measure used to accumulate on every exit of a
-        re-entered stage, double-counting the inner interval."""
-        timings = StageTimings()
-        with timings.measure("embed"):
-            with timings.measure("embed"):
-                with timings.measure("embed"):
-                    pass
-        wall = StageTimings()
-        with wall.measure("w"):
-            with timings.measure("embed2"):
-                with timings.measure("embed2"):
-                    pass
-        assert timings.stages["embed2"] <= wall.stages["w"]
+    def test_reentrant_measure_regression(self, prepared, tmp_path):
+        """The old ``measure`` needed a reentrancy guard against a stage
+        re-entered inside itself. Stage times are span durations now,
+        and no stage span ever opens inside a span of its own name, so
+        nothing is credited twice."""
+        tracer = obs.enable_tracing()
+        prep = prepare(gcd_module(), KEY, BITS)
+        report = run_batch(
+            prep, sequential_specs(3, start_watermark=60), workers=1,
+            outdir=str(tmp_path),
+        )
+        spans = tracer.drain()
+        parents = {sp.span_id: sp for sp in spans}
+        for sp in spans:
+            up = parents.get(sp.parent_id)
+            while up is not None:
+                assert up.name != sp.name, f"{sp.name} opened in itself"
+                up = parents.get(up.parent_id)
+        groups = by_name(spans)
+        assert len(groups["batch.write"]) == 3
+        assert report.batch_timings.stages["write"] == sum(
+            sp.duration for sp in groups["batch.write"]
+        )
 
     def test_feeds_ambient_stage_histogram(self):
-        timings = StageTimings()
-        with timings.measure("trace"):
-            pass
+        prep = prepare(gcd_module(), KEY, BITS)
         h = obs.get_registry().histogram("repro_stage_seconds")
-        assert h.count(stage="trace") == 1
+        for stage in STAGES:
+            assert h.count(stage=stage) == 1
+            assert h.sum(stage=stage) == prep.timings.stages[stage]
 
-    def test_pickle_round_trip_keeps_stage_totals(self):
-        timings = StageTimings()
-        timings.record("trace", 0.5)
-        clone = pickle.loads(pickle.dumps(timings))
-        assert clone.stages == {"trace": 0.5}
-        # A restored object measures and feeds the (current) ambient
-        # registry again.
-        with clone.measure("embed"):
-            pass
-        assert "embed" in clone.stages
+    def test_pickle_round_trip_keeps_stage_totals(self, prepared):
+        clone = pickle.loads(pickle.dumps(prepared))
+        assert clone.timings.stages == prepared.timings.stages
+        assert set(clone.timings.stages) == set(STAGES)
+        timings = StageTimings({"trace": 0.5})
+        assert pickle.loads(pickle.dumps(timings)).stages == {"trace": 0.5}
+
+
+class TestStageTimesAreSpanDurations:
+    """Every reported time is the duration of the span around its
+    interval — the same float, not a second clock's reading."""
+
+    def test_prepare_stages(self):
+        tracer = obs.enable_tracing()
+        prep = prepare(gcd_module(), KEY, BITS)
+        groups = by_name(tracer.drain())
+        assert set(prep.timings.stages) == set(STAGES)
+        for stage in STAGES:
+            (sp,) = groups[f"prepare.{stage}"]
+            assert prep.timings.stages[stage] == sp.duration
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_copy_and_batch_wall_seconds(self, prepared, workers):
+        tracer = obs.enable_tracing()
+        report = run_batch(
+            prepared,
+            sequential_specs(3, start_watermark=30)
+            + [CopySpec("too-wide", 1 << BITS)],
+            workers=workers,
+        )
+        groups = by_name(tracer.drain())
+        copy_spans = {sp.attributes["copy_id"]: sp for sp in groups["copy"]}
+        assert len(copy_spans) == 4
+        for result in report.copies:
+            assert result.wall_seconds == \
+                copy_spans[result.copy_id].duration
+        assert copy_spans["too-wide"].status == "error"
+        assert not report.copies[-1].ok
+        (batch,) = groups["batch"]
+        assert report.wall_seconds == batch.duration
+        assert report.batch_timings.stages == {"embed": batch.duration}
+
+    def test_untraced_times_are_still_measured(self, prepared):
+        prep = prepare(gcd_module(), KEY, BITS)
+        report = run_batch(
+            prep, sequential_specs(2, start_watermark=50), workers=1
+        )
+        assert all(prep.timings.stages[s] > 0.0 for s in STAGES)
+        assert all(c.wall_seconds > 0.0 for c in report.copies)
+        assert report.wall_seconds >= sum(
+            c.wall_seconds for c in report.copies
+        )
+
+    @pytest.mark.parametrize("cell_workers", [1, 2])
+    def test_campaign_cells(self, cell_workers):
+        tracer = obs.enable_tracing()
+        report = run_campaign(CampaignConfig(
+            seed=11, workloads=1, copies=2, bits=(16,),
+            attacks=("block-reordering", "locals-renumbering"),
+            cell_workers=cell_workers,
+        ))
+        groups = by_name(tracer.drain())
+        (campaign,) = groups["campaign"]
+        assert report.wall_seconds == campaign.duration
+        assert report.cells and all(c.wall_seconds > 0.0
+                                    for c in report.cells)
+        if cell_workers == 1:
+            # In-process cells record their span on the ambient tracer.
+            cell_spans = {
+                (sp.attributes["attack"], sp.attributes["intensity"]): sp
+                for sp in groups["campaign.cell"]
+            }
+            assert len(cell_spans) == len(report.cells)
+            for cell in report.cells:
+                sp = cell_spans[(cell.attack, cell.intensity)]
+                assert cell.wall_seconds == sp.duration
+                assert sp.parent_id == campaign.span_id
 
 
 class TestPreparePickleCompat:
@@ -103,6 +191,56 @@ class TestPreparePickleCompat:
         clone = object.__new__(type(prepared))
         clone.__setstate__(state)
         assert clone.dispatch_counts is None
+
+
+#: ``StageTimings({"trace": 0.5, "plan": 0.25})`` as pickled (protocol
+#: 5) by the version that derived it from ``StageAccumulator``.
+OLD_STAGE_TIMINGS_PICKLE = (
+    b"\x80\x05\x95`\x00\x00\x00\x00\x00\x00\x00\x8c\x16repro.pipeline"
+    b".metrics\x94\x8c\x0cStageTimings\x94\x93\x94)\x81\x94}\x94\x8c\x06"
+    b"stages\x94}\x94(\x8c\x05trace\x94G?\xe0\x00\x00\x00\x00\x00\x00"
+    b"\x8c\x04plan\x94G?\xd0\x00\x00\x00\x00\x00\x00usb."
+)
+
+
+class TestStageTimingsCompat:
+    def test_old_stage_timings_pickle_loads(self):
+        old = pickle.loads(OLD_STAGE_TIMINGS_PICKLE)
+        assert isinstance(old, StageTimings)
+        assert old.stages == {"trace": 0.5, "plan": 0.25}
+        assert old.total() == 0.75
+        # The encoding is unchanged, so an old artifact holds exactly
+        # these bytes for its timings.
+        assert pickle.dumps(old, protocol=5) == OLD_STAGE_TIMINGS_PICKLE
+
+    def test_prepared_program_with_parent_timings_state(self, prepared):
+        state = prepared.__getstate__()
+        state["timings"] = pickle.loads(OLD_STAGE_TIMINGS_PICKLE)
+        clone = object.__new__(type(prepared))
+        clone.__setstate__(state)
+        again = pickle.loads(pickle.dumps(clone))
+        assert again.timings.stages == {"trace": 0.5, "plan": 0.25}
+        assert again.watermark_bits == prepared.watermark_bits
+
+    def test_parent_report_json_keeps_stage_tables(self):
+        doc = {
+            "workers": 2, "copy_count": 0, "succeeded": 0, "failed": 0,
+            "all_ok": False, "wall_seconds": 1.5,
+            "copies_per_second": 0.0, "total_bytes_emitted": 0,
+            "cache": {"hits": 1, "misses": 0}, "retry_rounds": 0,
+            "resumed": 0,
+            "prepare_stages": {"verify": 0.01, "trace": 0.4, "cfg": 0.02,
+                               "placement": 0.03, "plan": 0.001},
+            "batch_stages": {"embed": 1.4, "write": 0.05},
+            "copies": [],
+        }
+        report = BatchReport.from_json(json.dumps(doc))
+        assert report.prepare_timings.stages == doc["prepare_stages"]
+        assert report.batch_timings.stages == doc["batch_stages"]
+        assert report.wall_seconds == 1.5
+        again = report.to_dict()
+        assert again["prepare_stages"] == doc["prepare_stages"]
+        assert again["batch_stages"] == doc["batch_stages"]
 
 
 class TestBatchObservability:
@@ -226,6 +364,31 @@ class TestRecognitionSpans:
         # A looping program repeats windows, so the counters differ.
         assert 0 < attrs["distinct_windows"] < attrs["windows"]
         assert attrs["candidates"] > 0
+
+
+class TestObsSummarySpanTable:
+    def test_prepare_trace_total_is_the_stage_time(self, tmp_path, capsys):
+        hub = TelemetryHub(HubConfig(
+            journal_path=str(tmp_path / "journal.jsonl")
+        ))
+        set_hub(hub)
+        obs.enable_tracing()
+        try:
+            prep = prepare(gcd_module(), KEY, BITS)
+        finally:
+            obs.disable_tracing()
+            set_hub(None)
+            hub.close()
+        assert cli_main(["obs", "summary", "--journal", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        rows = {line.split()[0]: line.split()[1:]
+                for line in out.splitlines() if line.startswith("  ")}
+        assert rows["name"] == ["count", "total", "s", "mean", "ms"]
+        count, total, _mean = rows["prepare.trace"]
+        assert count == "1"
+        assert total == f"{prep.timings.stages['trace']:.3f}"
+        for stage in STAGES:
+            assert rows[f"prepare.{stage}"][0] == "1"
 
 
 class TestObservabilityCli:
