@@ -38,7 +38,14 @@ from ..attacks.bytecode import branch_increase_fraction
 from ..bytecode_wm import WatermarkKey, embed, recognize
 from ..codec import resolve_codec
 from ..faults.retry import RetryPolicy
-from ..pipeline.batch import CopySpec, run_batch
+from ..obs.journal import read_journal
+from ..obs.spans import hand_off
+from ..pipeline.batch import (
+    CopySpec,
+    init_pool_worker,
+    run_batch,
+    worker_bootstrap,
+)
 from ..pipeline.prepare import PreparedProgram, prepare, resolve_piece_count
 from ..vm import VMError, run_module
 from ..vm.program import Module
@@ -253,17 +260,23 @@ def _cell_task(
     schedule_name: str,
     intensity: float,
     intensity_index: int,
-) -> CampaignCell:
+    parent: Optional[obs.SpanContext],
+) -> Tuple[CampaignCell, List[obs.Span]]:
     """One attack cell, self-contained for a worker process.
 
     The marked modules are re-minted here rather than shipped across
     the pool — embedding is deterministic in (watermark, seed), and
     the pickled preparation is far smaller than ``copies`` modules.
+    The cell's spans come home under ``parent`` for the runner to
+    adopt; the re-mint stays outside them, so the trace has the same
+    shape as an in-process sweep (which mints once, in the parent).
     """
     schedule = campaign_attacks((schedule_name,))[0]
     marked = [_remint(prepared, spec) for spec in specs]
-    return _attack_cell(config, workload, bits, prepared, specs, marked,
-                        schedule, intensity, intensity_index)
+    with hand_off(parent, drain=True) as spans:
+        cell = _attack_cell(config, workload, bits, prepared, specs, marked,
+                            schedule, intensity, intensity_index)
+    return cell, spans
 
 
 def _journal_path(config: CampaignConfig) -> Optional[str]:
@@ -275,18 +288,14 @@ def _journal_path(config: CampaignConfig) -> Optional[str]:
 def _load_journal(path: Optional[str]) -> Dict[tuple, CampaignCell]:
     """Finished cells from a previous run; torn tail lines tolerated."""
     done: Dict[tuple, CampaignCell] = {}
-    if path is None or not os.path.exists(path):
+    if path is None:
         return done
-    with open(path) as fp:
-        for line in fp:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                cell = CampaignCell.from_dict(json.loads(line))
-            except (ValueError, KeyError):
-                continue  # torn write from an interrupted run
-            done[cell.key()] = cell
+    for doc in read_journal(path):
+        try:
+            cell = CampaignCell.from_dict(doc)
+        except (ValueError, KeyError):
+            continue  # not a cell record
+        done[cell.key()] = cell
     return done
 
 
@@ -328,7 +337,11 @@ def run_campaign(
     journal_fp = open(journal, "a") if journal is not None else None
     cell_pool: Optional[ProcessPoolExecutor] = None
     if config.cell_workers > 1:
-        cell_pool = ProcessPoolExecutor(max_workers=config.cell_workers)
+        cell_pool = ProcessPoolExecutor(
+            max_workers=config.cell_workers,
+            initializer=init_pool_worker,
+            initargs=worker_bootstrap(),
+        )
 
     def record(cell: CampaignCell) -> None:
         """Bookkeeping for one finished cell (any completion order —
@@ -461,20 +474,24 @@ def run_campaign(
                                     continue
                                 pending.append((schedule, intensity, index))
                         if cell_pool is not None and len(pending) > 1:
-                            with obs.span("campaign.cells",
-                                          workload=program.name,
-                                          bits=bits, codec=codec,
-                                          cells=len(pending)):
-                                futures = [
-                                    cell_pool.submit(
-                                        _cell_task, config, program, bits,
-                                        prepared, specs, schedule.name,
-                                        intensity, index,
-                                    )
-                                    for schedule, intensity, index in pending
-                                ]
-                                for future in as_completed(futures):
-                                    record(future.result())
+                            # Pooled cells parent under the campaign
+                            # span exactly as in-process ones do.
+                            tracer = obs.get_tracer()
+                            parent = (obs.current_context()
+                                      if tracer.enabled else None)
+                            futures = [
+                                cell_pool.submit(
+                                    _cell_task, config, program, bits,
+                                    prepared, specs, schedule.name,
+                                    intensity, index, parent,
+                                )
+                                for schedule, intensity, index in pending
+                            ]
+                            for future in as_completed(futures):
+                                cell, spans = future.result()
+                                if spans:
+                                    tracer.adopt(spans)
+                                record(cell)
                         else:
                             for schedule, intensity, index in pending:
                                 record(_attack_cell(

@@ -70,13 +70,7 @@ from .lang.codegen_native import compile_source_native
 from .native import MachineFault, format_listing, run_image
 from .native.imagefile import dump_image, load_image
 from .native_wm import embed_native, extract_native_auto, native_recognition_report
-from .pipeline import (
-    PrepareError,
-    PreparedProgram,
-    load_manifest,
-    prepare,
-    run_batch,
-)
+from .pipeline import load_manifest, prepare, run_batch
 from .serve import (
     ServerConfig,
     ServiceClient,
@@ -115,6 +109,28 @@ def _write_module(module, path: Optional[str]) -> None:
     else:
         with open(path, "w") as fp:
             fp.write(text)
+
+
+def _write_obs_out(path: str, tracer: obs.Tracer) -> None:
+    """``--obs-out``: one JSON object per line, discriminated by
+    "kind" — every span of the run's tree, then every metric sample —
+    plus the registry as Prometheus text in ``path``'s ``.prom``
+    sibling."""
+    with open(path, "w") as fp:
+        tracer.write_jsonl(fp)
+        obs.get_registry().write_jsonl(fp)
+    with open(os.path.splitext(path)[0] + ".prom", "w") as fp:
+        fp.write(obs.get_registry().to_prometheus())
+
+
+def _open_store(path: str, **kwargs):
+    """:func:`open_store`, or ``None`` once the ``StoreError`` is on
+    stderr (the command then exits 2)."""
+    try:
+        return open_store(path, **kwargs)
+    except StoreError as exc:
+        print(str(exc), file=sys.stderr)
+        return None
 
 
 def cmd_compile(args) -> int:
@@ -218,68 +234,34 @@ def cmd_batch_embed(args) -> int:
         ))
         obs.set_hub(hub)
 
-    # Shared preparation, optionally persisted across invocations —
-    # either in the multi-release artifact store (--store, optionally
-    # sharded into a fabric via --store-shards) or a single-artifact
-    # pickle file (--prepare-cache).
-    prepared = None
+    # The shared preparation: from (and into) the artifact store with
+    # --store (optionally sharded into a fabric via --store-shards),
+    # else prepared for this run only.
+    prep_kwargs = dict(
+        pieces=manifest.pieces,
+        piece_loss=manifest.piece_loss,
+        target_success=manifest.target_success,
+        profile=args.profile,
+        codec=manifest.codec,
+    )
     cache_hit = False
-    if args.store:
-        try:
-            store = open_store(
-                args.store, create=True,
-                shards=getattr(args, "store_shards", None),
+    try:
+        if args.store:
+            store = _open_store(
+                args.store, create=True, shards=args.store_shards
             )
-        except StoreError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        try:
+            if store is None:
+                return 2
             prepared, cache_hit = store.get_or_prepare(
-                module,
-                key,
-                manifest.watermark_bits,
-                pieces=manifest.pieces,
-                piece_loss=manifest.piece_loss,
-                target_success=manifest.target_success,
-                profile=args.profile,
-                codec=manifest.codec,
+                module, key, manifest.watermark_bits, **prep_kwargs
             )
-        except VMError as exc:
-            print(f"program trapped during tracing: {exc}", file=sys.stderr)
-            return 2
-    elif args.prepare_cache and os.path.exists(args.prepare_cache):
-        try:
-            candidate = PreparedProgram.load(args.prepare_cache)
-        except PrepareError as exc:
-            print(f"ignoring prepare cache: {exc}", file=sys.stderr)
         else:
-            if candidate.matches(
-                module, key, manifest.watermark_bits, manifest.pieces,
-                codec=manifest.codec,
-            ):
-                prepared, cache_hit = candidate, True
-            else:
-                print(
-                    "prepare cache is stale for this manifest; re-preparing",
-                    file=sys.stderr,
-                )
-    if prepared is None:
-        try:
             prepared = prepare(
-                module,
-                key,
-                manifest.watermark_bits,
-                pieces=manifest.pieces,
-                piece_loss=manifest.piece_loss,
-                target_success=manifest.target_success,
-                profile=args.profile,
-                codec=manifest.codec,
+                module, key, manifest.watermark_bits, **prep_kwargs
             )
-        except VMError as exc:
-            print(f"program trapped during tracing: {exc}", file=sys.stderr)
-            return 2
-        if args.prepare_cache:
-            prepared.save(args.prepare_cache)
+    except VMError as exc:
+        print(f"program trapped during tracing: {exc}", file=sys.stderr)
+        return 2
 
     report = run_batch(
         prepared,
@@ -296,14 +278,7 @@ def cmd_batch_embed(args) -> int:
     report.write(os.path.join(args.output, "report.json"))
 
     if args.obs_out and tracer is not None:
-        # One JSON object per line, discriminated by "kind": every
-        # span of the run's tree, then every metric sample.
-        with open(args.obs_out, "w") as fp:
-            tracer.write_jsonl(fp)
-            obs.get_registry().write_jsonl(fp)
-        prom_path = os.path.splitext(args.obs_out)[0] + ".prom"
-        with open(prom_path, "w") as fp:
-            fp.write(obs.get_registry().to_prometheus())
+        _write_obs_out(args.obs_out, tracer)
     if args.profile and report.dispatch_profile is not None:
         with open(os.path.join(args.output, "profile.json"), "w") as fp:
             report.dispatch_profile.write_json(fp)
@@ -514,12 +489,7 @@ def cmd_campaign(args) -> int:
     with open(os.path.join(args.output, "outcomes.json"), "w") as fp:
         fp.write(report.outcomes_json())
     if args.obs_out and tracer is not None:
-        with open(args.obs_out, "w") as fp:
-            tracer.write_jsonl(fp)
-            obs.get_registry().write_jsonl(fp)
-        prom_path = os.path.splitext(args.obs_out)[0] + ".prom"
-        with open(prom_path, "w") as fp:
-            fp.write(obs.get_registry().to_prometheus())
+        _write_obs_out(args.obs_out, tracer)
         obs.disable_tracing()
     print(report.summary(), file=sys.stderr)
     return 0
@@ -557,12 +527,7 @@ def cmd_serve(args) -> int:
         return 2
     finally:
         if args.obs_out and tracer is not None:
-            with open(args.obs_out, "w") as fp:
-                tracer.write_jsonl(fp)
-                obs.get_registry().write_jsonl(fp)
-            prom_path = os.path.splitext(args.obs_out)[0] + ".prom"
-            with open(prom_path, "w") as fp:
-                fp.write(obs.get_registry().to_prometheus())
+            _write_obs_out(args.obs_out, tracer)
         if tracer is not None:
             obs.disable_tracing()
     return 0
@@ -600,10 +565,8 @@ def cmd_artifact_prepare(args) -> int:
 
 
 def cmd_artifact_list(args) -> int:
-    try:
-        store = open_store(args.store)
-    except StoreError as exc:
-        print(str(exc), file=sys.stderr)
+    store = _open_store(args.store)
+    if store is None:
         return 2
     records = store.records()
     if args.json:
@@ -620,8 +583,10 @@ def cmd_artifact_list(args) -> int:
 
 
 def cmd_artifact_evict(args) -> int:
+    store = _open_store(args.store)
+    if store is None:
+        return 2
     try:
-        store = open_store(args.store)
         digest = store.resolve(args.digest)
     except StoreError as exc:
         print(str(exc), file=sys.stderr)
@@ -632,10 +597,8 @@ def cmd_artifact_evict(args) -> int:
 
 
 def cmd_artifact_quarantine_list(args) -> int:
-    try:
-        store = open_store(args.store)
-    except StoreError as exc:
-        print(str(exc), file=sys.stderr)
+    store = _open_store(args.store)
+    if store is None:
         return 2
     records = store.quarantined()
     if args.json:
@@ -649,10 +612,8 @@ def cmd_artifact_quarantine_list(args) -> int:
 
 
 def cmd_artifact_verify(args) -> int:
-    try:
-        store = open_store(args.store)
-    except StoreError as exc:
-        print(str(exc), file=sys.stderr)
+    store = _open_store(args.store)
+    if store is None:
         return 2
     problems = store.verify()
     for problem in problems:
@@ -808,14 +769,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parallel embed processes (default 1)")
     p.add_argument("--chunksize", type=int, default=None,
                    help="work-queue chunk size (default: auto)")
-    cache = p.add_mutually_exclusive_group()
-    cache.add_argument("--prepare-cache", default=None, metavar="FILE",
-                       help="pickle file persisting the shared preparation "
-                            "across invocations")
-    cache.add_argument("--store", default=None, metavar="DIR",
-                       help="content-addressed artifact store persisting "
-                            "preparations across releases (see "
-                            "'repro artifact')")
+    p.add_argument("--store", default=None, metavar="DIR",
+                   help="content-addressed artifact store persisting "
+                        "preparations across runs and releases (see "
+                        "'repro artifact')")
     p.add_argument("--store-shards", type=int, default=None, metavar="N",
                    help="when creating --store, lay it out as a sharded "
                         "fabric of N shard stores (see docs/scaling.md)")

@@ -40,11 +40,11 @@ from .manifest import BatchManifest, ManifestError, load_manifest, parse_manifes
 from .metrics import BatchReport, CopyResult, StageTimings
 from .prepare import (
     FORMAT_VERSION,
-    PrepareCache,
     PrepareError,
     PreparedProgram,
     prepare,
     prepare_fingerprint,
+    release_address,
     resolve_piece_count,
 )
 
@@ -55,7 +55,6 @@ __all__ = [
     "CopySpec",
     "FORMAT_VERSION",
     "ManifestError",
-    "PrepareCache",
     "PrepareError",
     "PreparedProgram",
     "StageTimings",
@@ -66,6 +65,7 @@ __all__ = [
     "parse_manifest",
     "prepare",
     "prepare_fingerprint",
+    "release_address",
     "resolve_piece_count",
     "run_batch",
     "sequential_specs",

@@ -46,6 +46,7 @@ from ..bytecode_wm.embedder import embed
 from ..bytecode_wm.recognizer import recognize, recognize_with_report
 from ..faults.injector import FaultPlan
 from ..faults.retry import RetryPolicy
+from ..obs.journal import read_journal
 from ..obs.spans import SpanContext, hand_off
 from ..obs.vmprofile import DispatchProfile
 from ..vm.assembler import assemble
@@ -192,6 +193,32 @@ _WORKER_PROFILE: bool = False
 _WORKER_PARENT: Optional[SpanContext] = None
 
 
+def worker_bootstrap() -> Tuple[Optional[FaultPlan], Optional[obs.HubConfig]]:
+    """The initargs of :func:`init_pool_worker`, taken from this process:
+    its armed fault plan and a worker copy of its hub's config."""
+    hub = obs.get_hub()
+    return faults.get_plan(), hub.worker_config() if hub is not None else None
+
+
+def init_pool_worker(
+    fault_plan: Optional[FaultPlan], hub_config: Optional[obs.HubConfig]
+) -> None:
+    """The initializer every process pool shares (batch, daemon, campaign).
+
+    A parent with an armed fault plan arms every worker too — that is
+    how injected kills land inside real pool processes. Worker-side
+    events (fault firings, per-copy telemetry) append to the parent's
+    journal through a hub that never rotates it and never journals
+    spans: installing it also unwires the span sink a forked worker
+    inherits, so spans reach the journal once, when the parent adopts
+    them.
+    """
+    if fault_plan is not None:
+        faults.install(fault_plan)
+    if hub_config is not None:
+        obs.set_hub(obs.TelemetryHub(hub_config))
+
+
 def _init_worker(
     prepared: PreparedProgram,
     self_check: bool,
@@ -206,15 +233,7 @@ def _init_worker(
     _WORKER_SELF_CHECK = self_check
     _WORKER_PROFILE = profile
     _WORKER_PARENT = parent
-    if fault_plan is not None:
-        # A parent with an armed fault plan arms every worker too —
-        # that is how injected kills land inside real pool processes.
-        faults.install(fault_plan)
-    if hub_config is not None:
-        # Worker-side events (fault firings, per-copy telemetry)
-        # append to the parent's journal; the worker never rotates it
-        # and never journals spans (the parent does, on adopt).
-        obs.set_hub(obs.TelemetryHub(hub_config))
+    init_pool_worker(fault_plan, hub_config)
     if parent is not None:
         # The parent batch span's context travels in; record worker
         # spans locally and hand them back on each CopyResult.
@@ -255,7 +274,7 @@ def _embed_chunk(specs: List[CopySpec]) -> List[CopyResult]:
 # cache — each worker pays the unpickle once per release it serves.
 
 #: Per-process artifact cache: releases a worker has already loaded.
-#: Small and FIFO like PrepareCache: a worker serves few releases.
+#: Small and LRU: a worker serves few releases.
 _ARTIFACT_CACHE: "OrderedDict[Tuple[str, str], PreparedProgram]" = OrderedDict()
 _ARTIFACT_CACHE_MAX = 4
 
@@ -356,24 +375,16 @@ def read_checkpoint(path: str) -> List[CopyResult]:
     """Parse a checkpoint journal, tolerating a torn final line.
 
     The journal is JSONL appended result-by-result; a process killed
-    mid-write leaves at most one truncated trailing line, which is
-    dropped (that copy simply re-embeds on resume).
+    mid-write leaves at most one truncated trailing line, which
+    :func:`~repro.obs.journal.read_journal` drops (that copy simply
+    re-embeds on resume).
     """
     results: List[CopyResult] = []
-    try:
-        with open(path) as fp:
-            lines = fp.read().splitlines()
-    except OSError:
-        return results
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
+    for doc in read_journal(path):
         try:
-            doc = json.loads(line)
             results.append(CopyResult.from_dict(doc))
         except (ValueError, KeyError, TypeError):
-            continue  # torn write; the copy re-runs
+            continue  # not a copy record; the copy re-runs
     return results
 
 
@@ -427,12 +438,10 @@ def _run_round(
     chunk = chunksize or default_chunksize(len(pending), workers)
     chunks = [pending[i:i + chunk] for i in range(0, len(pending), chunk)]
     parent = obs.current_context() if tracer.enabled else None
-    hub = obs.get_hub()
     with ProcessPoolExecutor(
         max_workers=workers,
         initializer=_init_worker,
-        initargs=(prepared, self_check, profile, parent, faults.get_plan(),
-                  hub.worker_config() if hub is not None else None),
+        initargs=(prepared, self_check, profile, parent, *worker_bootstrap()),
     ) as pool:
         futures: Dict[Future, List[CopySpec]] = {
             pool.submit(_embed_chunk, group): group for group in chunks

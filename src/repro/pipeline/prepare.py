@@ -1,4 +1,4 @@
-"""The shared preparation cache: run watermark-independent work once.
+"""The shared preparation: run watermark-independent work once.
 
 Fingerprinting is per-copy by definition — every distributed copy gets
 its own mark — but most of the embed pipeline does not depend on the
@@ -12,27 +12,22 @@ O(1 prepare + N × insert-only).
 
 A :class:`PreparedProgram` is picklable as one object graph, which
 matters twice: it ships to pool workers (``pipeline.batch``) and it
-persists to disk (``save``/``load``) so repeated CLI runs against the
-same release skip preparation entirely. The trace — by far the
-heaviest field — is pickled as a compact binary blob (the version-2
-format of :mod:`repro.vm.trace_io`) and re-bound against the pickled
-module on load, which both shrinks artifacts several-fold and
-preserves the branch-event → instruction identity the trace model
-relies on. Artifacts written before the binary encoding existed
-pickled the trace as a plain object graph; ``load`` still accepts
-those.
+persists in the content-addressed artifact store
+(:mod:`repro.serve.store`, addressed by :func:`release_address`), so
+repeated runs against the same release skip preparation entirely. The
+trace — by far the heaviest field — is pickled as a compact binary
+blob (the version-2 format of :mod:`repro.vm.trace_io`) and re-bound
+against the pickled module on load, which both shrinks artifacts
+several-fold and preserves the branch-event → instruction identity
+the trace model relies on.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
-import pickle
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
-    from ..serve.store import ArtifactStore
+from typing import Any, Dict, List, Optional, Tuple
 
 from .. import obs
 from ..bytecode_wm.keys import WatermarkKey
@@ -54,13 +49,14 @@ from ..vm.tracing import SiteKey, Trace
 from ..vm.verifier import verify_module
 from .metrics import StageTimings, stage_span
 
-#: Bumped whenever the artifact layout changes; ``load`` rejects other
-#: versions rather than mis-embedding from a stale cache file.
+#: Bumped whenever the artifact layout changes; the artifact store
+#: refuses (and quarantines) other versions rather than mis-embedding
+#: from a stale blob.
 FORMAT_VERSION = 1
 
 
 class PrepareError(EmbeddingError):
-    """The program cannot be prepared (or a cache artifact is unusable)."""
+    """The program cannot be prepared (or a stored artifact is unusable)."""
 
 
 @dataclass
@@ -68,7 +64,7 @@ class PreparedProgram:
     """Snapshot of all watermark-independent embedding state.
 
     Holds its own private copy of the module: callers may mutate their
-    module afterwards without invalidating the cache, and every
+    module afterwards without invalidating the artifact, and every
     per-copy embed clones from this snapshot.
     """
 
@@ -95,36 +91,12 @@ class PreparedProgram:
     def fingerprint(self) -> str:
         """Content hash identifying (program, key, width, pieces, codec).
 
-        Used to decide whether a persisted artifact still matches the
-        inputs of a new run.
+        The artifact's address in the store; :func:`release_address`
+        computes the same digest from a run's inputs.
         """
         return prepare_fingerprint(
             self.module, self.key, self.watermark_bits, self.pieces,
             self.codec,
-        )
-
-    def matches(
-        self,
-        module: Module,
-        key: WatermarkKey,
-        watermark_bits: int,
-        pieces: Optional[int] = None,
-        codec: str = "gcrt",
-    ) -> bool:
-        """Is this artifact valid for the given embedding inputs?
-
-        ``pieces=None`` accepts whatever piece count the artifact
-        planned (the caller is delegating to the planner).
-        """
-        if self.version != FORMAT_VERSION:
-            return False
-        if pieces is not None and pieces != self.pieces:
-            return False
-        return (
-            key == self.key
-            and watermark_bits == self.watermark_bits
-            and codec == self.codec
-            and disassemble(module) == disassemble(self.module)
         )
 
     # -- persistence -------------------------------------------------------
@@ -150,41 +122,16 @@ class PreparedProgram:
         # Pre-codec artifacts can only have been GCRT-embedded.
         state.setdefault("codec", "gcrt")
         self.__dict__.update(state)
-        if isinstance(blob, bytes):
-            try:
-                self.trace = load_trace_binary(io.BytesIO(blob), self.module)
-            except TraceFormatError as exc:
-                raise PrepareError(
-                    f"prepared-program artifact has a corrupt trace: {exc}"
-                ) from exc
-        elif not isinstance(blob, Trace):
+        if not isinstance(blob, bytes):
             raise PrepareError(
                 "prepared-program artifact has an unrecognisable trace field"
             )
-        # else: pre-binary artifact that pickled the Trace directly —
-        # already bound to the module, nothing to do.
-
-    def save(self, path: str) -> None:
-        with open(path, "wb") as fp:
-            pickle.dump(self, fp, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @staticmethod
-    def load(path: str) -> "PreparedProgram":
-        with open(path, "rb") as fp:
-            try:
-                obj = pickle.load(fp)
-            except Exception as exc:
-                raise PrepareError(
-                    f"not a prepared-program artifact: {exc}"
-                ) from exc
-        if not isinstance(obj, PreparedProgram):
-            raise PrepareError("file does not contain a PreparedProgram")
-        if obj.version != FORMAT_VERSION:
+        try:
+            self.trace = load_trace_binary(io.BytesIO(blob), self.module)
+        except TraceFormatError as exc:
             raise PrepareError(
-                f"prepared-program version {obj.version} unsupported "
-                f"(expected {FORMAT_VERSION})"
-            )
-        return obj
+                f"prepared-program artifact has a corrupt trace: {exc}"
+            ) from exc
 
 
 def prepare_fingerprint(
@@ -239,6 +186,31 @@ def resolve_piece_count(
     return moduli, resolve_codec(codec).default_piece_count(watermark_bits)
 
 
+def release_address(
+    module: Module,
+    key: WatermarkKey,
+    watermark_bits: int,
+    pieces: Optional[int] = None,
+    piece_loss: Optional[float] = None,
+    target_success: float = 0.99,
+    codec: str = "gcrt",
+) -> Tuple[str, int, str]:
+    """(digest, piece count, codec spec): where a release is stored.
+
+    Normalizes before hashing ("hybrid" -> "hybrid-4", a planner-sized
+    ``pieces=None`` -> the concrete count): a prepared artifact's own
+    :meth:`~PreparedProgram.fingerprint` uses the normalized forms, so
+    a lookup must too, or a planner-sized release could never hit.
+    Every store, sharded or not, addresses artifacts through here.
+    """
+    codec = resolve_codec(codec).spec
+    _, pieces = resolve_piece_count(
+        watermark_bits, pieces, piece_loss, target_success, codec=codec
+    )
+    digest = prepare_fingerprint(module, key, watermark_bits, pieces, codec)
+    return digest, pieces, codec
+
+
 def prepare(
     module: Module,
     key: WatermarkKey,
@@ -266,8 +238,8 @@ def prepare(
 
     A key-input run that exhausts ``max_steps`` mid-trace raises
     :class:`PrepareError` naming the step budget; the partial trace is
-    discarded with the failed run and never reaches an artifact or a
-    :class:`PrepareCache` entry.
+    discarded with the failed run and never reaches an artifact or the
+    store.
 
     ``profile=True`` counts VM dispatches during the trace run and
     keeps the raw array on the artifact for batch-level profiling.
@@ -328,104 +300,3 @@ def prepare(
         dispatch_counts=run.dispatch_counts,
         codec=codec_spec,
     )
-
-
-class PrepareCache:
-    """In-memory cache of :class:`PreparedProgram` artifacts.
-
-    Keyed by :func:`prepare_fingerprint`; long-lived services embedding
-    many batches across a handful of releases hold one of these and
-    pay for preparation once per release. Hit/miss counts feed the
-    batch report.
-
-    With a ``store`` (an :class:`~repro.serve.store.ArtifactStore`)
-    the cache becomes the in-memory tier over durable artifacts: a
-    memory miss falls through to the store before preparing (a
-    ``store_hits`` hit), and a fresh preparation is persisted so the
-    *next* process starts warm. Store integrity failures degrade to a
-    re-prepare, and store write failures (disk full) to an unpersisted
-    artifact — never to an error.
-    """
-
-    def __init__(
-        self,
-        max_entries: int = 8,
-        store: Optional["ArtifactStore"] = None,
-    ):
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self._max = max_entries
-        self._store = store
-        self._entries: Dict[str, PreparedProgram] = {}
-        self.hits = 0
-        self.misses = 0
-        self.store_hits = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get_or_prepare(
-        self,
-        module: Module,
-        key: WatermarkKey,
-        watermark_bits: int,
-        pieces: Optional[int] = None,
-        piece_loss: Optional[float] = None,
-        target_success: float = 0.99,
-        max_steps: int = DEFAULT_MAX_STEPS,
-        profile: bool = False,
-        codec: str = "gcrt",
-    ) -> Tuple[PreparedProgram, bool]:
-        """(artifact, was_hit) — preparing and caching on a miss.
-
-        Insertion order doubles as eviction order (FIFO): release
-        churn is slow, so anything smarter is not worth the state. A
-        failed preparation (e.g. a key-input trace that exhausts
-        ``max_steps``) propagates and caches nothing.
-        """
-        codec = resolve_codec(codec).spec
-        digest = prepare_fingerprint(
-            module, key, watermark_bits, pieces, codec
-        )
-        cached = self._entries.get(digest)
-        if cached is not None:
-            self.hits += 1
-            return cached, True
-        if self._store is not None and self._store.contains(digest):
-            try:
-                prepared = self._store.load(digest)
-            except Exception:
-                pass  # corrupt/stale artifact: fall through and re-prepare
-            else:
-                self.hits += 1
-                self.store_hits += 1
-                self._insert(digest, prepared)
-                return prepared, True
-        self.misses += 1
-        prepared = prepare(
-            module,
-            key,
-            watermark_bits,
-            pieces,
-            piece_loss,
-            target_success,
-            max_steps=max_steps,
-            profile=profile,
-            codec=codec,
-        )
-        if self._store is not None:
-            try:
-                self._store.put(prepared)
-            except OSError:
-                # A full or failing disk must not cost the caller the
-                # preparation it just paid for; the next process simply
-                # starts cold.
-                pass
-        self._insert(digest, prepared)
-        return prepared, False
-
-    def _insert(self, digest: str, prepared: PreparedProgram) -> None:
-        if len(self._entries) >= self._max:
-            oldest = next(iter(self._entries))
-            del self._entries[oldest]
-        self._entries[digest] = prepared

@@ -365,8 +365,10 @@ class WatermarkService:
         # embedding app may have installed its own journal), else
         # install one — journal-backed when the config names a
         # directory, ring-only otherwise — so the /v1/obs/* routes
-        # always have something to serve.
+        # always have something to serve. Only a hub installed here is
+        # the service's to close on stop().
         hub = obs.get_hub()
+        self._owns_hub = hub is None
         if hub is None:
             journal_path = (
                 os.path.join(config.journal_dir, "journal.jsonl")
@@ -422,6 +424,10 @@ class WatermarkService:
         if self.dispatcher is not None:
             self.dispatcher.close()
             self.dispatcher = None
+        if self._owns_hub:
+            if obs.get_hub() is self.hub:
+                obs.set_hub(None)
+            self.hub.close()
 
     async def shutdown(self) -> None:
         """Graceful drain, then stop.

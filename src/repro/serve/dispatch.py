@@ -68,11 +68,15 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
 
 from .. import faults, obs
-from ..faults.injector import FaultPlan
 from ..faults.retry import RetryPolicy
-from ..obs.journal import HubConfig, TelemetryHub
 from ..obs.metrics import get_registry
-from ..pipeline.batch import CopySpec, service_embed_copy, service_recognize
+from ..pipeline.batch import (
+    CopySpec,
+    init_pool_worker,
+    service_embed_copy,
+    service_recognize,
+    worker_bootstrap,
+)
 from ..pipeline.metrics import CopyResult
 from .circuit import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from .client import ServiceClient, ServiceError
@@ -288,14 +292,10 @@ class LocalDispatcher:
             return ThreadPoolExecutor(
                 max_workers=self.workers, thread_name_prefix="repro-serve"
             )
-        hub = obs.get_hub()
         return ProcessPoolExecutor(
             max_workers=self.workers,
-            initializer=_init_worker,
-            initargs=(
-                faults.get_plan(),
-                hub.worker_config() if hub is not None else None,
-            ),
+            initializer=init_pool_worker,
+            initargs=worker_bootstrap(),
         )
 
     # -- public surface ----------------------------------------------------
@@ -449,17 +449,6 @@ class LocalDispatcher:
             else:
                 job._succeed(outcome)
             self._lock.notify_all()
-
-
-def _init_worker(
-    fault_plan: Optional[FaultPlan], hub_config: Optional[HubConfig]
-) -> None:
-    """Process-pool initializer: arm the parent's fault plan and point
-    the worker's telemetry hub at the parent's journal."""
-    if fault_plan is not None:
-        faults.install(fault_plan)
-    if hub_config is not None:
-        obs.set_hub(TelemetryHub(hub_config))
 
 
 def _local_job(

@@ -59,13 +59,8 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .. import faults
 from ..bytecode_wm.keys import WatermarkKey
-from ..codec import resolve_codec
 from ..obs.metrics import get_registry
-from ..pipeline.prepare import (
-    PreparedProgram,
-    prepare_fingerprint,
-    resolve_piece_count,
-)
+from ..pipeline.prepare import PreparedProgram, release_address
 from ..vm.interpreter import DEFAULT_MAX_STEPS
 from ..vm.program import Module
 from .store import (
@@ -361,21 +356,17 @@ class ShardedArtifactStore:
         label: str = "",
         codec: str = "gcrt",
     ) -> Tuple[PreparedProgram, bool]:
-        """Route by the preparation fingerprint, then delegate.
+        """Route by the release's address, then delegate.
 
-        The owning shard runs the same heal-on-corruption funnel the
-        single store does; the fabric only decides *where*.
+        The address is the normalized one (planner-sized pieces
+        resolved), so an artifact is routed to, and later looked up
+        from, the shard its own fingerprint names. The owning shard
+        runs the same heal-on-corruption funnel the single store does;
+        the fabric only decides *where*.
         """
-        codec = resolve_codec(codec).spec
-        # Resolve a planner-sized piece count before routing: the
-        # artifact lands under its *concrete* fingerprint, so routing
-        # by the ``pieces=None`` digest would place it on (and later
-        # look it up from) the wrong shard.
-        _, pieces = resolve_piece_count(
-            watermark_bits, pieces, piece_loss, target_success, codec=codec
-        )
-        digest = prepare_fingerprint(
-            module, key, watermark_bits, pieces, codec=codec
+        digest, pieces, codec = release_address(
+            module, key, watermark_bits, pieces, piece_loss,
+            target_success, codec,
         )
         return self._owner(digest).get_or_prepare(
             module,

@@ -2,17 +2,17 @@
 
 A fingerprinting service amortizes the heavy, watermark-independent
 preparation work (key-input tracing, CFGs, site mining, planning) over
-every copy it mints. The in-memory :class:`~repro.pipeline.prepare.
-PrepareCache` already does that within one process; this module makes
-the artifact durable, so the cost is paid once per *(program, key)
-release* across process restarts, CLI invocations, and every worker of
-the serving daemon.
+every copy it mints. This module is the one place a preparation is
+kept: the artifact is durable, so the cost is paid once per *(program,
+key) release* across process restarts, CLI invocations, and every
+worker of the serving daemon.
 
 The store is **content-addressed**: an artifact's name is the
-:func:`~repro.pipeline.prepare.prepare_fingerprint` digest of
-everything preparation depends on (module text, key secret, key
-inputs, fingerprint width, piece count). Identical inputs always map
-to the same address; a changed release maps elsewhere, so stale
+:func:`~repro.pipeline.prepare.release_address` digest of everything
+preparation depends on (module text, key secret, key inputs,
+fingerprint width, piece count, codec). Identical inputs always map
+to the same address; a changed release — a new threat model that
+plans a different piece count included — maps elsewhere, so stale
 artifacts can never be served for new inputs.
 
 On-disk layout::
@@ -72,15 +72,13 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .. import faults
 from ..bytecode_wm.keys import WatermarkKey
-from ..codec import resolve_codec
 from ..obs.journal import emit as emit_event
 from ..obs.metrics import get_registry
 from ..pipeline.prepare import (
-    PrepareError,
+    FORMAT_VERSION,
     PreparedProgram,
     prepare,
-    prepare_fingerprint,
-    resolve_piece_count,
+    release_address,
 )
 from ..vm.interpreter import DEFAULT_MAX_STEPS
 from ..vm.program import Module
@@ -178,6 +176,23 @@ def _valid_digest(digest: str) -> bool:
         len(digest) == _DIGEST_LEN
         and all(c in "0123456789abcdef" for c in digest)
     )
+
+
+def _blob_problem(obj: Any, digest: str) -> Optional[Tuple[str, str]]:
+    """(quarantine reason, error message) when a decoded blob cannot be
+    served at ``digest``; ``None`` when it can."""
+    if not isinstance(obj, PreparedProgram):
+        return ("not a PreparedProgram",
+                f"artifact {digest[:12]} is not a PreparedProgram")
+    if obj.version != FORMAT_VERSION:
+        return ("unsupported format version",
+                f"artifact {digest[:12]} has format version "
+                f"{obj.version} (expected {FORMAT_VERSION})")
+    if obj.fingerprint() != digest:
+        return ("fingerprint does not match address",
+                f"artifact {digest[:12]} decoded to a different "
+                f"preparation fingerprint - store is inconsistent")
+    return None
 
 
 def _atomic_write(path: str, data: bytes, site: str = "store.write") -> None:
@@ -279,10 +294,11 @@ class ArtifactStore:
         """Recover from a torn ``store.json`` by scanning ``blobs/``.
 
         The unparseable manifest is preserved as ``store.json.corrupt``
-        for forensics. Only blobs that unpickle to a
-        :class:`PreparedProgram` whose own fingerprint matches their
-        file name re-enter the rebuilt manifest — anything else is
-        left on disk for ``verify()`` to report as an orphan.
+        for forensics. Only blobs that pass :meth:`load`'s decode
+        checks (a current-format :class:`PreparedProgram` whose own
+        fingerprint matches its file name) re-enter the rebuilt
+        manifest — anything else is left on disk for ``verify()`` to
+        report as an orphan.
         """
         warnings.warn(
             f"store manifest {path!r} is torn/unparseable; rebuilding "
@@ -309,9 +325,7 @@ class ArtifactStore:
                     obj = pickle.loads(data)
                 except Exception:
                     continue  # verify() will flag it as an orphan
-                if not isinstance(obj, PreparedProgram):
-                    continue
-                if obj.fingerprint() != digest:
+                if _blob_problem(obj, digest) is not None:
                     continue
                 self._records[digest] = ArtifactRecord(
                     digest=digest,
@@ -468,10 +482,11 @@ class ArtifactStore:
 
         Three defenses, in order: the blob's SHA-256 must match the
         manifest (bit rot, truncation, substitution); the pickle must
-        decode to a supported :class:`PreparedProgram` (stale format);
-        the decoded artifact's own fingerprint must equal the address
-        it was stored under (a mislabelled or hand-moved blob). A blob
-        failing any of the three is **quarantined** — moved to
+        decode to a :class:`PreparedProgram` of the current
+        ``FORMAT_VERSION`` (stale format); the decoded artifact's own
+        fingerprint must equal the address it was stored under (a
+        mislabelled or hand-moved blob). A blob failing any of the
+        three is **quarantined** — moved to
         ``quarantine/`` with a reason sidecar and dropped from the
         manifest — before the :class:`StoreError` propagates, so the
         next ``get_or_prepare`` heals the store instead of tripping
@@ -505,22 +520,11 @@ class ArtifactStore:
             raise StoreError(
                 f"artifact {digest[:12]} does not unpickle: {exc}"
             ) from exc
-        if not isinstance(obj, PreparedProgram):
-            self.quarantine(
-                digest, "not a PreparedProgram", sha256_observed=actual
-            )
-            raise StoreError(
-                f"artifact {digest[:12]} is not a PreparedProgram"
-            )
-        if obj.fingerprint() != digest:
-            self.quarantine(
-                digest, "fingerprint does not match address",
-                sha256_observed=actual,
-            )
-            raise StoreError(
-                f"artifact {digest[:12]} decoded to a different "
-                f"preparation fingerprint - store is inconsistent"
-            )
+        problem = _blob_problem(obj, digest)
+        if problem is not None:
+            reason, message = problem
+            self.quarantine(digest, reason, sha256_observed=actual)
+            raise StoreError(message)
         return obj
 
     # -- quarantine --------------------------------------------------------
@@ -632,23 +636,15 @@ class ArtifactStore:
     ) -> Tuple[PreparedProgram, bool]:
         """(artifact, was_hit): load when stored, else prepare and store.
 
-        The store-level analog of :meth:`~repro.pipeline.prepare.
-        PrepareCache.get_or_prepare`; hits and misses feed the ambient
-        metrics registry (``repro_store_requests_total``). A stored
-        artifact that fails its integrity check is evicted and
-        re-prepared rather than trusted.
+        Hits and misses feed the ambient metrics registry
+        (``repro_store_requests_total``). A stored artifact that fails
+        its integrity check is quarantined and re-prepared rather than
+        trusted. A failed preparation stores nothing; a failed store
+        write (disk full) propagates its ``OSError``.
         """
-        # Normalize first ("hybrid" -> "hybrid-4", planner-sized
-        # pieces -> the concrete count): the artifact's own
-        # fingerprint uses the normalized forms, and the lookup digest
-        # must agree with the address ``put`` stored it under — a
-        # ``pieces=None`` lookup could otherwise never hit.
-        codec = resolve_codec(codec).spec
-        _, pieces = resolve_piece_count(
-            watermark_bits, pieces, piece_loss, target_success, codec=codec
-        )
-        digest = prepare_fingerprint(
-            module, key, watermark_bits, pieces, codec=codec
+        digest, pieces, codec = release_address(
+            module, key, watermark_bits, pieces, piece_loss,
+            target_success, codec,
         )
         requests = get_registry().counter(
             "repro_store_requests_total", "Artifact store lookups"
@@ -662,19 +658,16 @@ class ArtifactStore:
                 requests.inc(outcome="hit")
                 return artifact, True
         requests.inc(outcome="miss")
-        try:
-            artifact = prepare(
-                module,
-                key,
-                watermark_bits,
-                pieces,
-                piece_loss,
-                target_success,
-                max_steps=max_steps,
-                profile=profile,
-                codec=codec,
-            )
-        except PrepareError:
-            raise  # nothing is stored for a failed preparation
+        artifact = prepare(
+            module,
+            key,
+            watermark_bits,
+            pieces,
+            piece_loss,
+            target_success,
+            max_steps=max_steps,
+            profile=profile,
+            codec=codec,
+        )
         self.put(artifact, label=label)
         return artifact, False

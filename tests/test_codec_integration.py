@@ -22,6 +22,7 @@ from repro.pipeline import (
     parse_manifest,
     prepare,
     prepare_fingerprint,
+    release_address,
 )
 from repro.serve import ArtifactStore, ServerConfig, ServerThread
 from repro.serve.client import ServiceClient, ServiceError
@@ -69,7 +70,7 @@ class TestManifestCodec:
 class TestPreparedProgramCompat:
     def test_pre_codec_pickle_state_defaults_to_gcrt(self):
         prepared = prepare(gcd_module(), KEY, BITS, 8)
-        state = dict(prepared.__dict__)
+        state = prepared.__getstate__()
         state.pop("codec")  # what a pre-codec pickle carries
         old = object.__new__(PreparedProgram)
         old.__setstate__(state)
@@ -94,9 +95,14 @@ class TestPreparedProgramCompat:
         ) != base
 
     def test_matches_distinguishes_codecs(self):
+        # A run matches a stored artifact iff its release address is
+        # the artifact's fingerprint.
         prepared = prepare(gcd_module(), KEY, BITS, 8, codec="rs-8")
-        assert prepared.matches(gcd_module(), KEY, BITS, 8, codec="rs-8")
-        assert not prepared.matches(gcd_module(), KEY, BITS, 8)
+        digest, _, _ = release_address(gcd_module(), KEY, BITS, 8,
+                                       codec="rs-8")
+        assert digest == prepared.fingerprint()
+        gcrt, _, _ = release_address(gcd_module(), KEY, BITS, 8)
+        assert gcrt != prepared.fingerprint()
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from repro import faults, obs
 from repro.bytecode_wm.keys import WatermarkKey
 from repro.faults import FaultPlan, FaultRule
 from repro.faults.retry import RetryPolicy
-from repro.obs.journal import read_events, read_spans
+from repro.obs.journal import HubConfig, TelemetryHub, read_events, read_spans
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.promcheck import check_exposition
 from repro.pipeline import prepare
@@ -223,3 +223,42 @@ class TestWorkerHubPlumbing:
         journaled = read_events(str(tmp_path / "obs"))
         fired = [e for e in journaled if e.kind == "fault"]
         assert fired and fired[0].attrs["site"] == "daemon.job"
+
+
+class TestHubOwnership:
+    """The daemon closes the hub it installed, and only that one."""
+
+    def test_stop_closes_and_uninstalls_its_own_hub(
+        self, store_root, digest, tmp_path
+    ):
+        with boot(store_root, tmp_path) as server:
+            client_for(server).healthz()
+            hub = server.service.hub
+            assert obs.get_hub() is hub
+            hub.emit("test", "before-stop")
+            assert hub._fp is not None
+        assert obs.get_hub() is None
+        assert hub._fp is None  # journal.jsonl closed, not leaked
+        # A second service in the process builds its own hub.
+        with boot(store_root, tmp_path / "second") as again:
+            assert again.service.hub is not hub
+
+    def test_stop_leaves_an_ambient_hub_open(
+        self, store_root, digest, tmp_path
+    ):
+        ambient = TelemetryHub(HubConfig(
+            journal_path=str(tmp_path / "mine.jsonl")
+        ))
+        obs.set_hub(ambient)
+        try:
+            with boot(store_root, tmp_path) as server:
+                client_for(server).healthz()
+                assert server.service.hub is ambient
+            assert obs.get_hub() is ambient
+            ambient.emit("test", "after-stop")
+            assert ambient._fp is not None
+        finally:
+            obs.set_hub(None)
+            ambient.close()
+        assert any(e.name == "after-stop"
+                   for e in read_events(str(tmp_path / "mine.jsonl")))

@@ -4,13 +4,14 @@ pipeline, the batch executor and the CLI."""
 import json
 import os
 import pickle
+from collections import Counter
 
 import pytest
 
 from repro import obs
 from repro.campaign import CampaignConfig, run_campaign
 from repro.cli import main as cli_main
-from repro.obs.journal import HubConfig, TelemetryHub, set_hub
+from repro.obs.journal import HubConfig, TelemetryHub, read_spans, set_hub
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import (
     BatchReport,
@@ -179,6 +180,49 @@ class TestStageTimesAreSpanDurations:
                 assert sp.parent_id == campaign.span_id
 
 
+class TestCampaignCellSpans:
+    """Pooled attack cells hand their spans home: the same trace tree,
+    journaled once each, at any ``cell_workers`` setting."""
+
+    def _traced_campaign(self, journal, cell_workers):
+        tracer = obs.enable_tracing()
+        hub = TelemetryHub(HubConfig(journal_path=journal))
+        set_hub(hub)
+        try:
+            report = run_campaign(CampaignConfig(
+                seed=11, workloads=1, copies=2, bits=(16,),
+                attacks=("block-reordering", "locals-renumbering"),
+                cell_workers=cell_workers,
+            ))
+        finally:
+            set_hub(None)
+            hub.close()
+        return report, tracer.drain(), read_spans(journal)
+
+    def test_span_counts_match_across_cell_workers(self, tmp_path):
+        def names(spans):
+            return Counter(sp.name for sp in spans)
+
+        serial, serial_spans, serial_journal = self._traced_campaign(
+            str(tmp_path / "serial.jsonl"), cell_workers=1
+        )
+        pooled, pooled_spans, pooled_journal = self._traced_campaign(
+            str(tmp_path / "pooled.jsonl"), cell_workers=2
+        )
+        assert pooled.outcomes_json() == serial.outcomes_json()
+        assert names(serial_spans)["campaign.cell"] == len(serial.cells)
+        assert names(pooled_spans) == names(serial_spans)
+        # No span journaled twice (by a worker's inherited sink and
+        # again on adopt), none lost.
+        assert names(serial_journal) == names(serial_spans)
+        assert names(pooled_journal) == names(pooled_spans)
+        (campaign,) = [sp for sp in pooled_spans if sp.name == "campaign"]
+        for sp in pooled_spans:
+            if sp.name == "campaign.cell":
+                assert sp.parent_id == campaign.span_id
+                assert sp.trace_id == campaign.trace_id
+
+
 class TestPreparePickleCompat:
     def test_prepared_program_pickles(self, prepared):
         clone = pickle.loads(pickle.dumps(prepared))
@@ -186,7 +230,7 @@ class TestPreparePickleCompat:
         assert clone.dispatch_counts == prepared.dispatch_counts
 
     def test_old_state_without_dispatch_counts(self, prepared):
-        state = prepared.__dict__.copy()
+        state = prepared.__getstate__()
         state.pop("dispatch_counts")
         clone = object.__new__(type(prepared))
         clone.__setstate__(state)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.bytecode_wm import WatermarkKey, recognize
 from repro.cli import main
+from repro.core.planner import plan_redundancy
 from repro.pipeline import (
     BatchReport,
     CopySpec,
@@ -260,20 +261,36 @@ class TestCli:
                                             "copy-1001.wasm")).read())
         assert recognize(module, key, watermark_bits=16).value == 1001
 
-    def test_batch_embed_prepare_cache_roundtrip(self, tmp_path):
+    def test_batch_embed_store_roundtrip(self, tmp_path):
         job = self._write_job(tmp_path, {"count": 2})
-        cache = str(tmp_path / "prep.pkl")
-        rc = main(["batch-embed", job, "-o", str(tmp_path / "d1"),
-                   "--prepare-cache", cache])
-        assert rc == 0 and os.path.exists(cache)
-        rc = main(["batch-embed", job, "-o", str(tmp_path / "d2"),
-                   "--prepare-cache", cache])
-        assert rc == 0
-        second = json.loads((tmp_path / "d2" / "report.json").read_text())
-        assert second["cache"] == {"hits": 1, "misses": 0}
+        store = str(tmp_path / "store")
+
+        def run(outdir):
+            rc = main(["batch-embed", job, "-o", str(tmp_path / outdir),
+                       "--store", store])
+            assert rc == 0
+            return json.loads((tmp_path / outdir / "report.json").read_text())
+
+        assert run("d1")["cache"] == {"hits": 0, "misses": 1}
+        assert run("d2")["cache"] == {"hits": 1, "misses": 0}
         a = (tmp_path / "d1" / "copy-0001.wasm").read_text()
         b = (tmp_path / "d2" / "copy-0001.wasm").read_text()
         assert a == b
+
+        # A planner-sized release hits across runs, and a changed
+        # threat model is a new release with its own piece count.
+        doc = json.loads((tmp_path / "job.json").read_text())
+        del doc["pieces"]
+        for loss, cache in ((0.1, {"hits": 0, "misses": 1}),
+                            (0.1, {"hits": 1, "misses": 0}),
+                            (0.6, {"hits": 0, "misses": 1})):
+            doc["piece_loss"] = loss
+            (tmp_path / "job.json").write_text(json.dumps(doc))
+            report = run(f"loss-{loss}")
+            assert report["cache"] == cache
+            planned = plan_redundancy(16, loss).pieces
+            assert {c["piece_count"] for c in report["copies"]} == {planned}
+        assert plan_redundancy(16, 0.1).pieces != plan_redundancy(16, 0.6).pieces
 
     def test_batch_embed_reports_failure_exit_code(self, tmp_path):
         # One piece cannot cover the ~11 moduli of a 256-bit mark, so

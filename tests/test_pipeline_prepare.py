@@ -1,6 +1,9 @@
-"""Tests for the shared preparation cache (repro.pipeline.prepare)."""
+"""Tests for the shared preparation (repro.pipeline.prepare) and how
+the artifact store caches it."""
 
+import hashlib
 import pickle
+from collections import OrderedDict
 
 import pytest
 
@@ -8,13 +11,14 @@ from repro.bytecode_wm import WatermarkKey, embed, recognize
 from repro.core.planner import plan_redundancy
 from repro.core.primes import choose_moduli
 from repro.pipeline import (
-    PrepareCache,
     PrepareError,
-    PreparedProgram,
     prepare,
     prepare_fingerprint,
+    release_address,
     resolve_piece_count,
 )
+from repro.pipeline import batch
+from repro.serve.store import ArtifactRecord, ArtifactStore, StoreError
 from repro.vm import assemble, disassemble, run_module
 from repro.workloads import collatz_module, gcd_module
 
@@ -99,30 +103,52 @@ class TestPickleRoundTrip:
             assert id(event.follower) in instrs
 
     def test_save_load(self, tmp_path):
-        path = str(tmp_path / "prep.pkl")
+        # Persisting a preparation means putting it in the store.
+        store = ArtifactStore(str(tmp_path / "store"))
         p = prepare(gcd_module(), KEY, 16)
-        p.save(path)
-        loaded = PreparedProgram.load(path)
-        assert loaded.matches(gcd_module(), KEY, 16)
+        record = store.put(p)
+        loaded = ArtifactStore(store.root, create=False).load(record.digest)
         assert loaded.fingerprint() == p.fingerprint()
+        assert record.digest == release_address(gcd_module(), KEY, 16)[0]
 
     def test_load_rejects_garbage(self, tmp_path):
-        path = tmp_path / "junk.pkl"
-        path.write_bytes(b"not a pickle")
-        with pytest.raises(PrepareError):
-            PreparedProgram.load(str(path))
-        path.write_bytes(pickle.dumps({"also": "wrong"}))
-        with pytest.raises(PrepareError):
-            PreparedProgram.load(str(path))
+        store = ArtifactStore(str(tmp_path / "store"))
+        for junk in (b"not a pickle", pickle.dumps({"also": "wrong"})):
+            record = store.adopt(ArtifactRecord(
+                digest="a" * 64,
+                sha256=hashlib.sha256(junk).hexdigest(),
+                size_bytes=len(junk),
+                created_unix=0.0,
+                watermark_bits=16,
+                pieces=8,
+            ), junk)
+            with pytest.raises(StoreError):
+                store.load(record.digest)
 
     def test_matches_detects_drift(self):
+        # A run reuses a stored preparation iff its release address is
+        # the artifact's fingerprint; every input moves the address.
         p = prepare(gcd_module(), KEY, 16)
-        assert p.matches(gcd_module(), KEY, 16)
-        assert not p.matches(collatz_module(), KEY, 16)
-        assert not p.matches(gcd_module(), KEY, 32)
+        assert release_address(gcd_module(), KEY, 16)[0] == p.fingerprint()
         other = WatermarkKey(secret=b"other", inputs=[25, 10])
-        assert not p.matches(gcd_module(), other, 16)
-        assert not p.matches(gcd_module(), KEY, 16, pieces=p.pieces + 1)
+        for drifted in (
+            release_address(collatz_module(), KEY, 16),
+            release_address(gcd_module(), KEY, 32),
+            release_address(gcd_module(), other, 16),
+            release_address(gcd_module(), KEY, 16, pieces=p.pieces + 1),
+        ):
+            assert drifted[0] != p.fingerprint()
+
+    def test_planner_sized_address_follows_the_threat_model(self):
+        # pieces=None delegates to the planner: a different piece-loss
+        # assumption plans a different count, hence a different release.
+        low, low_pieces, _ = release_address(gcd_module(), KEY, 16,
+                                             piece_loss=0.1)
+        high, high_pieces, _ = release_address(gcd_module(), KEY, 16,
+                                               piece_loss=0.6)
+        assert low_pieces != high_pieces
+        assert low != high
+        assert low == prepare_fingerprint(gcd_module(), KEY, 16, low_pieces)
 
 
 class TestCachedEmbedEquivalence:
@@ -171,31 +197,45 @@ class TestCachedEmbedEquivalence:
 
 
 class TestPrepareCache:
-    def test_hit_miss_accounting(self):
-        cache = PrepareCache()
-        a, hit = cache.get_or_prepare(gcd_module(), KEY, 16)
+    """Preparations are cached in the artifact store (durably) and, in
+    service workers, in the per-process ``load_prepared_artifact``
+    memo over it."""
+
+    def test_hit_miss_accounting(self, tmp_path):
+        store = ArtifactStore(str(tmp_path / "store"))
+        a, hit = store.get_or_prepare(gcd_module(), KEY, 16)
         assert not hit
-        b, hit = cache.get_or_prepare(gcd_module(), KEY, 16)
-        assert hit and b is a
-        _, hit = cache.get_or_prepare(collatz_module(),
+        b, hit = store.get_or_prepare(gcd_module(), KEY, 16)
+        assert hit and b.fingerprint() == a.fingerprint()
+        _, hit = store.get_or_prepare(collatz_module(),
                                       WatermarkKey(b"v", [27]), 16)
         assert not hit
-        assert cache.hits == 1 and cache.misses == 2
+        assert len(store) == 2
 
-    def test_distinct_widths_distinct_entries(self):
-        cache = PrepareCache()
-        a, _ = cache.get_or_prepare(gcd_module(), KEY, 16)
-        b, _ = cache.get_or_prepare(gcd_module(), KEY, 64)
-        assert a is not b and a.watermark_bits != b.watermark_bits
-        assert cache.misses == 2
+    def test_distinct_widths_distinct_entries(self, tmp_path):
+        store = ArtifactStore(str(tmp_path / "store"))
+        a, _ = store.get_or_prepare(gcd_module(), KEY, 16)
+        b, _ = store.get_or_prepare(gcd_module(), KEY, 64)
+        assert a.fingerprint() != b.fingerprint()
+        assert a.watermark_bits != b.watermark_bits
+        assert sorted(r.watermark_bits for r in store.records()) == [16, 64]
 
-    def test_eviction_bounds_memory(self):
-        cache = PrepareCache(max_entries=1)
-        cache.get_or_prepare(gcd_module(), KEY, 16)
-        cache.get_or_prepare(gcd_module(), KEY, 32)
-        assert len(cache) == 1
-        _, hit = cache.get_or_prepare(gcd_module(), KEY, 16)
-        assert not hit  # evicted
+    def test_eviction_bounds_memory(self, tmp_path, monkeypatch):
+        store = ArtifactStore(str(tmp_path / "store"))
+        digests = [
+            store.put(prepare(gcd_module(), KEY, bits)).digest
+            for bits in (16, 24, 32)
+        ]
+        monkeypatch.setattr(batch, "_ARTIFACT_CACHE", OrderedDict())
+        monkeypatch.setattr(batch, "_ARTIFACT_CACHE_MAX", 2)
+        first = batch.load_prepared_artifact(store.root, digests[0])
+        assert batch.load_prepared_artifact(store.root, digests[0]) is first
+        for digest in digests[1:]:
+            batch.load_prepared_artifact(store.root, digest)
+        assert len(batch._ARTIFACT_CACHE) == 2
+        # The oldest release was evicted: loading it again unpickles.
+        assert batch.load_prepared_artifact(store.root, digests[0]) \
+            is not first
 
     def test_fingerprint_sensitive_to_all_inputs(self):
         base = prepare_fingerprint(gcd_module(), KEY, 16, None)
@@ -215,20 +255,17 @@ class TestStepLimitDuringTrace:
         assert "did not terminate" in message
         assert "step limit of 5000" in message
 
-    def test_partial_trace_is_not_cached(self):
-        # The key-input run exhausts max_steps mid-trace; the cache
+    def test_partial_trace_is_not_cached(self, tmp_path):
+        # The key-input run exhausts max_steps mid-trace; the store
         # must stay empty so a later call does not serve a truncated
         # trace as if preparation had succeeded.
-        cache = PrepareCache()
+        store = ArtifactStore(str(tmp_path / "store"))
         module = assemble(NONTERMINATING_SRC)
-        with pytest.raises(PrepareError):
-            cache.get_or_prepare(module, KEY, 16, max_steps=5_000)
-        assert len(cache) == 0
-        assert cache.misses == 1 and cache.hits == 0
-        with pytest.raises(PrepareError):
-            cache.get_or_prepare(module, KEY, 16, max_steps=5_000)
-        assert len(cache) == 0
-        assert cache.misses == 2  # retried, not served from cache
+        for _ in range(2):  # retried, not served from the store
+            with pytest.raises(PrepareError):
+                store.get_or_prepare(module, KEY, 16, max_steps=5_000)
+            assert len(store) == 0
+            assert store.verify() == []
 
     def test_generous_limit_still_succeeds(self):
         prepared = prepare(gcd_module(), KEY, 16, max_steps=1_000_000)

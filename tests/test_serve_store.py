@@ -1,5 +1,6 @@
 """Tests for the persistent artifact store (`repro.serve.store`)."""
 
+import dataclasses
 import json
 import os
 
@@ -9,10 +10,10 @@ from repro import obs
 from repro.bytecode_wm.keys import WatermarkKey
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import (
+    FORMAT_VERSION,
     CopySpec,
-    PrepareCache,
     prepare,
-    prepare_fingerprint,
+    release_address,
     run_batch,
 )
 from repro.serve.store import ArtifactStore, StoreError
@@ -116,6 +117,25 @@ class TestIntegrity:
         assert healed.fingerprint() == record.digest
         assert store.verify() == []
 
+    def test_stale_format_version_is_quarantined_and_reprepared(
+        self, store, prepared
+    ):
+        """A blob of another FORMAT_VERSION decodes and even sits at
+        the right address (the version is not part of it), but load
+        refuses it and get_or_prepare heals the entry."""
+        stale = dataclasses.replace(prepared, version=FORMAT_VERSION + 1)
+        record = store.put(stale)
+        assert record.digest == prepared.fingerprint()
+        with pytest.raises(StoreError, match="format version"):
+            store.load(record.digest)
+        assert record.digest not in store
+        assert [q.reason for q in store.quarantined()] == [
+            "unsupported format version"
+        ]
+        healed, hit = store.get_or_prepare(gcd_module(), KEY, BITS, PIECES)
+        assert not hit and healed.version == FORMAT_VERSION
+        assert store.load(record.digest).version == FORMAT_VERSION
+
     def test_wrong_blob_under_digest_is_refused(self, store, prepared, tmp_path):
         """A blob hand-moved under another digest fails the self-check."""
         record = store.put(prepared)
@@ -200,25 +220,21 @@ class TestColdWarmEquivalence:
 
 
 class TestPrepareCacheSpillThrough:
+    """The store is the only cache of preparations: a fresh handle,
+    with nothing in memory, serves what another handle prepared."""
+
     def test_memory_miss_falls_back_to_store(self, tmp_path):
-        store = ArtifactStore(str(tmp_path / "store"))
-        digest = prepare_fingerprint(gcd_module(), KEY, BITS, PIECES)
+        # pieces=None: the planner sizes the release, and the lookup
+        # must land on the concrete address the artifact was put under.
+        root = str(tmp_path / "store")
+        digest, pieces, _ = release_address(gcd_module(), KEY, BITS)
+        warmer = ArtifactStore(root)
+        _, hit = warmer.get_or_prepare(gcd_module(), KEY, BITS)
+        assert not hit and digest in warmer
 
-        warmer = PrepareCache(store=store)
-        warmer.get_or_prepare(gcd_module(), KEY, BITS, pieces=PIECES)
-        assert digest in store  # the miss was persisted
-
-        fresh = PrepareCache(store=store)  # empty memory, same store
-        artifact, hit = fresh.get_or_prepare(
-            gcd_module(), KEY, BITS, pieces=PIECES
-        )
+        fresh = ArtifactStore(root)  # empty memory, same store
+        artifact, hit = fresh.get_or_prepare(gcd_module(), KEY, BITS)
         assert hit
-        assert fresh.store_hits == 1
         assert artifact.fingerprint() == digest
-
-    def test_without_store_behaves_as_before(self):
-        cache = PrepareCache()
-        _, miss = cache.get_or_prepare(gcd_module(), KEY, BITS, pieces=PIECES)
-        _, hit = cache.get_or_prepare(gcd_module(), KEY, BITS, pieces=PIECES)
-        assert (miss, hit) == (False, True)
-        assert cache.store_hits == 0
+        assert artifact.pieces == pieces
+        assert len(fresh) == 1

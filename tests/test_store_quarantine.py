@@ -12,7 +12,6 @@ from repro.cli import main
 from repro.faults.injector import FaultPlan, FaultRule
 from repro.obs import MetricsRegistry, get_registry, set_registry
 from repro.pipeline import prepare
-from repro.pipeline.prepare import PrepareCache
 from repro.serve import ArtifactStore, StoreError
 from repro.workloads import gcd_module
 
@@ -189,20 +188,17 @@ class TestWriteFaults:
             store.put(prepared)
         assert len(store) == 0
 
-    def test_prepare_cache_degrades_on_store_write_failure(
-        self, store, prepared
-    ):
-        """A full disk costs persistence, never the preparation."""
-        cache = PrepareCache(store=store)
+    def test_get_or_prepare_on_a_full_disk_stores_nothing(self, store):
+        """The write failure surfaces; the next call re-prepares and
+        lands the artifact once the disk has room again."""
         plan = FaultPlan(rules=[
             FaultRule(site="store.write.blob", action="disk_full"),
         ])
-        with faults.injected(plan):
-            artifact, hit = cache.get_or_prepare(gcd_module(), KEY, BITS)
-        assert not hit and artifact is not None
-        assert len(store) == 0  # nothing persisted...
-        again, hit = cache.get_or_prepare(gcd_module(), KEY, BITS)
-        assert hit  # ...but the in-memory tier still serves it
+        with faults.injected(plan), pytest.raises(OSError):
+            store.get_or_prepare(gcd_module(), KEY, BITS)
+        assert len(store) == 0
+        artifact, hit = store.get_or_prepare(gcd_module(), KEY, BITS)
+        assert not hit and artifact.fingerprint() in store
 
     def test_lockfile_exists_after_manifest_write(self, store, prepared):
         store.put(prepared)

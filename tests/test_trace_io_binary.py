@@ -265,16 +265,16 @@ class TestPreparedProgramBackcompat:
             assert id(event.branch) in own
             assert id(event.follower) in own
 
-    def test_old_format_object_graph_state_still_loads(self):
-        # Artifacts pickled before the binary encoding carried the
-        # Trace as a plain object graph; __setstate__ must accept it.
+    def test_object_graph_trace_state_is_refused(self):
+        # Only the retired single-file preparation cache ever pickled
+        # the Trace as a plain object graph; every store blob carries
+        # the binary encoding, so anything else is refused.
         prep = prepare(gcd_module(), KEY, 16)
         state = prep.__getstate__()
         state["trace"] = prep.trace
         old_style = PreparedProgram.__new__(PreparedProgram)
-        old_style.__setstate__(state)
-        assert old_style.trace is prep.trace
-        assert old_style.matches(gcd_module(), KEY, 16)
+        with pytest.raises(PrepareError, match="unrecognisable"):
+            old_style.__setstate__(state)
 
     def test_corrupt_blob_raises_prepare_error(self):
         prep = prepare(gcd_module(), KEY, 16)
