@@ -40,7 +40,6 @@ from ..core.errors import CodegenError
 from ..vm.instructions import Instruction, ins
 from ..vm.instructions import label as label_ins
 from ..vm.program import Function
-from ..vm.tracing import TracePoint
 from .opaque import opaquely_false_guard
 
 #: (opcode, truth at first execution) choices for a CHANGING variable x
@@ -50,17 +49,18 @@ _EQ_STYLE = ("if_icmpeq", "if_icmpne")
 
 
 def find_predicate_variables(
-    snapshots: Sequence[TracePoint],
+    snapshots: Sequence[Tuple[int, ...]],
 ) -> Tuple[List[int], List[int]]:
     """Classify local slots at a multiply-executed site.
 
+    ``snapshots`` are the site's locals per execution, in order.
     Returns ``(changing, stable)``: slots whose values differ/agree
     between the first two executions. Only the first two snapshots
     matter — they are the priming and the generating execution.
     """
     if len(snapshots) < 2:
         raise CodegenError("site executes fewer than twice")
-    first, second = snapshots[0].locals_snapshot, snapshots[1].locals_snapshot
+    first, second = snapshots[0], snapshots[1]
     width = min(len(first), len(second))
     changing = [i for i in range(width) if first[i] != second[i]]
     stable = [i for i in range(width) if first[i] == second[i]]
@@ -70,7 +70,7 @@ def find_predicate_variables(
 def generate_condition_piece(
     fn: Function,
     bits: Sequence[int],
-    snapshots: Sequence[TracePoint],
+    snapshots: Sequence[Tuple[int, ...]],
     live_slot: Optional[int],
     rng: random.Random,
 ) -> List[Instruction]:
@@ -89,7 +89,7 @@ def generate_condition_piece(
     if not all(bits) and not stable:
         raise CodegenError("no variable is stable across executions")
 
-    first = snapshots[0].locals_snapshot
+    first = snapshots[0]
     tmp = fn.alloc_local()
     labels = fn.fresh_labels(2 * len(bits) + 1, "wmcond")
     guard_skip = labels[0]

@@ -2,7 +2,9 @@
 
 Pipeline (Figure 2):
 
-1. **Trace** the program on the secret input (step B of the figure).
+1. **Trace** the program on the secret input (step B of the figure)
+   and keep, per eligible site, its execution count and the locals of
+   its first two executions.
 2. **Split** the watermark into redundant residue statements via the
    Generalized CRT (step A), enumerate each statement into a 64-bit
    integer and **encrypt** it with the key-derived block cipher.
@@ -20,7 +22,7 @@ randomness comes from the key's RNG streams.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from ..codec import WatermarkCodec, resolve_codec
 from ..core.bitstring import int_to_bits_lsb_first
@@ -35,7 +37,7 @@ from ..vm.verifier import verify_module
 from .condition_codegen import generate_condition_piece
 from .keys import WatermarkKey
 from .loop_codegen import generate_loop_piece
-from .placement import SitePicker, eligible_sites
+from .placement import Site, SitePicker, eligible_sites
 
 PIECE_BITS = 64
 
@@ -90,8 +92,7 @@ def embed(
     watermark_bits: Optional[int] = None,
     placement_policy: str = "inverse",
     prefer_condition: bool = True,
-    trace=None,
-    sites=None,
+    sites: Optional[Dict[SiteKey, Site]] = None,
     rng_salt: str = "",
     codec: Union[str, WatermarkCodec, None] = None,
 ) -> EmbeddingResult:
@@ -103,9 +104,9 @@ def embed(
     should pass an explicit common width. ``placement_policy`` and
     ``prefer_condition`` exist for the ablation benches.
 
-    Batch embedding (``repro.pipeline``) passes a precomputed ``trace``
-    (and optionally its ``sites`` table) to skip Phase 1 — tracing is
-    watermark-independent, so N copies need only one trace. It also
+    Batch embedding (``repro.pipeline``) passes a precomputed ``sites``
+    table (:func:`~.placement.eligible_sites`) to skip Phase 1 — tracing
+    is watermark-independent, so N copies need only one trace. It also
     passes a per-copy ``rng_salt`` scoping the key's RNG streams, so
     distinct copies diversify their placements while staying
     deterministic in (module, watermark, key, salt). Recognition never
@@ -137,11 +138,10 @@ def embed(
         return key.rng(f"{purpose}/{rng_salt}" if rng_salt else purpose)
 
     # Phase 1: tracing (full mode: block sequence + variable values),
-    # unless the caller supplied a cached trace of this module.
-    if trace is None:
+    # unless the caller supplied the site table of this module's trace.
+    if sites is None:
         trace = run_module(marked, key.inputs, trace_mode="full").trace
         assert trace is not None
-    if sites is None:
         sites = eligible_sites(trace, marked)
     picker = SitePicker(sites, stream("placement"), placement_policy)
 
@@ -171,7 +171,7 @@ def embed(
             codegen_rng.randrange(fn.params) if fn.params > 0 else
             (codegen_rng.randrange(fn.locals_count) if fn.locals_count else None)
         )
-        snapshots = trace.site_snapshots(site)
+        snapshots = sites[site].first_locals
         generator = "loop"
         code = None
         if prefer_condition and len(snapshots) >= 2:
@@ -187,7 +187,8 @@ def embed(
         insert_at_site(marked, site, code)
         result.placements.append(
             Placement(
-                piece.statement, site, generator, sites[site], piece.label
+                piece.statement, site, generator, sites[site].count,
+                piece.label,
             )
         )
 

@@ -16,24 +16,44 @@ placement to show why Figure 8(a)'s CaffeineMark curve bends.
 from __future__ import annotations
 
 import random
-from typing import Dict, List
+from typing import Dict, List, NamedTuple, Tuple
 
 from ..core.errors import EmbeddingError
 from ..vm.program import Module
 from ..vm.tracing import SiteKey, Trace
 
 
-def eligible_sites(trace: Trace, module: Module) -> Dict[SiteKey, int]:
-    """Trace sites usable for insertion, with their frequencies.
+class Site(NamedTuple):
+    """What embedding reads about one eligible site.
 
-    Sites must belong to a function that still exists in the module
-    (defensive for attacked modules) and have executed at least once.
+    ``count`` is how often the site ran on the key input (its placement
+    weight); ``first_locals`` holds the locals of its first two
+    executions at most, the priming and generating runs that
+    condition-based pieces are built from.
     """
-    counts = trace.site_counts()
+
+    count: int
+    first_locals: Tuple[Tuple[int, ...], ...]
+
+
+def eligible_sites(trace: Trace, module: Module) -> Dict[SiteKey, Site]:
+    """Trace sites usable for insertion, in first-seen order.
+
+    One pass over the trace points. Sites must belong to a function
+    that still exists in the module (defensive for attacked modules);
+    every traced site executed at least once.
+    """
+    counts: Dict[SiteKey, int] = {}
+    firsts: Dict[SiteKey, List[Tuple[int, ...]]] = {}
+    for point in trace.points:
+        seen = counts.get(point.key, 0)
+        counts[point.key] = seen + 1
+        if seen < 2:
+            firsts.setdefault(point.key, []).append(point.locals_snapshot)
     return {
-        key: count
+        key: Site(count, tuple(firsts[key]))
         for key, count in counts.items()
-        if count > 0 and key.function in module.functions
+        if key.function in module.functions
     }
 
 
@@ -42,7 +62,7 @@ class SitePicker:
 
     def __init__(
         self,
-        sites: Dict[SiteKey, int],
+        sites: Dict[SiteKey, Site],
         rng: random.Random,
         policy: str = "inverse",
     ):
@@ -55,7 +75,7 @@ class SitePicker:
             sites, key=lambda k: (k.function, k.site)
         )
         if policy == "inverse":
-            self._weights = [1.0 / sites[k] for k in self._keys]
+            self._weights = [1.0 / sites[k].count for k in self._keys]
         else:
             self._weights = [1.0] * len(self._keys)
         self._total = sum(self._weights)

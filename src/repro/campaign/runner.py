@@ -155,7 +155,6 @@ def _remint(prepared: PreparedProgram, spec: CopySpec) -> Module:
         prepared.key,
         pieces=prepared.pieces,
         watermark_bits=prepared.watermark_bits,
-        trace=prepared.trace,
         sites=prepared.sites,
         rng_salt=f"{spec.watermark}/{spec.seed}",
         codec=prepared.codec,
@@ -167,9 +166,9 @@ def _with_codec(
 ) -> PreparedProgram:
     """A codec-variant of one preparation, sharing the heavy state.
 
-    Preparation's expensive stages (trace, CFGs, site mining) are
+    Preparation's expensive stages (trace, CFG check, site mining) are
     codec-independent; only the planned piece count and the recorded
-    spec differ. The variant shares the trace/module/site objects with
+    spec differ. The variant shares the module and site table with
     ``base`` — the sweep reads, never mutates, a prepared program.
     """
     spec = resolve_codec(codec).spec
@@ -407,7 +406,7 @@ def run_campaign(
                             if base_prepared is None:
                                 # The heavy, codec-independent stages
                                 # run once per (workload, bits); codec
-                                # variants share the trace.
+                                # variants share the site table.
                                 base_prepared = prepare(
                                     program.module(), key,
                                     watermark_bits=bits,
@@ -457,9 +456,8 @@ def run_campaign(
                             ),
                             "wall_seconds": batch.wall_seconds,
                         })
-                        marked = [_remint(prepared, s) for s in specs]
                         say(f"{program.name} b{bits} {codec}: minted "
-                            f"{len(marked)} copies")
+                            f"{len(specs)} copies")
 
                         pending: List[Tuple[AttackSchedule, float, int]] = []
                         for schedule in schedules:
@@ -492,7 +490,8 @@ def run_campaign(
                                 if spans:
                                     tracer.adopt(spans)
                                 record(cell)
-                        else:
+                        elif pending:
+                            marked = [_remint(prepared, s) for s in specs]
                             for schedule, intensity, index in pending:
                                 record(_attack_cell(
                                     config, program, bits, prepared,

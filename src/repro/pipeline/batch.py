@@ -93,7 +93,7 @@ def embed_copy(
 ) -> CopyResult:
     """Embed, emit and (by default) self-check one copy. Never raises.
 
-    The embed reuses the prepared trace and site table (no re-trace);
+    The embed reuses the prepared site table (no re-trace);
     the self-check runs the marked copy once in branch mode and feeds
     that single trace to both the output comparison and the
     recognizer. ``self_check=False`` skips that run — a throughput
@@ -118,7 +118,6 @@ def embed_copy(
                     prepared.key,
                     pieces=prepared.pieces,
                     watermark_bits=prepared.watermark_bits,
-                    trace=prepared.trace,
                     sites=prepared.sites,
                     rng_salt=f"{spec.watermark}/{spec.seed}",
                     codec=active_codec,
@@ -271,7 +270,8 @@ def _embed_chunk(specs: List[CopySpec]) -> List[CopyResult]:
 # ride the pool initializer: requests for different releases share the
 # same workers. Workers instead load artifacts from the persistent
 # store lazily, keyed by content digest, through a small per-process
-# cache — each worker pays the unpickle once per release it serves.
+# cache, so each worker loads a release once; an artifact holds only
+# the module and the site table, and unpickles in milliseconds.
 
 #: Per-process artifact cache: releases a worker has already loaded.
 #: Small and LRU: a worker serves few releases.

@@ -10,49 +10,44 @@ and snapshots the results into a :class:`PreparedProgram`, turning a
 batch of N embeds from O(N × full pipeline) into
 O(1 prepare + N × insert-only).
 
-A :class:`PreparedProgram` is picklable as one object graph, which
-matters twice: it ships to pool workers (``pipeline.batch``) and it
-persists in the content-addressed artifact store
-(:mod:`repro.serve.store`, addressed by :func:`release_address`), so
-repeated runs against the same release skip preparation entirely. The
-trace — by far the heaviest field — is pickled as a compact binary
-blob (the version-2 format of :mod:`repro.vm.trace_io`) and re-bound
-against the pickled module on load, which both shrinks artifacts
-several-fold and preserves the branch-event → instruction identity
-the trace model relies on.
+The artifact keeps only what embedding reads: the module snapshot,
+the planned piece count and the site table — per eligible site, its
+execution count on the key input and the locals of its first two
+executions (:func:`~repro.bytecode_wm.placement.eligible_sites`). The
+full trace and the CFGs are used during preparation and dropped,
+which keeps artifacts small, cheap to load and light on the garbage
+collector. It pickles as a plain object graph, which matters twice: it
+ships to pool workers (``pipeline.batch``) and it persists in the
+content-addressed artifact store (:mod:`repro.serve.store`, addressed
+by :func:`release_address`), so repeated runs against the same release
+skip preparation entirely.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .. import obs
 from ..bytecode_wm.keys import WatermarkKey
 from ..codec import resolve_codec
-from ..bytecode_wm.placement import eligible_sites
+from ..bytecode_wm.placement import Site, eligible_sites
 from ..core.errors import EmbeddingError
 from ..core.planner import plan_redundancy
 from ..core.primes import choose_moduli
-from ..vm.cfg import CFG, build_cfg
+from ..vm.cfg import build_cfg
 from ..vm.disassembler import disassemble
 from ..vm.interpreter import DEFAULT_MAX_STEPS, StepLimitExceeded, run_module
 from ..vm.program import Module
-from ..vm.trace_io import (
-    TraceFormatError,
-    dump_trace_binary,
-    load_trace_binary,
-)
-from ..vm.tracing import SiteKey, Trace
+from ..vm.tracing import SiteKey
 from ..vm.verifier import verify_module
 from .metrics import StageTimings, stage_span
 
 #: Bumped whenever the artifact layout changes; the artifact store
 #: refuses (and quarantines) other versions rather than mis-embedding
 #: from a stale blob.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class PrepareError(EmbeddingError):
@@ -71,21 +66,15 @@ class PreparedProgram:
     module: Module
     key: WatermarkKey
     watermark_bits: int
-    moduli: List[int]
     pieces: int
-    trace: Trace
-    sites: Dict[SiteKey, int]
-    cfgs: Dict[str, CFG]
+    sites: Dict[SiteKey, Site]
     baseline_output: List[int]
     timings: StageTimings = field(default_factory=StageTimings)
     version: int = FORMAT_VERSION
     #: Raw per-opcode dispatch counts of the key-input trace run, set
-    #: only when preparation ran with ``profile=True``. Additive field:
-    #: artifacts pickled before it existed load with ``None``.
+    #: only when preparation ran with ``profile=True``.
     dispatch_counts: Optional[List[int]] = None
-    #: Redundancy codec spec the release is planned for. Additive
-    #: field: artifacts pickled before the codec layer existed load as
-    #: GCRT (the only scheme they could have been embedded with).
+    #: Redundancy codec spec the release is planned for.
     codec: str = "gcrt"
 
     def fingerprint(self) -> str:
@@ -98,40 +87,6 @@ class PreparedProgram:
             self.module, self.key, self.watermark_bits, self.pieces,
             self.codec,
         )
-
-    # -- persistence -------------------------------------------------------
-
-    def __getstate__(self) -> Dict[str, Any]:
-        """Pickle the trace as a compact binary blob, not an object graph.
-
-        The trace dominates artifact size (tens of MB of TracePoint /
-        BranchEvent objects for a jess-scale program); the version-2
-        binary encoding is several times smaller and much cheaper for
-        pickle to traverse. ``__setstate__`` re-binds it against the
-        module that travels in the same pickle.
-        """
-        state = dict(self.__dict__)
-        buf = io.BytesIO()
-        dump_trace_binary(self.trace, self.module, buf)
-        state["trace"] = buf.getvalue()
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        blob = state["trace"]
-        state.setdefault("dispatch_counts", None)
-        # Pre-codec artifacts can only have been GCRT-embedded.
-        state.setdefault("codec", "gcrt")
-        self.__dict__.update(state)
-        if not isinstance(blob, bytes):
-            raise PrepareError(
-                "prepared-program artifact has an unrecognisable trace field"
-            )
-        try:
-            self.trace = load_trace_binary(io.BytesIO(blob), self.module)
-        except TraceFormatError as exc:
-            raise PrepareError(
-                f"prepared-program artifact has a corrupt trace: {exc}"
-            ) from exc
 
 
 def prepare_fingerprint(
@@ -231,10 +186,11 @@ def prepare(
       any copies are minted from it;
     * **trace** — one full-mode execution on the key input (the
       dominant cost of a single-shot embed);
-    * **cfg** — control-flow graphs of every function, kept for
-      consumers that analyse placements without re-deriving them;
-    * **placement** — eligible insertion sites with frequencies;
-    * **plan** — moduli selection plus redundancy planning.
+    * **cfg** — control-flow graphs of every function, to check that
+      each traced site is a block of its function (not kept);
+    * **placement** — the site table: eligible insertion sites with
+      frequencies and first two locals snapshots;
+    * **plan** — redundancy planning (the piece count).
 
     A key-input run that exhausts ``max_steps`` mid-trace raises
     :class:`PrepareError` naming the step budget; the partial trace is
@@ -262,27 +218,27 @@ def prepare(
                     f"key-input trace did not terminate: {exc}"
                 ) from exc
             sp.set(steps=run.steps)
-        trace = run.trace
-        assert trace is not None
+        assert run.trace is not None
         with stage_span(timings, "cfg", "prepare.cfg"):
-            cfgs = {
-                name: build_cfg(fn) for name, fn in snapshot.functions.items()
+            blocks = {
+                name: build_cfg(fn).blocks
+                for name, fn in snapshot.functions.items()
             }
         with stage_span(timings, "placement", "prepare.placement"):
-            sites = eligible_sites(trace, snapshot)
+            sites = eligible_sites(run.trace, snapshot)
             if not sites:
                 raise PrepareError(
                     "trace contains no usable insertion sites on the key input"
                 )
             for site in sites:
-                if site.site != "<entry>" and site.site not in cfgs[site.function].blocks:
+                if site.site != "<entry>" and site.site not in blocks[site.function]:
                     raise PrepareError(
                         f"trace site {site!r} has no CFG block — "
                         f"trace and module disagree"
                     )
         with stage_span(timings, "plan", "prepare.plan"):
             codec_spec = resolve_codec(codec).spec
-            moduli, piece_count = resolve_piece_count(
+            _, piece_count = resolve_piece_count(
                 watermark_bits, pieces, piece_loss, target_success,
                 codec=codec_spec,
             )
@@ -290,11 +246,8 @@ def prepare(
         module=snapshot,
         key=key,
         watermark_bits=watermark_bits,
-        moduli=moduli,
         pieces=piece_count,
-        trace=trace,
         sites=sites,
-        cfgs=cfgs,
         baseline_output=list(run.output),
         timings=timings,
         dispatch_counts=run.dispatch_counts,

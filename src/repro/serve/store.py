@@ -1,7 +1,7 @@
 """The persistent artifact store: pay preparation once per release.
 
 A fingerprinting service amortizes the heavy, watermark-independent
-preparation work (key-input tracing, CFGs, site mining, planning) over
+preparation work (key-input tracing, site mining, planning) over
 every copy it mints. This module is the one place a preparation is
 kept: the artifact is durable, so the cost is paid once per *(program,
 key) release* across process restarts, CLI invocations, and every
@@ -28,10 +28,12 @@ On-disk layout::
 Each manifest record carries the SHA-256 of its blob; :meth:`
 ArtifactStore.load` re-hashes the blob before unpickling and refuses
 corrupted or substituted files. The blob itself is the
-:class:`~repro.pipeline.prepare.PreparedProgram` pickle, whose trace
-travels as the compact binary format of :mod:`repro.vm.trace_io` —
-artifacts are megabytes, not tens of megabytes. Manifest writes are
-atomic (write-new + rename), so a crashed writer leaves the previous
+:class:`~repro.pipeline.prepare.PreparedProgram` pickle: the module
+snapshot and the site table, with no trace — about a hundred kB for
+a jess-scale program, loaded in milliseconds. A blob of another
+``FORMAT_VERSION`` is quarantined on load and re-prepared by
+:meth:`ArtifactStore.get_or_prepare`. Manifest writes are atomic
+(write-new + rename), so a crashed writer leaves the previous
 manifest intact; blob writes likewise.
 
 Hardening (the failure modes this module absorbs rather than

@@ -78,33 +78,14 @@ class Trace:
 
     def site_counts(self) -> Dict[SiteKey, int]:
         """Execution frequency of every trace site, in first-seen order."""
-        return {key: len(hits) for key, hits in self._site_index().items()}
+        counts: Dict[SiteKey, int] = {}
+        for p in self.points:
+            counts[p.key] = counts.get(p.key, 0) + 1
+        return counts
 
     def site_snapshots(self, key: SiteKey) -> List[TracePoint]:
         """All executions of one site, in order (a fresh list per call)."""
-        return list(self._site_index().get(key, ()))
-
-    def _site_index(self) -> Dict[SiteKey, List[TracePoint]]:
-        """Trace points grouped by site, built once per state of ``points``.
-
-        The embedder asks for one site's points per piece, and every copy
-        minted from a prepared program shares its trace, so one pass over
-        the points serves them all. The index is rebuilt whenever
-        ``points`` is replaced or changes length; traces only ever grow
-        by appending. It is not a dataclass field, so equality ignores
-        it, and ``__getstate__`` keeps it out of pickles and copies.
-        """
-        points = self.points
-        cached = self.__dict__.get("_by_site")
-        if cached is None or cached[0] is not points or cached[1] != len(points):
-            index: Dict[SiteKey, List[TracePoint]] = {}
-            for p in points:
-                index.setdefault(p.key, []).append(p)
-            cached = self._by_site = (points, len(points), index)
-        return cached[2]
-
-    def __getstate__(self) -> Dict[str, object]:
-        return {k: v for k, v in self.__dict__.items() if k != "_by_site"}
+        return [p for p in self.points if p.key == key]
 
 
 @dataclass

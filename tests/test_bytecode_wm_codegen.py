@@ -154,7 +154,8 @@ class TestConditionCodegen:
         fn.code = prologue + epilogue
         trace = run_module(m, trace_mode="full").trace
         from repro.vm import SiteKey
-        snapshots = trace.site_snapshots(SiteKey("main", "site"))
+        snapshots = [p.locals_snapshot
+                     for p in trace.site_snapshots(SiteKey("main", "site"))]
         wm = generate_condition_piece(
             fn, piece_bits, snapshots, live_slot=2, rng=random.Random(seed)
         )
@@ -176,17 +177,14 @@ class TestConditionCodegen:
         m.add(fn)
         trace = run_module(m, trace_mode="full").trace
         from repro.vm import SiteKey
-        snapshots = trace.site_snapshots(SiteKey("main", "<entry>"))
+        snapshots = [p.locals_snapshot
+                     for p in trace.site_snapshots(SiteKey("main", "<entry>"))]
         with pytest.raises(CodegenError, match="fewer than twice"):
             generate_condition_piece(fn, [1] * 8, snapshots, None,
                                      random.Random(0))
 
     def test_requires_changing_variable_for_ones(self):
-        from repro.vm.tracing import SiteKey, TracePoint
-        snaps = [
-            TracePoint(SiteKey("main", "s"), (1, 2), ()),
-            TracePoint(SiteKey("main", "s"), (1, 2), ()),
-        ]
+        snaps = [(1, 2), (1, 2)]
         m = Module()
         fn = Function("main", 0, 4, [ins("const", 0), ins("ret")])
         m.add(fn)
@@ -198,12 +196,7 @@ class TestConditionCodegen:
         assert code
 
     def test_find_predicate_variables(self):
-        from repro.vm.tracing import SiteKey, TracePoint
-        snaps = [
-            TracePoint(SiteKey("m", "s"), (1, 5, 9), ()),
-            TracePoint(SiteKey("m", "s"), (1, 6, 9), ()),
-            TracePoint(SiteKey("m", "s"), (7, 7, 7), ()),  # ignored
-        ]
+        snaps = [(1, 5, 9), (1, 6, 9), (7, 7, 7)]  # the third is ignored
         changing, stable = find_predicate_variables(snaps)
         assert changing == [1]
         assert stable == [0, 2]

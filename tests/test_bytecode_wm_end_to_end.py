@@ -198,21 +198,21 @@ class TestPlacement:
 
     def test_inverse_weighting_prefers_cold_sites(self):
         sites, key = self._trace_sites()
-        cold_cutoff = sorted(sites.values())[len(sites) // 2]
+        cold_cutoff = sorted(s.count for s in sites.values())[len(sites) // 2]
         picker = SitePicker(sites, key.rng("p"), "inverse")
         picks = picker.pick_many(300)
         cold_fraction = sum(
-            1 for s in picks if sites[s] <= cold_cutoff
+            1 for s in picks if sites[s].count <= cold_cutoff
         ) / len(picks)
         assert cold_fraction > 0.75
 
     def test_uniform_policy_is_flatter(self):
         sites, key = self._trace_sites()
-        cold_cutoff = sorted(sites.values())[len(sites) // 2]
+        cold_cutoff = sorted(s.count for s in sites.values())[len(sites) // 2]
         picker = SitePicker(sites, key.rng("p"), "uniform")
         picks = picker.pick_many(300)
         cold_fraction = sum(
-            1 for s in picks if sites[s] <= cold_cutoff
+            1 for s in picks if sites[s].count <= cold_cutoff
         ) / len(picks)
         assert cold_fraction < 0.8
 

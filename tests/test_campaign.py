@@ -25,6 +25,7 @@ from repro.campaign import (
     generate_program,
     run_campaign,
 )
+from repro.campaign import runner
 from repro.cli import main as cli_main
 from repro.vm import run_module
 
@@ -138,6 +139,24 @@ def test_fixed_seed_campaign_replays_identically():
     assert all(c.cell_seed == cell_seed(
         first.seed, c.workload, c.bits, c.attack, c.intensity_index
     ) for c in first.cells)
+
+
+def test_pooled_cells_leave_the_parent_no_remints(monkeypatch):
+    """With pooled cells every worker re-mints the copies it attacks;
+    the parent mints none of its own, and the outcomes do not move."""
+    serial = run_campaign(CampaignConfig(**_FAST))
+    parent_remints = []
+    remint = runner._remint
+
+    def counting(prepared, spec):
+        parent_remints.append(spec.copy_id)
+        return remint(prepared, spec)
+
+    monkeypatch.setattr(runner, "_remint", counting)
+    pooled = run_campaign(CampaignConfig(cell_workers=2, **_FAST))
+    # Forked workers count into their own copies of the list.
+    assert parent_remints == []
+    assert pooled.outcomes_json() == serial.outcomes_json()
 
 
 def test_campaign_resumes_from_cell_journal(tmp_path):

@@ -3,8 +3,9 @@
 The codec layer is only useful if the spec survives every hop: manifest
 -> prepare -> artifact store -> daemon -> client, and campaign config
 -> cells -> report. These tests pin each hop, plus the two
-compatibility contracts: pre-codec pickles rehydrate as GCRT, and
-pre-codec fingerprints are unchanged for the default codec.
+compatibility contracts: pre-codec artifacts are refused by the store
+(it re-prepares them), and pre-codec fingerprints are unchanged for
+the default codec.
 """
 
 import pickle
@@ -17,7 +18,6 @@ from repro.codec import CodecError
 from repro.pipeline import (
     CopySpec,
     ManifestError,
-    PreparedProgram,
     embed_copy,
     parse_manifest,
     prepare,
@@ -25,9 +25,12 @@ from repro.pipeline import (
     release_address,
 )
 from repro.serve import ArtifactStore, ServerConfig, ServerThread
+from repro.serve.store import StoreError
 from repro.serve.client import ServiceClient, ServiceError
 from repro.vm import assemble
 from repro.workloads import gcd_module
+
+from tests.v1_artifacts import v1_artifact
 
 KEY = WatermarkKey(secret=b"codec-int", inputs=[252, 105])
 BITS = 16
@@ -68,14 +71,19 @@ class TestManifestCodec:
 # ---------------------------------------------------------------------------
 
 class TestPreparedProgramCompat:
-    def test_pre_codec_pickle_state_defaults_to_gcrt(self):
+    def test_pre_codec_pickle_state_defaults_to_gcrt(self, tmp_path):
+        # A pre-codec pickle still sits at its gcrt address, but its
+        # format version is stale: the store refuses it and re-prepares.
         prepared = prepare(gcd_module(), KEY, BITS, 8)
-        state = prepared.__getstate__()
-        state.pop("codec")  # what a pre-codec pickle carries
-        old = object.__new__(PreparedProgram)
-        old.__setstate__(state)
-        assert old.codec == "gcrt"
-        assert old.fingerprint() == prepared.fingerprint()
+        old = v1_artifact(prepared, drop=("codec",))
+        assert "codec" not in vars(old)
+        store = ArtifactStore(str(tmp_path / "store"))
+        digest = store.put(old).digest
+        assert digest == prepared.fingerprint()
+        with pytest.raises(StoreError, match="format version"):
+            store.load(digest)
+        healed, hit = store.get_or_prepare(gcd_module(), KEY, BITS, 8)
+        assert not hit and healed.codec == "gcrt"
 
     def test_pickle_round_trip_keeps_codec(self):
         prepared = prepare(gcd_module(), KEY, BITS, 8, codec="rs-8")

@@ -1,6 +1,7 @@
 """Integration tests: observability threaded through the embedding
 pipeline, the batch executor and the CLI."""
 
+import dataclasses
 import json
 import os
 import pickle
@@ -21,8 +22,11 @@ from repro.pipeline import (
     run_batch,
     sequential_specs,
 )
+from repro.serve.store import ArtifactStore, StoreError
 from repro.vm import disassemble
 from repro.workloads import collatz_module, gcd_module
+
+from tests.v1_artifacts import v1_artifact
 
 from repro.bytecode_wm import WatermarkKey, embed, recognize
 
@@ -229,12 +233,17 @@ class TestPreparePickleCompat:
         assert clone.watermark_bits == prepared.watermark_bits
         assert clone.dispatch_counts == prepared.dispatch_counts
 
-    def test_old_state_without_dispatch_counts(self, prepared):
-        state = prepared.__getstate__()
-        state.pop("dispatch_counts")
-        clone = object.__new__(type(prepared))
-        clone.__setstate__(state)
-        assert clone.dispatch_counts is None
+    def test_old_state_without_dispatch_counts(self, prepared, tmp_path):
+        # Pickles older than the dispatch_counts field are refused by
+        # the store on their format version, not patched up on load.
+        old = v1_artifact(prepared, drop=("dispatch_counts",))
+        store = ArtifactStore(str(tmp_path / "store"))
+        digest = store.put(old).digest
+        with pytest.raises(StoreError, match="format version"):
+            store.load(digest)
+        assert [q.reason for q in store.quarantined()] == [
+            "unsupported format version"
+        ]
 
 
 #: ``StageTimings({"trace": 0.5, "plan": 0.25})`` as pickled (protocol
@@ -258,10 +267,9 @@ class TestStageTimingsCompat:
         assert pickle.dumps(old, protocol=5) == OLD_STAGE_TIMINGS_PICKLE
 
     def test_prepared_program_with_parent_timings_state(self, prepared):
-        state = prepared.__getstate__()
-        state["timings"] = pickle.loads(OLD_STAGE_TIMINGS_PICKLE)
-        clone = object.__new__(type(prepared))
-        clone.__setstate__(state)
+        clone = dataclasses.replace(
+            prepared, timings=pickle.loads(OLD_STAGE_TIMINGS_PICKLE)
+        )
         again = pickle.loads(pickle.dumps(clone))
         assert again.timings.stages == {"trace": 0.5, "plan": 0.25}
         assert again.watermark_bits == prepared.watermark_bits

@@ -2,12 +2,13 @@
 the artifact store caches it."""
 
 import hashlib
+import io
 import pickle
 from collections import OrderedDict
 
 import pytest
 
-from repro.bytecode_wm import WatermarkKey, embed, recognize
+from repro.bytecode_wm import WatermarkKey, eligible_sites, embed, recognize
 from repro.core.planner import plan_redundancy
 from repro.core.primes import choose_moduli
 from repro.pipeline import (
@@ -19,10 +20,24 @@ from repro.pipeline import (
 )
 from repro.pipeline import batch
 from repro.serve.store import ArtifactRecord, ArtifactStore, StoreError
-from repro.vm import assemble, disassemble, run_module
-from repro.workloads import collatz_module, gcd_module
+from repro.vm import assemble, build_cfg, disassemble, run_module
+from repro.workloads import (
+    CAFFEINEMARK_INPUT,
+    JESS_INPUT,
+    caffeinemark_module,
+    collatz_module,
+    gcd_module,
+    jess_module,
+)
+
+from tests.v1_artifacts import v1_artifact
 
 KEY = WatermarkKey(secret=b"pldi-2004", inputs=[25, 10])
+
+LEAN_PROGRAMS = {
+    "caffeinemark": lambda: (caffeinemark_module(), CAFFEINEMARK_INPUT),
+    "jess": lambda: (jess_module(), JESS_INPUT),
+}
 
 NONTERMINATING_SRC = """
 .globals 0
@@ -40,10 +55,11 @@ class TestPrepare:
         module = gcd_module()
         p = prepare(module, KEY, 16)
         assert p.watermark_bits == 16
-        assert p.moduli == choose_moduli(16)
-        assert p.pieces > 0
-        assert p.trace.points and p.sites
-        assert set(p.cfgs) == set(module.functions)
+        assert p.pieces == 2 * len(choose_moduli(16))
+        # The artifact keeps the site table, not the trace or the CFGs.
+        assert not {"trace", "cfgs", "moduli"} & set(vars(p))
+        trace = run_module(module, KEY.inputs, trace_mode="full").trace
+        assert p.sites == eligible_sites(trace, module)
         assert p.baseline_output == run_module(module, KEY.inputs).output
         # Every prepared stage is individually timed.
         assert set(p.timings.stages) == {
@@ -56,7 +72,7 @@ class TestPrepare:
         module.functions["main"].code.clear()
         # The snapshot still embeds fine after the caller mutates theirs.
         result = embed(p.module, 7, KEY, pieces=p.pieces,
-                       watermark_bits=16, trace=p.trace, sites=p.sites)
+                       watermark_bits=16, sites=p.sites)
         assert result.piece_count == p.pieces
 
     def test_rejects_bad_width(self):
@@ -87,20 +103,19 @@ class TestPickleRoundTrip:
         p = prepare(module, KEY, 16)
         p2 = pickle.loads(pickle.dumps(p))
         a = embed(module, 0xCAFE, KEY, pieces=p.pieces, watermark_bits=16,
-                  trace=p.trace, sites=p.sites)
+                  sites=p.sites)
         b = embed(p2.module, 0xCAFE, KEY, pieces=p2.pieces,
-                  watermark_bits=16, trace=p2.trace, sites=p2.sites)
+                  watermark_bits=16, sites=p2.sites)
         assert disassemble(a.module) == disassemble(b.module)
 
     def test_branch_events_rebind_to_pickled_module(self):
+        # No branch events travel any more: every traced site of the
+        # pickled table is a block of the pickled module's own CFG.
         p = pickle.loads(pickle.dumps(prepare(gcd_module(), KEY, 16)))
-        instrs = {
-            id(i) for fn in p.module.functions.values() for i in fn.code
-        }
-        assert p.trace.branches
-        for event in p.trace.branches:
-            assert id(event.branch) in instrs
-            assert id(event.follower) in instrs
+        assert p.sites
+        for site in p.sites:
+            blocks = build_cfg(p.module.functions[site.function]).blocks
+            assert site.site == "<entry>" or site.site in blocks
 
     def test_save_load(self, tmp_path):
         # Persisting a preparation means putting it in the store.
@@ -151,6 +166,58 @@ class TestPickleRoundTrip:
         assert low == prepare_fingerprint(gcd_module(), KEY, 16, low_pieces)
 
 
+class TestLeanArtifact:
+    """An artifact holds the module and the site table, nothing of the
+    trace or the CFGs, and mints exactly what an unprepared embed does."""
+
+    def test_pickle_references_no_trace_or_cfg_class(self):
+        def classes(data):
+            seen = set()
+
+            class Recorder(pickle.Unpickler):
+                def find_class(self, module, name):
+                    seen.add((module, name))
+                    return super().find_class(module, name)
+
+            Recorder(io.BytesIO(data)).load()
+            return seen
+
+        p = prepare(collatz_module(), WatermarkKey(b"lean", [27]), 16)
+        seen = classes(pickle.dumps(p, protocol=pickle.HIGHEST_PROTOCOL))
+        assert ("repro.pipeline.prepare", "PreparedProgram") in seen
+        assert not {
+            ("repro.vm.tracing", name)
+            for name in ("Trace", "TracePoint", "BranchEvent")
+        } & seen
+        assert not {module for module, _ in seen if module == "repro.vm.cfg"}
+        # The recorder does see the classes a version-1 artifact held.
+        old = classes(pickle.dumps(v1_artifact(p)))
+        assert any(module == "repro.vm.cfg" for module, _ in old)
+
+    @pytest.mark.parametrize("codec", ["gcrt", "rs-8", "hybrid-4"])
+    @pytest.mark.parametrize("bits", [32, 64])
+    @pytest.mark.parametrize("program", [
+        "caffeinemark", pytest.param("jess", marks=pytest.mark.slow),
+    ])
+    def test_store_loaded_copies_match_unprepared_embed(
+        self, tmp_path, program, bits, codec
+    ):
+        module, inputs = LEAN_PROGRAMS[program]()
+        key = WatermarkKey(secret=b"seed-0", inputs=list(inputs))
+        store = ArtifactStore(str(tmp_path / "store"))
+        digest = store.put(prepare(module, key, bits, codec=codec)).digest
+        loaded = ArtifactStore(store.root, create=False).load(digest)
+        assert "trace" not in vars(loaded)
+        for seed, mark in enumerate((1, (1 << bits) - 1, 0x5A5A5A5A)):
+            copy = batch.embed_copy(loaded, batch.CopySpec("c", mark, seed),
+                                    self_check=False)
+            assert copy.ok, copy.error
+            single = embed(module, mark, key, pieces=loaded.pieces,
+                           watermark_bits=bits, rng_salt=f"{mark}/{seed}",
+                           codec=codec)
+            assert copy.text == disassemble(single.module)
+
+
 class TestCachedEmbedEquivalence:
     """The cache must be invisible in the output modules."""
 
@@ -161,7 +228,7 @@ class TestCachedEmbedEquivalence:
             single = embed(module, watermark, KEY, pieces=p.pieces,
                            watermark_bits=16)
             cached = embed(module, watermark, KEY, pieces=p.pieces,
-                           watermark_bits=16, trace=p.trace, sites=p.sites)
+                           watermark_bits=16, sites=p.sites)
             assert disassemble(single.module) == disassemble(cached.module)
 
     def test_cached_embed_recognizes(self):
@@ -169,7 +236,7 @@ class TestCachedEmbedEquivalence:
         key = WatermarkKey(secret=b"vendor", inputs=[27])
         p = prepare(module, key, 16)
         result = embed(module, 4242, key, pieces=p.pieces,
-                       watermark_bits=16, trace=p.trace, sites=p.sites)
+                       watermark_bits=16, sites=p.sites)
         found = recognize(result.module, key, watermark_bits=16)
         assert found.complete and found.value == 4242
 
@@ -185,8 +252,7 @@ class TestCachedEmbedEquivalence:
     def test_rng_salt_diversifies_but_stays_deterministic(self):
         module = gcd_module()
         p = prepare(module, KEY, 16)
-        kw = dict(pieces=p.pieces, watermark_bits=16,
-                  trace=p.trace, sites=p.sites)
+        kw = dict(pieces=p.pieces, watermark_bits=16, sites=p.sites)
         plain = embed(module, 7, KEY, **kw)
         salted = embed(module, 7, KEY, rng_salt="1", **kw)
         salted_again = embed(module, 7, KEY, rng_salt="1", **kw)
@@ -269,4 +335,4 @@ class TestStepLimitDuringTrace:
 
     def test_generous_limit_still_succeeds(self):
         prepared = prepare(gcd_module(), KEY, 16, max_steps=1_000_000)
-        assert prepared.trace.points
+        assert prepared.sites

@@ -19,6 +19,8 @@ from repro.pipeline import (
 from repro.serve.store import ArtifactStore, StoreError
 from repro.workloads import gcd_module
 
+from tests.v1_artifacts import v1_artifact
+
 KEY = WatermarkKey(secret=b"store-key", inputs=[25, 10])
 BITS = 16
 PIECES = 8
@@ -135,6 +137,25 @@ class TestIntegrity:
         healed, hit = store.get_or_prepare(gcd_module(), KEY, BITS, PIECES)
         assert not hit and healed.version == FORMAT_VERSION
         assert store.load(record.digest).version == FORMAT_VERSION
+
+    def test_v1_layout_blob_is_quarantined_and_reprepared(
+        self, store, prepared
+    ):
+        """A blob in the version-1 layout (trace blob, CFGs, moduli,
+        count-only sites) is refused unread and healed by a re-prepare
+        that embeds exactly as a fresh preparation does."""
+        record = store.put(v1_artifact(prepared))
+        assert record.digest == prepared.fingerprint()
+        with pytest.raises(StoreError, match="format version 1"):
+            store.load(record.digest)
+        assert [q.reason for q in store.quarantined()] == [
+            "unsupported format version"
+        ]
+        healed, hit = store.get_or_prepare(gcd_module(), KEY, BITS, PIECES)
+        assert not hit and healed.version == FORMAT_VERSION == 2
+        assert healed.sites == prepared.sites
+        assert store.load(record.digest).sites == prepared.sites
+        assert store.verify() == []
 
     def test_wrong_blob_under_digest_is_refused(self, store, prepared, tmp_path):
         """A blob hand-moved under another digest fails the self-check."""

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bytecode_wm import WatermarkKey
-from repro.pipeline import PrepareError, PreparedProgram, prepare
+from repro.pipeline import prepare
+from repro.serve.store import ArtifactStore, StoreError
 from repro.vm import (
     BinaryTraceWriter,
     BranchEvent,
@@ -22,6 +23,8 @@ from repro.vm import (
     run_module,
 )
 from repro.workloads import collatz_module, gcd_module
+
+from tests.v1_artifacts import v1_artifact
 
 KEY = WatermarkKey(secret=b"pldi-2004", inputs=[25, 10])
 
@@ -245,49 +248,48 @@ class TestPropertyRoundTrip:
 
 
 class TestPreparedProgramBackcompat:
+    """Artifacts carry no trace. A version-1 artifact carried it as a
+    binary blob; the store refuses every version-1 blob on its format
+    version, whatever its trace field holds, and never decodes it."""
+
+    @staticmethod
+    def _refused(tmp_path, old):
+        store = ArtifactStore(str(tmp_path / "store"))
+        digest = store.put(old).digest
+        with pytest.raises(StoreError, match="format version"):
+            store.load(digest)
+        assert [q.reason for q in store.quarantined()] == [
+            "unsupported format version"
+        ]
+
     def test_pickle_stores_binary_blob(self):
+        # The binary blob left the artifact together with the trace.
         prep = prepare(gcd_module(), KEY, 16)
-        state = prep.__getstate__()
-        assert isinstance(state["trace"], bytes)
-        assert state["trace"].startswith(b"WVMT")
+        data = pickle.dumps(prep)
+        assert b"WVMT" in pickle.dumps(v1_artifact(prep))
+        assert b"WVMT" not in data
+        assert "trace" not in vars(pickle.loads(data))
 
     def test_pickle_round_trip_rebinds_trace(self):
+        # What replaced the trace, the site table, round-trips intact
+        # and names functions of the artifact's own module.
         prep = prepare(gcd_module(), KEY, 16)
         clone = pickle.loads(pickle.dumps(prep))
-        assert clone.trace.points == prep.trace.points
-        assert len(clone.trace.branches) == len(prep.trace.branches)
-        own = {
-            id(i)
-            for fn in clone.module.functions.values()
-            for i in fn.code
-        }
-        for event in clone.trace.branches:
-            assert id(event.branch) in own
-            assert id(event.follower) in own
+        assert clone.sites == prep.sites
+        assert all(site.function in clone.module.functions
+                   for site in clone.sites)
 
-    def test_object_graph_trace_state_is_refused(self):
-        # Only the retired single-file preparation cache ever pickled
-        # the Trace as a plain object graph; every store blob carries
-        # the binary encoding, so anything else is refused.
+    def test_object_graph_trace_state_is_refused(self, tmp_path):
         prep = prepare(gcd_module(), KEY, 16)
-        state = prep.__getstate__()
-        state["trace"] = prep.trace
-        old_style = PreparedProgram.__new__(PreparedProgram)
-        with pytest.raises(PrepareError, match="unrecognisable"):
-            old_style.__setstate__(state)
+        trace = run_module(prep.module, KEY.inputs, trace_mode="full").trace
+        self._refused(tmp_path, v1_artifact(prep, trace=trace))
 
-    def test_corrupt_blob_raises_prepare_error(self):
+    def test_corrupt_blob_raises_prepare_error(self, tmp_path):
         prep = prepare(gcd_module(), KEY, 16)
-        state = prep.__getstate__()
-        state["trace"] = state["trace"][:-3]
-        broken = PreparedProgram.__new__(PreparedProgram)
-        with pytest.raises(PrepareError, match="corrupt trace"):
-            broken.__setstate__(state)
+        old = v1_artifact(prep)
+        old.trace = old.trace[:-3]
+        self._refused(tmp_path, old)
 
-    def test_unrecognisable_trace_field_raises_prepare_error(self):
+    def test_unrecognisable_trace_field_raises_prepare_error(self, tmp_path):
         prep = prepare(gcd_module(), KEY, 16)
-        state = prep.__getstate__()
-        state["trace"] = 12345
-        broken = PreparedProgram.__new__(PreparedProgram)
-        with pytest.raises(PrepareError, match="unrecognisable"):
-            broken.__setstate__(state)
+        self._refused(tmp_path, v1_artifact(prep, trace=12345))

@@ -1,5 +1,5 @@
-"""Recognition decrypts each distinct trace window once; embedding indexes
-trace points by site once.
+"""Recognition decrypts each distinct trace window once; embedding reads
+a site table built in one pass over the trace points.
 
 Both are pure work savings, so the oracle is the code they replaced:
 
@@ -11,9 +11,10 @@ Both are pure work savings, so the oracle is the code they replaced:
 * a looping program's gcrt, rs-8 and hybrid-4 recognitions decrypt
   exactly one block per distinct window, counting the blocks of
   ``decrypt_blocks`` calls as well as single ``decrypt_block`` calls;
-* ``Trace.site_snapshots`` returns what the linear scan returned,
-  never aliases or serves a stale index, and leaves trace equality,
-  the binary trace blob and the prepared-program pickle untouched.
+* the site table (``eligible_sites``) and ``Trace.site_snapshots``
+  return what the linear scan returned, never alias or go stale, and
+  leave trace equality, the binary trace blob and the prepared-program
+  pickle untouched.
 """
 
 import io
@@ -27,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bytecode_wm.embedder import embed
 from repro.bytecode_wm.keys import WatermarkKey
+from repro.bytecode_wm.placement import eligible_sites
 from repro.bytecode_wm.recognizer import recognize_bits, trace_bitstring
 from repro.codec.base import open_symbol, seal_symbol
 from repro.codec.hybrid import HYBRID_PARITY_TAG, HybridCodec
@@ -50,6 +52,7 @@ from repro.core.recovery import (
 )
 from repro.core.splitting import split
 from repro.pipeline.prepare import prepare
+from repro.vm.disassembler import disassemble
 from repro.vm.interpreter import run_module
 from repro.vm.trace_io import dump_trace_binary
 from repro.vm.tracing import TracePoint
@@ -319,13 +322,19 @@ def _blob(trace, module):
 class TestSiteIndex:
     def test_same_ordered_lists_as_the_linear_scan(self):
         trace = _full_trace()
+        table = eligible_sites(trace, collatz_module())
         keys = list(dict.fromkeys(p.key for p in trace.points))
         assert list(trace.site_counts()) == keys
+        assert list(table) == keys
         for key in keys:
             scan = [p for p in trace.points if p.key == key]
             assert trace.site_snapshots(key) == scan
             assert all(a is b for a, b in zip(trace.site_snapshots(key), scan))
             assert trace.site_counts()[key] == len(scan)
+            assert table[key].count == len(scan)
+            assert table[key].first_locals == tuple(
+                p.locals_snapshot for p in scan[:2]
+            )
 
     def test_returned_list_does_not_alias_the_index(self):
         trace = _full_trace()
@@ -351,19 +360,28 @@ class TestSiteIndex:
         trace.points = []
         assert trace.site_snapshots(key) == []
         assert trace.site_counts() == {}
+        assert eligible_sites(trace, collatz_module()) == {}
 
     def test_threads_sharing_a_trace_see_the_linear_scan(self):
         # The serving daemon's worker threads embed from one prepared
-        # trace; concurrent first calls may each build the index.
-        trace = _full_trace()
-        keys = list(dict.fromkeys(p.key for p in trace.points))
-        want = {k: [p for p in trace.points if p.key == k] for k in keys}
+        # site table at once; each copy must come out as a serial one.
+        key = WatermarkKey(secret=b"looping", inputs=[27])
+        prepared = prepare(collatz_module(), key, BITS)
+        marks = range(6)
+
+        def mint(mark):
+            return disassemble(embed(
+                prepared.module, mark, key, pieces=prepared.pieces,
+                watermark_bits=BITS, sites=prepared.sites,
+            ).module)
+
+        want = {mark: mint(mark) for mark in marks}
         bad = []
 
         def worker():
-            for key in keys * 5:
-                if trace.site_snapshots(key) != want[key]:
-                    bad.append(key)
+            for mark in marks:
+                if mint(mark) != want[mark]:
+                    bad.append(mark)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -384,23 +402,22 @@ class TestSiteIndex:
         twin = run_module(module, [27], trace_mode="full").trace
         blob, pickled = _blob(trace, module), pickle.dumps(trace)
         trace.site_snapshots(trace.points[0].key)
+        eligible_sites(trace, module)
         assert trace == twin and twin == trace
         assert _blob(trace, module) == blob
         assert pickle.dumps(trace) == pickled
         clone = pickle.loads(pickled)
-        assert "_by_site" not in vars(clone)
         assert clone.site_counts() == trace.site_counts()
 
     def test_prepared_program_pickle_is_unchanged(self):
         key = WatermarkKey(secret=b"looping", inputs=[27])
         prepared = prepare(collatz_module(), key, BITS)
         before = pickle.dumps(prepared)
-        for site in prepared.sites:
-            prepared.trace.site_snapshots(site)
+        table = dict(prepared.sites)
+        # Embedding copies reads the shared site table, never writes it.
+        for mark in (0x1234, 0x4321):
+            embed(prepared.module, mark, key, pieces=prepared.pieces,
+                  watermark_bits=BITS, sites=prepared.sites)
+        assert prepared.sites == table
         assert pickle.dumps(prepared) == before
-        # Embedding copies from the shared prepared trace reuses one index.
-        index = prepared.trace._site_index()
-        embed(prepared.module, 0x1234, key, pieces=prepared.pieces,
-              watermark_bits=BITS, trace=prepared.trace, sites=prepared.sites)
-        assert prepared.trace._site_index() is index
 
