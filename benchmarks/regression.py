@@ -2,8 +2,9 @@
 """CI-gated benchmark regression harness for the WVM engine.
 
 Runs the interpreter micro-benchmarks (fast engine vs the seed
-reference engine, interleaved in the same process), scalar vs batched
-window decryption over one recognition's windows, plus, with
+reference engine, interleaved in the same process), reference-scan vs
+packed window counting over one recognition's trace bits, scalar vs
+batched window decryption over one recognition's windows, plus, with
 ``--figures``, the ``benchmarks/test_*`` figure reproductions under
 pytest-benchmark, and writes a schema-versioned ``BENCH_<date>.json``
 report with per-benchmark median, IQR and steps/sec.
@@ -16,9 +17,9 @@ machines (and between runs on the *same* machine), so comparing a
 fresh timing against a committed absolute number would flake
 constantly. Every gated metric is therefore a **ratio measured inside
 one process with the two sides interleaved** — fast-engine throughput
-over reference-engine throughput, scalar over batched decryption time,
-binary trace size over JSON trace size — which cancels the machine
-out. Raw seconds and steps/sec are
+over reference-engine throughput, scanned over packed window counting
+time, scalar over batched decryption time, binary trace size over JSON
+trace size — which cancels the machine out. Raw seconds and steps/sec are
 still recorded (they are what humans read) but never gated.
 
 Usage::
@@ -31,7 +32,9 @@ Usage::
 Exit status is non-zero when any gated metric regresses more than
 ``--tolerance`` (default 0.20) below/above its committed baseline in
 ``benchmarks/baseline.json``, when the fast engine's trace is not
-byte-identical to the reference engine's, or when a batched window
+byte-identical to the reference engine's, when the bits it decodes in
+its run loop differ from the reference decode, when the packed window
+counts differ from the reference scan's, or when a batched window
 decryption differs from the scalar cipher's.
 """
 
@@ -41,12 +44,14 @@ import argparse
 import datetime as _dt
 import io
 import json
+import operator
 import os
 import platform
 import statistics
 import subprocess
 import sys
 import time
+from collections import Counter
 from typing import Callable, Dict, List, Optional, Tuple
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -59,7 +64,11 @@ from repro.bytecode_wm import (  # noqa: E402
     embed,
     trace_bitstring,
 )
-from repro.core.bitstring import window_multiset  # noqa: E402
+from repro.core.bitstring import (  # noqa: E402
+    decode_bits,
+    sliding_windows,
+    window_multiset,
+)
 from repro.core.cipher import BlockCipher  # noqa: E402
 from repro.obs.vmprofile import profile_run  # noqa: E402
 from repro.vm._reference import run_module_reference  # noqa: E402
@@ -150,18 +159,102 @@ def _engine_pair(
     }
 
 
-def _trace_identity_check() -> bool:
-    """The fast engine must produce byte-identical trace dumps."""
-    module = jess_module()
-    ok = True
-    for mode in ("branch", "full"):
-        ref = run_module_reference(module, JESS_INPUT, trace_mode=mode)
-        fast = run_module(module, JESS_INPUT, trace_mode=mode)
-        ref_buf, fast_buf = io.StringIO(), io.StringIO()
-        dump_trace(ref.trace, module, ref_buf)
-        dump_trace(fast.trace, module, fast_buf)
-        ok = ok and ref_buf.getvalue() == fast_buf.getvalue()
-    return ok
+def _trace_identity_checks() -> Tuple[bool, bool]:
+    """The fast engine must match the reference on jess and CaffeineMark.
+
+    Returns whether every trace dump was byte-identical, and whether
+    the bits the fast engine decodes in its run loop equalled the
+    reference decode of the reference engine's events.
+    """
+    identical = bits_exact = True
+    for factory, inputs in (
+        (jess_module, JESS_INPUT),
+        (caffeinemark_module, CAFFEINE_INPUT),
+    ):
+        module = factory()
+        for mode in ("branch", "full"):
+            ref = run_module_reference(module, inputs, trace_mode=mode)
+            fast = run_module(module, inputs, trace_mode=mode)
+            ref_buf, fast_buf = io.StringIO(), io.StringIO()
+            dump_trace(ref.trace, module, ref_buf)
+            dump_trace(fast.trace, module, fast_buf)
+            identical = identical and ref_buf.getvalue() == fast_buf.getvalue()
+            want = bytes(decode_bits(ref.trace.branch_pairs()))
+            bits_exact = bits_exact and fast.trace.bits == want
+    return identical, bits_exact
+
+
+def _interleaved_pair(
+    name: str,
+    sides: Tuple[str, str],
+    slow: Callable[[], object],
+    fast: Callable[[], object],
+    repeats: int,
+    results: Dict[str, dict],
+    same: Callable[[object, object], bool] = operator.eq,
+    **extra: object,
+) -> bool:
+    """Time a slow and a fast implementation of one job, interleaved.
+
+    Interleaved like the engines, so both see the same CPU drift. Each
+    side's times land in ``results`` as ``<name>.<side>`` and the
+    per-repeat slow/fast ratio as the gated ``<name>.speedup``;
+    ``extra`` fields annotate the per-side entries. Returns whether
+    ``same(fast result, slow result)`` held on every repeat.
+    """
+    slow_times: List[float] = []
+    fast_times: List[float] = []
+    exact = True
+    for _ in range(repeats):
+        t_slow, want = _time_run(slow)
+        t_fast, got = _time_run(fast)
+        exact = exact and same(got, want)
+        slow_times.append(t_slow)
+        fast_times.append(t_fast)
+    for side, times in zip(sides, (slow_times, fast_times)):
+        med, iqr = _median_iqr(times)
+        results[f"{name}.{side}"] = {
+            "unit": "seconds",
+            "median": med,
+            "iqr": iqr,
+            "repeats": repeats,
+            **extra,
+            "gate": None,
+        }
+    med, iqr = _median_iqr([s / f for s, f in zip(slow_times, fast_times)])
+    results[f"{name}.speedup"] = {
+        "unit": "ratio",
+        "median": med,
+        "iqr": iqr,
+        "repeats": repeats,
+        "gate": "min",
+    }
+    return exact
+
+
+def _window_multiset_pair(repeats: int, results: Dict[str, dict]) -> bool:
+    """Reference-scan vs packed window counting.
+
+    The bits are one 64-bit jess recognition's: its copy's trace
+    string, which every recognition of it slides its windows over.
+    Returns whether every packed count equalled the scan's, keys in
+    the same order.
+    """
+    key = WatermarkKey(b"window-multiset", list(JESS_INPUT))
+    marked = embed(
+        jess_module(), 0x0123456789ABCDEF, key, watermark_bits=64
+    ).module
+    bits = trace_bitstring(marked, key)
+    return _interleaved_pair(
+        "bitstring.window_multiset",
+        ("scan", "packed"),
+        lambda: Counter(w for _, w in sliding_windows(list(bits))),
+        lambda: window_multiset(bits),
+        repeats,
+        results,
+        same=lambda got, want: list(got.items()) == list(want.items()),
+        bits=len(bits),
+    )
 
 
 def _recognition_windows() -> Tuple[BlockCipher, List[int]]:
@@ -179,41 +272,20 @@ def _recognition_windows() -> Tuple[BlockCipher, List[int]]:
 
 
 def _decrypt_batch_pair(repeats: int, results: Dict[str, dict]) -> bool:
-    """Scalar vs batched window decryption, interleaved like the engines.
+    """Scalar vs batched window decryption.
 
     Returns whether every batch equalled the scalar map block for block.
     """
     cipher, windows = _recognition_windows()
-    scalar_times: List[float] = []
-    batch_times: List[float] = []
-    exact = True
-    for _ in range(repeats):
-        t_scalar, want = _time_run(
-            lambda: [cipher.decrypt_block(w) for w in windows]
-        )
-        t_batch, got = _time_run(lambda: cipher.decrypt_blocks(windows))
-        exact = exact and got == want
-        scalar_times.append(t_scalar)
-        batch_times.append(t_batch)
-    for side, times in (("scalar", scalar_times), ("batch", batch_times)):
-        med, iqr = _median_iqr(times)
-        results[f"cipher.decrypt_batch.{side}"] = {
-            "unit": "seconds",
-            "median": med,
-            "iqr": iqr,
-            "repeats": repeats,
-            "blocks": len(windows),
-            "gate": None,
-        }
-    med, iqr = _median_iqr([s / b for s, b in zip(scalar_times, batch_times)])
-    results["cipher.decrypt_batch.speedup"] = {
-        "unit": "ratio",
-        "median": med,
-        "iqr": iqr,
-        "repeats": repeats,
-        "gate": "min",
-    }
-    return exact
+    return _interleaved_pair(
+        "cipher.decrypt_batch",
+        ("scalar", "batch"),
+        lambda: [cipher.decrypt_block(w) for w in windows],
+        lambda: cipher.decrypt_blocks(windows),
+        repeats,
+        results,
+        blocks=len(windows),
+    )
 
 
 def _trace_size_ratio(results: Dict[str, dict]) -> None:
@@ -349,7 +421,9 @@ def run_benchmarks(repeats: int, figures: bool) -> dict:
         results,
     )
     _trace_size_ratio(results)
-    trace_identical = _trace_identity_check()
+    trace_identical, bits_exact = _trace_identity_checks()
+    print("== window counting ==", flush=True)
+    windows_exact = _window_multiset_pair(repeats, results)
     print("== window decryption ==", flush=True)
     decrypt_exact = _decrypt_batch_pair(repeats, results)
     fault_hooks = _fault_hook_inertness_check()
@@ -368,6 +442,8 @@ def run_benchmarks(repeats: int, figures: bool) -> dict:
         "dispatch": dispatch,
         "checks": {
             "trace_byte_identical": trace_identical,
+            "trace_bits_exact": bits_exact,
+            "window_multiset_exact": windows_exact,
             "decrypt_batch_exact": decrypt_exact,
             "fault_hooks": fault_hooks,
         },
@@ -401,6 +477,10 @@ def print_report(report: dict) -> None:
         )
     ident = report["checks"]["trace_byte_identical"]
     print(f"trace byte-identical vs reference engine: {ident}")
+    bits = report["checks"]["trace_bits_exact"]
+    print(f"in-loop trace bits equal the reference decode: {bits}")
+    windows = report["checks"]["window_multiset_exact"]
+    print(f"packed window counts equal the reference scan: {windows}")
     exact = report["checks"]["decrypt_batch_exact"]
     print(f"batched window decryption equals the scalar cipher: {exact}")
     hooks = report["checks"].get("fault_hooks")
@@ -420,6 +500,12 @@ def compare_to_baseline(
         failures.append(
             "fast engine's trace is not byte-identical to the reference"
         )
+    if not report["checks"]["trace_bits_exact"]:
+        failures.append(
+            "fast engine's trace bits differ from the reference decode"
+        )
+    if not report["checks"]["window_multiset_exact"]:
+        failures.append("packed window counts differ from the reference scan")
     if not report["checks"]["decrypt_batch_exact"]:
         failures.append(
             "batched window decryption differs from the scalar cipher"

@@ -14,7 +14,7 @@ does not need the unwatermarked program or the watermark value.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .. import obs
 from ..codec import WatermarkCodec, resolve_codec
@@ -24,20 +24,21 @@ from ..core.recovery import RecoveryResult
 from ..obs.recognition import RecognitionReport
 from ..vm.interpreter import run_module
 from ..vm.program import Module
+from ..vm.tracing import Trace
 from .keys import WatermarkKey
 
 DEFAULT_WATERMARK_BITS = 64
 
 
 def trace_bitstring(module: Module, key: WatermarkKey,
-                    max_steps: Optional[int] = None) -> List[int]:
-    """Run the program on the key input and decode the trace bits."""
+                    max_steps: Optional[int] = None) -> bytes:
+    """Run the program on the key input; its trace bits (0/1 bytes)."""
     kwargs = {} if max_steps is None else {"max_steps": max_steps}
     with obs.span("recognize.trace") as sp:
         result = run_module(module, key.inputs, trace_mode="branch", **kwargs)
         assert result.trace is not None
         sp.set(steps=result.steps, branches=len(result.trace.branches))
-    return decode_bits(result.trace.branch_pairs())
+    return result.trace.bits
 
 
 def recognize_bits(
@@ -68,7 +69,7 @@ def recognize(
     watermark_bits: int = DEFAULT_WATERMARK_BITS,
     use_voting: bool = True,
     max_steps: Optional[int] = None,
-    trace=None,
+    trace: Optional[Trace] = None,
     codec: Union[str, WatermarkCodec, None] = None,
 ) -> RecoveryResult:
     """End-to-end recognition: trace, decode, recombine.
@@ -83,10 +84,12 @@ def recognize(
     must be a branch or full trace of this very module on these very
     inputs.
     """
-    if trace is not None:
-        bits = decode_bits(trace.branch_pairs())
-    else:
+    if trace is None:
         bits = trace_bitstring(module, key, max_steps)
+    elif trace.bits is not None:
+        bits = trace.bits
+    else:  # no bits: a reference-engine or trace_io trace
+        bits = decode_bits(trace.branch_pairs())
     with obs.span("recognize.recover", bits=len(bits)) as sp:
         result = recognize_bits(bits, key, watermark_bits, use_voting, codec)
         sp.set(

@@ -36,6 +36,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional
 
+from ..core.bitstring import decode_bits
 from ..lang import compile_source
 from ..vm._reference import run_module_reference
 from ..vm.interpreter import run_module
@@ -439,9 +440,11 @@ def differential_check(
     """Run the program on both WVM engines and compare everything.
 
     The seed interpreter (:mod:`repro.vm._reference`) is the oracle:
-    outputs, step counts, and the branch-event stream (length plus
-    taken-flags) must match the fast path exactly, and the program
-    must actually exercise enough branches to be embeddable.
+    outputs, step counts, the branch-event stream (length plus
+    taken-flags) and the trace bits the fast path decodes in its run
+    loop (against :func:`~repro.core.bitstring.decode_bits` of the
+    reference events) must match exactly, and the program must actually
+    exercise enough branches to be embeddable.
     """
     try:
         module = compile_source(program.source)
@@ -471,6 +474,11 @@ def differential_check(
         return OracleResult(
             ok=False, steps=fast.steps,
             detail="branch-event divergence between engines",
+        )
+    if fast.trace.bits != bytes(decode_bits(ref.trace.branch_pairs())):
+        return OracleResult(
+            ok=False, steps=fast.steps,
+            detail="trace-bit divergence between engines",
         )
     if len(fast_branches) < min_branch_events:
         return OracleResult(

@@ -174,7 +174,7 @@ def _with_codec(
     spec = resolve_codec(codec).spec
     if spec == base.codec:
         return base
-    _moduli, piece_count = resolve_piece_count(
+    piece_count = resolve_piece_count(
         base.watermark_bits, pieces, codec=spec
     )
     return replace(base, pieces=piece_count, codec=spec)

@@ -25,10 +25,19 @@ The decoder is substrate-agnostic: it consumes ``(branch, follower)``
 pairs, where ``branch`` is any hashable identity of the *static*
 conditional branch instruction and ``follower`` any hashable identity
 of the trace entry immediately following that execution of the branch.
+The WVM fast engine decodes the same string inside its traced run loop
+(:attr:`repro.vm.tracing.Trace.bits`); :func:`decode_bits` is the
+oracle it is checked against, and decodes every other trace.
+
+Recognition reads the string through :func:`window_multiset`, which
+packs every 64-bit window at C speed; :func:`sliding_windows` is the
+reference scan it is tested against.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
 from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
@@ -89,21 +98,28 @@ def int_to_bits_lsb_first(value: int, width: int) -> List[Bit]:
     return [(value >> k) & 1 for k in range(width)]
 
 
-def sliding_windows(bits: List[Bit], width: int = 64) -> Iterable[Tuple[int, int]]:
+def _check_bits(bits: Sequence[Bit]) -> None:
+    """Raise ``ValueError`` naming the first element that is not 0/1.
+
+    Two C-level scans check every bit; only a bad string pays for the
+    Python-level search that names the first offender.
+    """
+    if bits.count(0) + bits.count(1) != len(bits):
+        k, b = next((k, b) for k, b in enumerate(bits) if b not in (0, 1))
+        raise ValueError(f"bit at index {k} is {b!r}, not 0/1")
+
+
+def sliding_windows(bits: Sequence[Bit], width: int = 64) -> Iterable[Tuple[int, int]]:
     """Yield ``(offset, packed_window)`` for every width-bit window.
 
-    Used by the recognizer: the embedded pieces may start at any bit
+    The reference window scan: the embedded pieces may start at any bit
     offset in the trace string, so every alignment is tried. Packing is
     incremental (O(1) per window) so very long traces stay cheap. Every
     bit must be 0 or 1, else ``ValueError`` names the first one that is
     not.
     """
+    _check_bits(bits)
     n = len(bits)
-    # Two C-level scans check every bit; only a bad string pays for the
-    # Python-level search that names the first offender.
-    if bits.count(0) + bits.count(1) != n:
-        k, b = next((k, b) for k, b in enumerate(bits) if b not in (0, 1))
-        raise ValueError(f"bit at index {k} is {b!r}, not 0/1")
     if n < width:
         return
     window = bits_to_int_lsb_first(bits[:width])
@@ -115,13 +131,42 @@ def sliding_windows(bits: List[Bit], width: int = 64) -> Iterable[Tuple[int, int
         yield t, window
 
 
-def window_multiset(bits: Sequence[Bit], width: int = 64) -> Counter:
-    """Every distinct width-bit window with its occurrence count.
+#: Byte 0/1 -> ASCII "0"/"1", for packing a whole bit-string with int().
+_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
+_WORD = 64
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def window_multiset(bits: Sequence[Bit]) -> Counter:
+    """Every distinct 64-bit window with its occurrence count.
 
     Keys are packed windows as :func:`sliding_windows` yields them, in
     first-occurrence order. A hot loop repeats the same trace bits, so
     a recognizer that decrypts each key once and weighs the result by
     its count sees exactly what a per-window loop sees, for a fraction
     of the cipher calls.
+
+    ``bits`` may be a list (or any sequence) of 0/1 or the ``bytes``
+    of :attr:`repro.vm.tracing.Trace.bits`; the result is the same.
+    Windows are packed at C speed: the whole string becomes one int,
+    and its 64 shifts, read back as 64-bit words, hold the windows at
+    offsets ``r, r + 64, r + 128, ...`` for each residue ``r``.
+    Interleaved into one ``array('Q')`` they are every window in offset
+    order, with no Python object per window until they are counted.
     """
-    return Counter(packed for _, packed in sliding_windows(list(bits), width))
+    if not isinstance(bits, (bytes, bytearray)):
+        bits = list(bits)
+    _check_bits(bits)
+    n = len(bits)
+    if n < _WORD:
+        return Counter()
+    value = int(bytes(bits)[::-1].translate(_ASCII_BITS), 2)
+    count = n - _WORD + 1
+    span = 8 * ((n + _WORD - 1) // _WORD)
+    windows = array("Q", bytes(8 * count))
+    for r in range(min(_WORD, count)):
+        words = array("Q", (value >> r).to_bytes(span, "little"))
+        if _BIG_ENDIAN:
+            words.byteswap()
+        windows[r::_WORD] = words[:len(range(r, count, _WORD))]
+    return Counter(windows)

@@ -40,8 +40,6 @@ from .cipher import BlockCipher
 from .crt import Congruence, generalized_crt
 from .enumeration import Statement, StatementEnumeration
 
-BLOCK_BITS = 64
-
 
 @dataclass
 class RecoveryResult:
@@ -99,7 +97,7 @@ def open_windows(bits: Sequence[int], cipher: BlockCipher) -> Counter:
     Returns plaintext -> occurrence count: its total is the number of
     windows, its length the number of distinct ones.
     """
-    return decrypt_windows(window_multiset(bits, BLOCK_BITS), cipher)
+    return decrypt_windows(window_multiset(bits), cipher)
 
 
 def decode_candidates(
@@ -129,7 +127,7 @@ def extract_candidates(
     :func:`window_multiset` of ``bits`` when the caller already has it.
     """
     if windows is None:
-        windows = window_multiset(bits, BLOCK_BITS)
+        windows = window_multiset(bits)
     candidates = decode_candidates(decrypt_windows(windows, cipher), enumeration)
     return candidates, sum(windows.values())
 
@@ -273,7 +271,7 @@ def recover(
     (``2^watermark_bits`` when the caller knows the mark width) bars
     provably-junk statements from the vote — see :func:`hold_votes`.
     """
-    windows = window_multiset(bits, BLOCK_BITS)
+    windows = window_multiset(bits)
     candidates, _ = extract_candidates(bits, cipher, enumeration, windows)
     return recover_candidates(
         candidates, windows, enumeration.moduli, use_voting, max_value

@@ -35,7 +35,6 @@ from ..codec import resolve_codec
 from ..bytecode_wm.placement import Site, eligible_sites
 from ..core.errors import EmbeddingError
 from ..core.planner import plan_redundancy
-from ..core.primes import choose_moduli
 from ..vm.cfg import build_cfg
 from ..vm.disassembler import disassemble
 from ..vm.interpreter import DEFAULT_MAX_STEPS, StepLimitExceeded, run_module
@@ -118,8 +117,8 @@ def resolve_piece_count(
     piece_loss: Optional[float] = None,
     target_success: float = 0.99,
     codec: str = "gcrt",
-) -> Tuple[List[int], int]:
-    """(moduli, piece count) for one fingerprint width and codec.
+) -> int:
+    """The piece count for one fingerprint width and codec.
 
     Precedence: an explicit ``pieces`` wins; otherwise a threat model
     (``piece_loss``) invokes the Eq. (1)-style planner under the
@@ -128,17 +127,16 @@ def resolve_piece_count(
     (``core.planner``), so a batch pays for at most one plan
     regardless of copy count.
     """
-    moduli = choose_moduli(watermark_bits)
     if pieces is not None:
         if pieces < 1:
             raise PrepareError("piece count must be positive")
-        return moduli, pieces
+        return pieces
     if piece_loss is not None:
         plan = plan_redundancy(
             watermark_bits, piece_loss, target_success, codec=codec
         )
-        return moduli, plan.pieces
-    return moduli, resolve_codec(codec).default_piece_count(watermark_bits)
+        return plan.pieces
+    return resolve_codec(codec).default_piece_count(watermark_bits)
 
 
 def release_address(
@@ -159,7 +157,7 @@ def release_address(
     Every store, sharded or not, addresses artifacts through here.
     """
     codec = resolve_codec(codec).spec
-    _, pieces = resolve_piece_count(
+    pieces = resolve_piece_count(
         watermark_bits, pieces, piece_loss, target_success, codec=codec
     )
     digest = prepare_fingerprint(module, key, watermark_bits, pieces, codec)
@@ -238,7 +236,7 @@ def prepare(
                     )
         with stage_span(timings, "plan", "prepare.plan"):
             codec_spec = resolve_codec(codec).spec
-            _, piece_count = resolve_piece_count(
+            piece_count = resolve_piece_count(
                 watermark_bits, pieces, piece_loss, target_success,
                 codec=codec_spec,
             )

@@ -14,8 +14,9 @@ all of that work exactly once per function:
   iinc deltas), so the loop never touches :class:`Instruction` objects;
 * for every conditional branch both possible
   :class:`~repro.vm.tracing.BranchEvent` objects are pre-created, so the
-  branch-traced loop appends a ready-made event instead of constructing
-  one per execution;
+  traced loops append a ready-made event instead of constructing one
+  per execution, and each edge carries its outcome code for the in-loop
+  bit decode (see :class:`CompiledFunction`);
 * for every control transfer the tuple of
   :class:`~repro.vm.tracing.SiteKey` objects crossed on that edge is
   pre-computed, so the full-traced loop records sites without looking at
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from .instructions import wrap64
+from .instructions import Instruction, wrap64
 from .program import Function
 from .tracing import BranchEvent, SiteKey
 
@@ -253,6 +254,10 @@ _FOLDABLE = {
 }
 
 
+#: A conditional-branch edge: (event, branch, outcome code).
+_Edge = Tuple[BranchEvent, Instruction, Instruction]
+
+
 class CompiledFunction:
     """One function in dense precompiled form.
 
@@ -263,8 +268,14 @@ class CompiledFunction:
     * ``aa``/``bb``/``cc``/``dd`` — pre-decoded operands (meaning is
       per-opcode: slots, const values, dense branch targets, fusion
       selectors);
-    * ``evt``/``evf`` — pre-built taken / not-taken
-      :class:`BranchEvent` for conditional-branch slots;
+    * ``evt``/``evf`` — for conditional-branch slots, the taken /
+      not-taken edge as ``(event, branch, code)``: the pre-built
+      :class:`BranchEvent`, the branch instruction (the key of the
+      run's first-outcome table) and the edge's outcome code, which is
+      the follower instruction itself. A branch whose target is its
+      fall-through follower thus has one code on both edges and always
+      decodes to 0, exactly as
+      :func:`~repro.core.bitstring.decode_bits` decodes its pairs;
     * ``fs`` — :class:`SiteKey` tuple crossed when falling through
       *out of* this slot (labels between it and the next real
       instruction);
@@ -341,8 +352,8 @@ def _build(out: CompiledFunction, fn: Function) -> None:
     cc: List[Any] = []
     dd: List[Any] = []
     ee: List[Any] = []
-    evt: List[Optional[BranchEvent]] = []
-    evf: List[Optional[BranchEvent]] = []
+    evt: List[Optional[_Edge]] = []
+    evf: List[Optional[_Edge]] = []
     fs: List[Tuple[SiteKey, ...]] = []
     ts: List[Tuple[SiteKey, ...]] = []
     raw_of: List[int] = []
@@ -355,16 +366,17 @@ def _build(out: CompiledFunction, fn: Function) -> None:
         b: Any = instr.arg2
         c: Any = None
         d2: Any = None
-        e_t: Optional[BranchEvent] = None
-        e_f: Optional[BranchEvent] = None
+        e_t: Optional[_Edge] = None
+        e_f: Optional[_Edge] = None
         t_sites: Tuple[SiteKey, ...] = ()
         if 10 <= op < 22:  # conditional branch
             target = labels[instr.arg]
             a = dense_at[target]
             t_sites = sites_at[target]
             follower_not = raw[p + 1] if p + 1 < n else instr
-            e_t = BranchEvent(instr, raw[target], True)
-            e_f = BranchEvent(instr, follower_not, False)
+            e_t = (BranchEvent(instr, raw[target], True), instr, raw[target])
+            e_f = (BranchEvent(instr, follower_not, False), instr,
+                   follower_not)
         elif op == OP_GOTO:
             target = labels[instr.arg]
             a = dense_at[target]

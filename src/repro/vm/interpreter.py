@@ -20,10 +20,12 @@ Execution design (see ``docs/performance.md`` for measurements):
   keys, and fused superinstructions for hot straight-line patterns.
 * The run loop exists in three *specializations* — untraced,
   branch-traced and full-traced — so ``trace_mode=None`` pays zero
-  tracing overhead. The three are generated from one template at
-  import time (:func:`_gen_loop`); tracing differs only in the lines
-  tagged for that mode, which keeps the semantics of the variants
-  in lockstep by construction.
+  tracing overhead. Both traced loops decode the trace bit-string of
+  paper §3.1 as they record each branch event (``Trace.bits``), from
+  a per-run table of each branch's first outcome. The three are
+  generated from one template at import time (:func:`_gen_loop`);
+  tracing differs only in the lines tagged for that mode, which keeps
+  the semantics of the variants in lockstep by construction.
 * Each specialization also has a *profiled* twin that counts every
   dispatched slot into a per-opcode array (the raw material of
   :class:`repro.obs.vmprofile.DispatchProfile`). Profiled loops are
@@ -93,17 +95,24 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
         emit(f"{ind}    for _k in _sk:")
         emit(f"{ind}        pt_append(TracePoint(_k, _ls, _gs))")
 
+    def record(edges: str, ind: str) -> None:
+        """Append the edge's event and decode its bit (paper §3.1): 0
+        when the branch's first outcome code is this edge's, else 1."""
+        emit(f"{ind}_e, _b, _c = {edges}[pc]")
+        emit(f"{ind}ev_append(_e)")
+        emit(f"{ind}bits_append(_c is not first_code(_b, _c))")
+
     def branch_tail(tgt: str, adv: int, ind: str) -> None:
         """Shared conditional-branch epilogue: event, sites, transfer."""
         emit(f"{ind}if taken:")
         if T:
-            emit(f"{ind}    ev_append(evt[pc])")
+            record("evt", ind + "    ")
         if F:
             snap("ts[pc]", ind + "    ")
         emit(f"{ind}    pc = {tgt}")
         emit(f"{ind}else:")
         if T:
-            emit(f"{ind}    ev_append(evf[pc])")
+            record("evf", ind + "    ")
         if F:
             snap("fs[pc]", ind + "    ")
         emit(f"{ind}    pc += {adv}")
@@ -271,6 +280,9 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
     if T:
         emit("    trace = Trace()")
         emit("    ev_append = trace.branches.append")
+        emit("    bits = bytearray()")
+        emit("    bits_append = bits.append")
+        emit("    first_code = {}.setdefault")
     if F:
         emit("    pt_append = trace.points.append")
     emit("    cf = compiled_get(module.entry)")
@@ -743,6 +755,8 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
     emit("            f'{cf.name}@{cf.raw_of[pc] if pc < len(cf.raw_of)"
          " else pc}: '")
     emit("            f'stack underflow on {cf.mnemonic(pc)}') from None")
+    if T:
+        emit("    trace.bits = bytes(bits)")
     trace_expr = "trace" if T else "None"
     emit(f"    return RunResult(output=output, steps=steps, "
          f"trace={trace_expr}, halted=halted)")
@@ -813,8 +827,8 @@ class Interpreter:
 
     ``trace_mode``:
       * ``None`` — no tracing (fastest; cost evaluation runs);
-      * ``"branch"`` — record conditional-branch events only
-        (recognition);
+      * ``"branch"`` — record conditional-branch events and the
+        bit-string they decode to (recognition);
       * ``"full"`` — branch events plus per-site variable snapshots
         (the embedding-time tracing phase).
 

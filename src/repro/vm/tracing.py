@@ -11,8 +11,10 @@ Two granularities, matching the two phases of the algorithm:
   condition-code predicates from.
 * **Branch traces** (recognition time): the sequence of conditional
   branch events, each the pair (static branch instruction, dynamic
-  follower). :func:`Trace.branch_pairs` feeds these directly to
-  :func:`repro.core.bitstring.decode_bits`.
+  follower), and the bit-string they decode to. The fast engine
+  decodes each event's bit as it records it (:attr:`Trace.bits`);
+  for traces without bits, :func:`Trace.branch_pairs` feeds the
+  events to :func:`repro.core.bitstring.decode_bits`.
 
 A full trace always contains a branch trace too, so one tracing run
 serves both needs.
@@ -67,10 +69,18 @@ class BranchEvent:
 
 @dataclass
 class Trace:
-    """A full or branch-only execution trace."""
+    """A full or branch-only execution trace.
+
+    ``bits`` is the trace bit-string (``bytes`` of 0/1), decoded by the
+    fast engine's run loop as it records ``branches``; it equals
+    ``decode_bits(self.branch_pairs())``. Traces from the reference
+    engine or from :mod:`repro.vm.trace_io` carry ``None``. It is
+    derived data, so it takes no part in equality.
+    """
 
     points: List[TracePoint] = field(default_factory=list)
     branches: List[BranchEvent] = field(default_factory=list)
+    bits: Optional[bytes] = field(default=None, compare=False, repr=False)
 
     def branch_pairs(self) -> List[Tuple[Hashable, Hashable]]:
         """(branch identity, follower identity) pairs for the decoder."""

@@ -86,12 +86,10 @@ class TestPrepare:
             prepare(collatz_module(), WatermarkKey(b"k", []), 16)
 
     def test_piece_count_resolution(self):
-        moduli, explicit = resolve_piece_count(16, pieces=9)
-        assert explicit == 9
-        _, planned = resolve_piece_count(16, piece_loss=0.3)
+        assert resolve_piece_count(16, pieces=9) == 9
+        planned = resolve_piece_count(16, piece_loss=0.3)
         assert planned == plan_redundancy(16, 0.3, 0.99).pieces
-        _, default = resolve_piece_count(16)
-        assert default == 2 * len(moduli)
+        assert resolve_piece_count(16) == 2 * len(choose_moduli(16))
 
     def test_planner_is_memoized(self):
         assert plan_redundancy(64, 0.25) is plan_redundancy(64, 0.25)
