@@ -4,7 +4,8 @@
 Runs the interpreter micro-benchmarks (fast engine vs the seed
 reference engine, interleaved in the same process), reference-scan vs
 packed window counting over one recognition's trace bits, scalar vs
-batched window decryption over one recognition's windows, plus, with
+batched window decryption over one recognition's windows, a plain N32
+run vs a native extraction of marked bzip2, plus, with
 ``--figures``, the ``benchmarks/test_*`` figure reproductions under
 pytest-benchmark, and writes a schema-versioned ``BENCH_<date>.json``
 report with per-benchmark median, IQR and steps/sec.
@@ -18,8 +19,9 @@ fresh timing against a committed absolute number would flake
 constantly. Every gated metric is therefore a **ratio measured inside
 one process with the two sides interleaved** — fast-engine throughput
 over reference-engine throughput, scanned over packed window counting
-time, scalar over batched decryption time, binary trace size over JSON
-trace size — which cancels the machine out. Raw seconds and steps/sec are
+time, scalar over batched decryption time, plain-run over extraction
+time, binary trace size over JSON trace size — which cancels the
+machine out. Raw seconds and steps/sec are
 still recorded (they are what humans read) but never gated.
 
 Usage::
@@ -34,8 +36,9 @@ Exit status is non-zero when any gated metric regresses more than
 ``benchmarks/baseline.json``, when the fast engine's trace is not
 byte-identical to the reference engine's, when the bits it decodes in
 its run loop differ from the reference decode, when the packed window
-counts differ from the reference scan's, or when a batched window
-decryption differs from the scalar cipher's.
+counts differ from the reference scan's, when a batched window
+decryption differs from the scalar cipher's, or when the native
+extraction misses its mark.
 """
 
 from __future__ import annotations
@@ -70,6 +73,8 @@ from repro.core.bitstring import (  # noqa: E402
     window_multiset,
 )
 from repro.core.cipher import BlockCipher  # noqa: E402
+from repro.native.machine import run_image  # noqa: E402
+from repro.native_wm import embed_native, extract_native  # noqa: E402
 from repro.obs.vmprofile import profile_run  # noqa: E402
 from repro.vm._reference import run_module_reference  # noqa: E402
 from repro.vm.interpreter import run_module  # noqa: E402
@@ -81,6 +86,10 @@ from repro.workloads.caffeinemark import (  # noqa: E402
 from repro.workloads.jesslike import (  # noqa: E402
     DEFAULT_INPUT as JESS_INPUT,
     jess_module,
+)
+from repro.workloads.spec import (  # noqa: E402
+    TRAIN_INPUT as SPEC_TRAIN_INPUT,
+    spec_native,
 )
 
 SCHEMA = "wvm-bench/1"
@@ -288,6 +297,32 @@ def _decrypt_batch_pair(repeats: int, results: Dict[str, dict]) -> bool:
     )
 
 
+def _native_extract_pair(repeats: int, results: Dict[str, dict]) -> bool:
+    """A plain run of marked bzip2 vs an extraction of its mark.
+
+    Extraction records one run's calls and returns through its handler
+    table, so the ratio reads about 1; two runs, or a per-instruction
+    hook, would halve it. Returns whether every extraction recovered
+    the mark.
+    """
+    mark, width = 0x00000000FFFFFFFF, 64
+    emb = embed_native(
+        spec_native("bzip2"), mark, width, SPEC_TRAIN_INPUT, rng_seed=15
+    )
+    return _interleaved_pair(
+        "native.extract",
+        ("run", "extract"),
+        lambda: run_image(emb.image, SPEC_TRAIN_INPUT).steps,
+        lambda: extract_native(
+            emb.image, width, emb.begin, emb.end, SPEC_TRAIN_INPUT
+        ).watermark,
+        repeats,
+        results,
+        same=lambda got, _steps: got == mark,
+        kernel="bzip2",
+    )
+
+
 def _trace_size_ratio(results: Dict[str, dict]) -> None:
     """Binary-vs-JSON trace size: deterministic, so gated tightly."""
     module = jess_module()
@@ -426,6 +461,8 @@ def run_benchmarks(repeats: int, figures: bool) -> dict:
     windows_exact = _window_multiset_pair(repeats, results)
     print("== window decryption ==", flush=True)
     decrypt_exact = _decrypt_batch_pair(repeats, results)
+    print("== native extraction ==", flush=True)
+    extract_exact = _native_extract_pair(repeats, results)
     fault_hooks = _fault_hook_inertness_check()
     print("== dispatch profiles ==", flush=True)
     dispatch = _dispatch_profiles()
@@ -445,6 +482,7 @@ def run_benchmarks(repeats: int, figures: bool) -> dict:
             "trace_bits_exact": bits_exact,
             "window_multiset_exact": windows_exact,
             "decrypt_batch_exact": decrypt_exact,
+            "native_extract_exact": extract_exact,
             "fault_hooks": fault_hooks,
         },
     }
@@ -483,6 +521,8 @@ def print_report(report: dict) -> None:
     print(f"packed window counts equal the reference scan: {windows}")
     exact = report["checks"]["decrypt_batch_exact"]
     print(f"batched window decryption equals the scalar cipher: {exact}")
+    extracted = report["checks"]["native_extract_exact"]
+    print(f"native extraction recovers marked bzip2's mark: {extracted}")
     hooks = report["checks"].get("fault_hooks")
     if hooks:
         print(
@@ -510,6 +550,8 @@ def compare_to_baseline(
         failures.append(
             "batched window decryption differs from the scalar cipher"
         )
+    if not report["checks"]["native_extract_exact"]:
+        failures.append("native extraction missed marked bzip2's mark")
     hooks = report["checks"].get("fault_hooks", {})
     if not hooks.get("inert", True):
         failures.append(

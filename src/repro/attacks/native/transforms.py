@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 from ...native.encoding import encode_instruction
 from ...native.image import BinaryImage
 from ...native.isa import Imm, JCC_INVERSES, Label, ni
-from ...native.machine import Machine, MachineFault
+from ...native.machine import CALL, record_calls
 from ...native.rewriter import lift, lower, patch_bytes
 from ...native_wm.embedder import embed_native
 
@@ -114,24 +114,13 @@ def observe_call_targets(
     This is the attacker's reconnaissance for the bypass attack: the
     (call address, realized target) pairs.
     """
-    pairs: List[Tuple[int, int]] = []
-    machine = Machine(image) if max_steps is None else Machine(image, max_steps)
-    state: dict = {}
-
-    def hook(m: Machine, addr: int, instr) -> None:
-        if instr.mnemonic == "call" and instr.operands[0].value == bf_entry:
-            state.setdefault("stack", []).append((addr, m.regs[4] - 4))
-        elif instr.mnemonic == "ret" and state.get("stack"):
-            call_addr, esp_after = state["stack"][-1]
-            if m.regs[4] == esp_after:
-                state["stack"].pop()
-                pairs.append((call_addr, m.read32(m.regs[4])))
-
-    try:
-        machine.run(inputs, hook)
-    except MachineFault:
-        pass
-    return pairs
+    record = record_calls(image, inputs, max_steps)
+    return [
+        (call[1], ret[3])
+        for call, ret in record.unwind(
+            lambda ev: ev[0] == CALL and ev[4] == bf_entry
+        )
+    ]
 
 
 def bypass_branch_function(

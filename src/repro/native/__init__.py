@@ -4,8 +4,8 @@ Public surface:
 
 * :mod:`repro.native.isa` — instructions and operands;
 * :func:`assemble_text` / :func:`build_image` — assembly to binaries;
-* :class:`Machine` / :func:`run_image` — simulation with single-step
-  hooks and a hardware fault model;
+* :class:`Machine` / :func:`run_image` — simulation with a hardware
+  fault model; :func:`record_calls` — one run's calls and returns;
 * :func:`lift` / :func:`lower` / :func:`patch_bytes` — PLTO-style
   rewriting;
 * :func:`profile_image` — training-input profiles.
@@ -35,9 +35,11 @@ from .isa import (
 from .machine import (
     DEFAULT_MAX_STEPS,
     EXIT_ADDRESS,
+    CallRecord,
     Machine,
     MachineFault,
     NRunResult,
+    record_calls,
     run_image,
 )
 from .cfg import NativeCFG, build_native_cfg
@@ -54,6 +56,7 @@ from .rewriter import (
 __all__ = [
     "BinaryImage",
     "CONDITIONAL_JUMPS",
+    "CallRecord",
     "DEFAULT_MAX_STEPS",
     "DataBlock",
     "EXIT_ADDRESS",
@@ -89,6 +92,7 @@ __all__ = [
     "ni",
     "patch_bytes",
     "profile_image",
+    "record_calls",
     "run_image",
     "signed32",
     "wrap32",

@@ -1,4 +1,4 @@
-"""The N32 machine simulator, with single-step tracing hooks.
+"""The N32 machine simulator.
 
 Faithful to the properties Section 4 uses:
 
@@ -8,10 +8,7 @@ Faithful to the properties Section 4 uses:
 * execution faults (bad opcode, out-of-range eip, wild memory access,
   division by zero) raise :class:`MachineFault` — the simulator's
   SIGSEGV/SIGILL. The attack harness equates a faulting program with
-  a broken one;
-* the ``step_hook`` callback observes every instruction with full
-  machine state before it executes — the "tracer tool that uses
-  hardware single-stepping" of Section 4.2.3.
+  a broken one.
 
 Execution dispatches through a per-address handler table: the first
 time an address executes in a run, its instruction is decoded once and
@@ -20,6 +17,15 @@ targets, fall-through address and memory-operand address function
 resolved. The closure performs the instruction and returns the next
 ``eip``.
 
+Instrumentation is bound into that table, not called per instruction.
+A profiled run counts executions in a twin of the run loop, and a
+:class:`CallRecord` wraps only the handlers it watches (calls, returns
+and one entry address) — the "tracer tool that uses hardware
+single-stepping" of Section 4.2.3 at the cost of a plain run. The
+``step_hook`` callback, which observes every instruction with full
+machine state before it executes, remains for tests and debugging; no
+library code uses it.
+
 Time is measured in executed instructions (see DESIGN.md).
 """
 
@@ -27,11 +33,16 @@ from __future__ import annotations
 
 import operator
 import struct
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
 from .encoding import EncodingError
 from .image import BinaryImage, STACK_SIZE, STACK_TOP
 from .isa import Mem, NInstruction, REG_INDEX, wrap32
+
+if TYPE_CHECKING:
+    from .profiler import Profile
 
 DEFAULT_MAX_STEPS = 80_000_000
 
@@ -97,6 +108,7 @@ class Machine:
         self._data_last = len(self._data) - 4
         self._inputs: Sequence[int] = ()
         self._input_pos = 0
+        self._calls: Optional[CallRecord] = None
         self.regs[4] = STACK_TOP - 64  # esp
 
     # -- memory -----------------------------------------------------------
@@ -144,22 +156,46 @@ class Machine:
         self,
         inputs: Sequence[int] = (),
         step_hook: Optional[StepHook] = None,
+        *,
+        calls: Optional["CallRecord"] = None,
+        profile: Optional["Profile"] = None,
     ) -> NRunResult:
         """Execute until halt/exit; returns output + instruction count.
 
-        ``eip`` always names the instruction being executed (it is
-        where faults are reported); ``steps`` is exact whenever the
-        hook runs and once the run ends, faulting or not.
+        ``eip`` and ``steps`` always name the instruction being executed
+        (``eip`` is where faults are reported); after a run that ends,
+        faulting or not, ``steps`` counts the instructions that began,
+        plus one if the budget ran out. ``calls`` records the run's
+        calls and returns; ``profile`` selects the profiled loop, which
+        fills its ``counts`` and ``first_seen`` (and takes no hook).
         """
+        if profile is not None and step_hook is not None:
+            raise ValueError("a profiled run takes no step hook")
         self._inputs = inputs
         self._input_pos = 0
+        self._calls = calls
         self.push(EXIT_ADDRESS)
-        # eip -> (handler, decoded instruction), filled on first
-        # execution. Writes to text fault, so text cannot change under
-        # the run and no entry goes stale. The table is local to the
-        # run: handlers refer to the machine, so a table kept on it
-        # would form a cycle that only the garbage collector frees, and
-        # one kept per image would live as long as the image does.
+        try:
+            if profile is None:
+                self._loop(step_hook)
+            else:
+                self._loop_profiled(profile.counts, profile.first_seen)
+        except _Halt:
+            pass
+        finally:
+            if calls is not None:
+                calls.began = min(self.steps, self.max_steps)
+        return NRunResult(self.output, self.steps)
+
+    # Each loop keeps its handler table, eip -> (handler, decoded
+    # instruction), filled on first execution. Writes to text fault, so
+    # text cannot change under the run and no entry goes stale. The
+    # table is local to the run: handlers refer to the machine, so a
+    # table kept on it would form a cycle that only the garbage
+    # collector frees, and one kept per image would live as long as the
+    # image does.
+
+    def _loop(self, step_hook: Optional[StepHook]) -> None:
         table: Dict[int, Tuple[Handler, NInstruction]] = {}
         max_steps = self.max_steps
         steps = self.steps
@@ -173,16 +209,44 @@ class Machine:
                 steps += 1
                 if steps > max_steps:
                     raise MachineFault("instruction budget exceeded", eip)
+                self.steps = steps
                 if step_hook is not None:
-                    self.steps = steps
                     step_hook(self, eip, entry[1])
                 eip = entry[0]()
             self.eip = eip
-        except _Halt:
-            pass
         finally:
             self.steps = steps
-        return NRunResult(self.output, steps)
+
+    def _loop_profiled(
+        self, counts: Dict[int, int], first_seen: Dict[int, int]
+    ) -> None:
+        """The run loop, counting each address's executions and noting
+        the sequence number (0 for this run's first step) of its first."""
+        table: Dict[int, Tuple[Handler, NInstruction]] = {}
+        max_steps = self.max_steps
+        steps = start = self.steps
+        eip = self.eip
+        try:
+            while eip != EXIT_ADDRESS:
+                self.eip = eip
+                entry = table.get(eip)
+                if entry is None:
+                    entry = table[eip] = self._bind(eip)
+                    steps += 1
+                    if steps > max_steps:
+                        raise MachineFault("instruction budget exceeded", eip)
+                    first_seen[eip] = steps - 1 - start
+                    counts[eip] = 1
+                else:
+                    steps += 1
+                    if steps > max_steps:
+                        raise MachineFault("instruction budget exceeded", eip)
+                    counts[eip] += 1
+                self.steps = steps
+                eip = entry[0]()
+            self.eip = eip
+        finally:
+            self.steps = steps
 
     def _bind(self, eip: int) -> Tuple[Handler, NInstruction]:
         """Decode the instruction at ``eip`` into its table entry."""
@@ -193,8 +257,11 @@ class Machine:
             instr, length = image.decode_at(eip)
         except EncodingError as exc:
             raise MachineFault(f"undecodable instruction: {exc}", eip)
-        build = _BUILDERS[instr.mnemonic]
-        return build(self, instr, eip, eip + length), instr
+        nxt = eip + length
+        handler = _BUILDERS[instr.mnemonic](self, instr, eip, nxt)
+        if self._calls is not None:
+            handler = self._calls.wrap(self, instr, eip, nxt, handler)
+        return handler, instr
 
 
 # -- handler builders ---------------------------------------------------
@@ -683,6 +750,150 @@ for _op, _build in (("shl", _b_shl), ("shr", _b_shr), ("sar", _b_sar)):
     _BUILDERS[f"{_op}_ri"] = _BUILDERS[f"{_op}_rr"] = _build
 for _op in _JCC:
     _BUILDERS[_op] = _b_jcc
+
+
+#: CallRecord event kinds.
+CALL, CALL_A, RET, ENTRY = "call", "call_a", "ret", "entry"
+#: Transfers whose next eip is computed at run time.
+_INDIRECT = frozenset({"ret", "jmp_r", "jmp_a", "call_a"})
+_DIRECT = frozenset({"jmp", "call", *_JCC})
+
+
+class CallRecord:
+    """The calls and returns of one run, in execution order.
+
+    Passed to :meth:`Machine.run` as ``calls``, the record wraps the
+    ``call``, ``call_a`` and ``ret`` handlers as they are bound, and,
+    when ``entry`` is given, the instruction at ``entry`` and every
+    instruction that can transfer control there. Nothing else is
+    touched, so a recorded run costs about what a plain one does.
+    ``events`` holds tuples whose first field is the kind and whose
+    third is a stack pointer:
+
+    * ``(CALL or CALL_A, eip, esp, return address, target)`` after a
+      call: ``esp`` addresses the pushed return address;
+    * ``(ENTRY, came from, esp, [esp], entry)`` before the instruction
+      at ``entry`` executes: ``came from`` is the address of the
+      instruction that transferred control there (``None`` on the
+      run's first step) and ``[esp]`` is ``None`` if unreadable;
+    * ``(RET, eip, esp, resumed at, step)`` after a ``ret``: ``esp`` is
+      the stack pointer it popped from and ``step`` its step number.
+
+    A call is an arrival at its target laid out like an entry: the
+    calling instruction, the stack pointer and the hash input ``[esp]``.
+    """
+
+    def __init__(self, entry: Optional[int] = None):
+        self.entry = entry
+        self.events: List[tuple] = []
+        #: Steps the run began, set when it ends (a step the budget cuts
+        #: never begins).
+        self.began = 0
+        self._came_from: Optional[int] = None
+
+    def unwind(
+        self,
+        opens: Callable[[tuple], bool],
+        skip: Optional[int] = None,
+        events: Optional[List[tuple]] = None,
+    ) -> List[Tuple[tuple, tuple]]:
+        """Pair each frame ``opens`` selects with the ``RET`` event that
+        unwinds it: a ``ret`` (not at ``skip``) that pops from the
+        innermost open frame's stack pointer. ``events`` defaults to the
+        whole record."""
+        stack: List[tuple] = []
+        pairs: List[Tuple[tuple, tuple]] = []
+        for ev in self.events if events is None else events:
+            if ev[0] == RET:
+                if stack and ev[2] == stack[-1][2] and ev[1] != skip:
+                    pairs.append((stack.pop(), ev))
+            elif opens(ev):
+                stack.append(ev)
+        return pairs
+
+    def continued_after(self, ret: tuple) -> bool:
+        """Did the step after this ``RET`` event begin?"""
+        return ret[4] < self.began
+
+    def wrap(
+        self, m: Machine, instr: NInstruction, eip: int, nxt: int,
+        handler: Handler,
+    ) -> Handler:
+        """The handler for ``instr``, wrapped if the record watches it."""
+        mn = instr.mnemonic
+        if mn == "call" or mn == "call_a":
+            handler = self._on_call(m, mn, eip, nxt, handler)
+        elif mn == "ret":
+            handler = self._on_ret(m, eip, handler)
+        entry = self.entry
+        if entry is None:
+            return handler
+        if mn in _INDIRECT or nxt == entry or (
+            mn in _DIRECT and instr.operands[0].value == entry
+        ):
+            handler = self._on_transfer(eip, entry, handler)
+        if eip == entry:
+            handler = self._on_entry(m, eip, handler)
+        return handler
+
+    def _on_call(self, m, kind, eip, nxt, handler):
+        regs, log = m.regs, self.events.append
+
+        def h():
+            target = handler()
+            log((kind, eip, regs[4], nxt, target))
+            return target
+        return h
+
+    def _on_ret(self, m, eip, handler):
+        regs, log = m.regs, self.events.append
+
+        def h():
+            esp = regs[4]
+            resumed = handler()
+            log((RET, eip, esp, resumed, m.steps))
+            return resumed
+        return h
+
+    def _on_transfer(self, eip, entry, handler):
+        def h():
+            target = handler()
+            if target == entry:
+                self._came_from = eip
+            return target
+        return h
+
+    def _on_entry(self, m, eip, handler):
+        regs, read, log = m.regs, m.read32, self.events.append
+
+        def h():
+            esp = regs[4]
+            try:
+                hash_input: Optional[int] = read(esp)
+            except MachineFault:
+                hash_input = None
+            log((ENTRY, self._came_from, esp, hash_input, eip))
+            return handler()
+        return h
+
+
+def record_calls(
+    image: BinaryImage,
+    inputs: Sequence[int] = (),
+    max_steps: Optional[int] = None,
+    entry: Optional[int] = None,
+) -> CallRecord:
+    """Run the image once and return its :class:`CallRecord`. A fault
+    ends the run, and the record, where it happened."""
+    record = CallRecord(entry)
+    machine = Machine(image) if max_steps is None else Machine(
+        image, max_steps
+    )
+    try:
+        machine.run(inputs, calls=record)
+    except MachineFault:
+        pass
+    return record
 
 
 def run_image(

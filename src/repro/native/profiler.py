@@ -42,21 +42,11 @@ def profile_image(
     inputs: Sequence[int] = (),
     max_steps: Optional[int] = None,
 ) -> Profile:
-    """Run the binary on training inputs, collecting the profile."""
+    """Run the binary on training inputs, collecting the profile in the
+    machine's profiled run loop."""
     profile = Profile()
-    counts = profile.counts
-    first_seen = profile.first_seen
-    seq = [0]
-
-    def hook(machine: Machine, addr: int, instr) -> None:
-        c = counts.get(addr, 0)
-        counts[addr] = c + 1
-        if c == 0:
-            first_seen[addr] = seq[0]
-        seq[0] += 1
-
     machine = Machine(image) if max_steps is None else Machine(image, max_steps)
-    result = machine.run(inputs, hook)
+    result = machine.run(inputs, profile=profile)
     profile.total_steps = result.steps
     profile.output = result.output
     return profile

@@ -23,18 +23,27 @@ Two tracers are provided, mirroring the discussion of attack 5
 Both then pair each entry with the address control resumes at when
 the branch function's own frame unwinds (``b_i``), and decode bits by
 comparing consecutive chain addresses: forward = 1, backward = 0.
+
+One run serves a whole extraction: the machine records its calls and
+returns (:class:`~repro.native.machine.CallRecord`), and identifying
+the branch function, both tracers' passes and the chain all come from
+that record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
 if TYPE_CHECKING:
     from ..obs.recognition import RecognitionReport
 
 from ..native.image import BinaryImage
-from ..native.machine import Machine, MachineFault
+from ..native.machine import (
+    CALL, CALL_A, ENTRY, CallRecord, record_calls,
+)
 from .embedder import CALL_LENGTH
 
 
@@ -71,54 +80,69 @@ class ExtractionResult:
         return self.watermark is not None
 
 
-class _TracerBase:
-    """Single-steps a machine, watching entries into a target routine."""
-
-    def __init__(self, image: BinaryImage, bf_entry: int):
-        self.image = image
-        self.bf_entry = bf_entry
-        self.events: List[BranchFunctionEvent] = []
-        self._prev_addr: Optional[int] = None
-        self._entry_stack: List[Tuple[int, int]] = []  # (esp at entry, source)
-
-    def _source_of_entry(self, machine: Machine, prev_addr: Optional[int]) -> int:
-        raise NotImplementedError
-
-    def run(self, inputs: Sequence[int], max_steps: Optional[int] = None):
-        machine = Machine(self.image) if max_steps is None else Machine(
-            self.image, max_steps
-        )
-
-        def hook(m: Machine, addr: int, instr) -> None:
-            if addr == self.bf_entry:
-                source = self._source_of_entry(m, self._prev_addr)
-                self._entry_stack.append((m.regs[4], source))
-            elif instr.mnemonic == "ret" and self._entry_stack:
-                esp_entry, source = self._entry_stack[-1]
-                if m.regs[4] == esp_entry:
-                    # The branch function's own ret: control resumes at
-                    # the (possibly rewritten) word at [esp].
-                    resumed = m.read32(m.regs[4])
-                    self._entry_stack.pop()
-                    self.events.append(BranchFunctionEvent(source, resumed))
-            self._prev_addr = addr
-
-        machine.run(inputs, hook)
-        return machine
-
-
-class SimpleTracer(_TracerBase):
+class SimpleTracer:
     """a_i := address of the instruction that jumped/called into bf."""
 
-    def _source_of_entry(self, machine: Machine, prev_addr: Optional[int]) -> int:
-        return prev_addr if prev_addr is not None else 0
+    @staticmethod
+    def source(arrival: tuple) -> int:
+        came_from = arrival[1]
+        return came_from if came_from is not None else 0
 
 
-class SmartTracer(_TracerBase):
+class SmartTracer:
     """a_i := hash input - 5 (the return address the bf will consume)."""
 
-    def _source_of_entry(self, machine: Machine, prev_addr: Optional[int]) -> int:
-        return machine.read32(machine.regs[4]) - CALL_LENGTH
+    @staticmethod
+    def source(arrival: tuple) -> int:
+        return arrival[3] - CALL_LENGTH
+
+
+_TRACERS = {"simple": SimpleTracer, "smart": SmartTracer}
+_CALLS = (CALL, CALL_A)
+
+
+def _passes(
+    record: CallRecord, bf_entry: int, tracer: str
+) -> List[BranchFunctionEvent]:
+    """The branch function's passes: each arrival at ``bf_entry``
+    paired with where control resumed when its frame unwound.
+
+    A record that watched ``bf_entry`` has its arrivals by address, so
+    a trampoline's ``jmp bf`` counts; otherwise the arrivals are the
+    calls that landed there. The smart tracer reads the hash input at
+    each arrival, and a run in which that read faults would have ended
+    there.
+    """
+    source = _TRACERS[tracer].source
+    events = record.events
+    if record.entry == bf_entry:
+        if tracer == "smart":
+            cut = next((i for i, ev in enumerate(events)
+                        if ev[0] == ENTRY and ev[3] is None), len(events))
+            events = events[:cut]
+
+        def opens(ev: tuple) -> bool:
+            return ev[0] == ENTRY
+    else:
+        def opens(ev: tuple) -> bool:
+            return ev[0] in _CALLS and ev[4] == bf_entry
+    return [
+        BranchFunctionEvent(source(arrival), ret[3])
+        for arrival, ret in record.unwind(opens, bf_entry, events)
+    ]
+
+
+def _most_exposed(record: CallRecord) -> Optional[int]:
+    """The call target whose calls most often do not return normally:
+    a ``ret`` that unwinds the call's frame resumes somewhere other
+    than its return address, and the program goes on running there."""
+    exposed: Dict[int, int] = {}
+    for call, ret in record.unwind(lambda ev: ev[0] in _CALLS):
+        if ret[3] != call[3] and record.continued_after(ret):
+            exposed[call[4]] = exposed.get(call[4], 0) + 1
+    if not exposed:
+        return None
+    return max(exposed.items(), key=lambda kv: kv[1])[0]
 
 
 def identify_branch_function(
@@ -126,48 +150,13 @@ def identify_branch_function(
     inputs: Sequence[int],
     max_steps: Optional[int] = None,
 ) -> Optional[int]:
-    """First pass: find the routine whose calls do not return normally.
+    """Find the routine whose calls do not return normally.
 
-    Maintains a shadow stack of (expected return, call target); a ret
-    that pops a *different* address exposes its callee as a branch
+    Follows the call stack of one run; a ret that pops a *different*
+    address than its call pushed exposes the callee as a branch
     function. Returns the most frequently exposed call target.
     """
-    machine = Machine(image) if max_steps is None else Machine(
-        image, max_steps
-    )
-    shadow: List[Tuple[int, int, int]] = []  # (esp_after_call, expected, target)
-    exposed: Dict[int, int] = {}
-    state = {"pending_ret": None}
-
-    def hook(m: Machine, addr: int, instr) -> None:
-        pending = state["pending_ret"]
-        if pending is not None:
-            expected, target = pending
-            if addr != expected:
-                exposed[target] = exposed.get(target, 0) + 1
-            state["pending_ret"] = None
-        mn = instr.mnemonic
-        if mn == "call":
-            shadow.append(
-                (m.regs[4] - 4, addr + instr.length, instr.operands[0].value)
-            )
-        elif mn == "call_a":
-            dest = m.read32(instr.operands[0].disp)
-            shadow.append((m.regs[4] - 4, addr + instr.length, dest))
-        elif mn == "ret" and shadow:
-            esp_after_call, expected, target = shadow[-1]
-            if m.regs[4] == esp_after_call:
-                shadow.pop()
-                # Verify on the *next* step where control actually went.
-                state["pending_ret"] = (expected, target)
-
-    try:
-        machine.run(inputs, hook)
-    except MachineFault:
-        pass
-    if not exposed:
-        return None
-    return max(exposed.items(), key=lambda kv: kv[1])[0]
+    return _most_exposed(record_calls(image, inputs, max_steps))
 
 
 def _linked_runs(
@@ -190,6 +179,56 @@ def _linked_runs(
     return runs
 
 
+#: Picks the chain to decode from the passes and their linked runs:
+#: returns (chain, width to report, whether the chain has the shape
+#: of a watermark).
+_Select = Callable[
+    [List[BranchFunctionEvent], List[List[BranchFunctionEvent]]],
+    Tuple[List[BranchFunctionEvent], int, bool],
+]
+
+
+def _extract(
+    image: BinaryImage,
+    inputs: Sequence[int],
+    width: int,
+    tracer: str,
+    bf_entry: Optional[int],
+    max_steps: Optional[int],
+    select: _Select,
+) -> ExtractionResult:
+    """One traced run, then chain selection and decoding.
+
+    ``bf_entry`` is discovered from the same run when not given;
+    ``width`` is the one reported if none is found.
+    Consecutive passes decode forward = 1, backward = 0, and only a
+    chain in which every pass resumes at the next one's call site does.
+    """
+    if tracer not in _TRACERS:
+        raise ValueError(f"unknown tracer {tracer!r}")
+    # A broken (attacked) program may still have yielded events.
+    record = record_calls(image, inputs, max_steps, bf_entry)
+    if bf_entry is None:
+        bf_entry = _most_exposed(record)
+        if bf_entry is None:
+            return ExtractionResult(None, width)
+    events = _passes(record, bf_entry, tracer)
+    runs = _linked_runs(events)
+    chain, width, shaped = select(events, runs)
+    result = ExtractionResult(
+        None, width, chain, bf_entry,
+        events_observed=len(events),
+        runs_found=len(runs),
+        run_lengths=[len(r) for r in runs],
+    )
+    links = list(zip(chain, chain[1:]))
+    if shaped and all(a.resumed_at == b.source for a, b in links):
+        result.watermark = sum(
+            1 << k for k, (a, b) in enumerate(links) if b.source > a.source
+        )
+    return result
+
+
 def extract_native_auto(
     image: BinaryImage,
     inputs: Sequence[int] = (),
@@ -210,42 +249,17 @@ def extract_native_auto(
     linked runs, and decode the longest (or the one of the expected
     ``width + 1`` length when ``width`` is given).
     """
-    if tracer not in ("simple", "smart"):
-        raise ValueError(f"unknown tracer {tracer!r}")
-    if bf_entry is None:
-        bf_entry = identify_branch_function(image, inputs, max_steps)
-        if bf_entry is None:
-            return ExtractionResult(None, width or 0)
-    cls = SimpleTracer if tracer == "simple" else SmartTracer
-    t = cls(image, bf_entry)
-    try:
-        t.run(inputs, max_steps)
-    except MachineFault:
-        pass
-    runs = _linked_runs(t.events)
-    if not runs:
-        return ExtractionResult(
-            None, width or 0, [], bf_entry,
-            events_observed=len(t.events),
-        )
-    if width is not None:
-        candidates = [r for r in runs if len(r) == width + 1]
-        chain = candidates[0] if candidates else max(runs, key=len)
-    else:
+    def select(events, runs):
+        if not runs:
+            return [], width or 0, False
         chain = max(runs, key=len)
-    found_width = len(chain) - 1
-    result = ExtractionResult(
-        None, width or found_width, chain, bf_entry,
-        events_observed=len(t.events),
-        runs_found=len(runs),
-        run_lengths=[len(r) for r in runs],
-    )
-    if found_width < 1 or (width is not None and found_width != width):
-        return result
-    bits = [1 if chain[i + 1].source > chain[i].source else 0
-            for i in range(found_width)]
-    result.watermark = sum(b << k for k, b in enumerate(bits))
-    return result
+        if width is not None:
+            chain = next((r for r in runs if len(r) == width + 1), chain)
+        found = len(chain) - 1
+        return chain, width or found, found >= 1 and width in (None, found)
+
+    return _extract(image, inputs, width or 0, tracer, bf_entry, max_steps,
+                    select)
 
 
 def extract_native(
@@ -262,51 +276,22 @@ def extract_native(
 
     ``begin``/``end`` bracket the watermark region ("currently, these
     are supplied manually" — Section 4.2.3). ``bf_entry`` may be given
-    or is discovered with :func:`identify_branch_function`.
+    or is discovered from the traced run.
     """
-    if tracer not in ("simple", "smart"):
-        raise ValueError(f"unknown tracer {tracer!r}")
-    if bf_entry is None:
-        bf_entry = identify_branch_function(image, inputs, max_steps)
-        if bf_entry is None:
-            return ExtractionResult(None, width)
-    cls = SimpleTracer if tracer == "simple" else SmartTracer
-    t = cls(image, bf_entry)
-    try:
-        t.run(inputs, max_steps)
-    except MachineFault:
-        # A broken (attacked) program may still have yielded events.
-        pass
+    def select(events, runs):
+        # The passes from the one starting at `begin` until control
+        # resumes at `end`.
+        chain: List[BranchFunctionEvent] = []
+        for ev in events:
+            if chain or ev.source == begin:
+                chain.append(ev)
+                if ev.resumed_at == end:
+                    break
+        shaped = (bool(chain) and len(chain) == width + 1
+                  and chain[-1].resumed_at == end)
+        return chain, width, shaped
 
-    # Select the chain: events from the one starting at `begin` until
-    # control resumes at `end`.
-    chain: List[BranchFunctionEvent] = []
-    collecting = False
-    for ev in t.events:
-        if not collecting and ev.source == begin:
-            collecting = True
-        if collecting:
-            chain.append(ev)
-            if ev.resumed_at == end:
-                break
-    runs = _linked_runs(t.events)
-    result = ExtractionResult(
-        None, width, chain, bf_entry,
-        events_observed=len(t.events),
-        runs_found=len(runs),
-        run_lengths=[len(r) for r in runs],
-    )
-    if len(chain) != width + 1 or not chain or chain[-1].resumed_at != end:
-        return result
-    bits = []
-    for i in range(width):
-        bits.append(1 if chain[i + 1].source > chain[i].source else 0)
-    # Consistency: each event must resume at the next call site.
-    for i in range(width):
-        if chain[i].resumed_at != chain[i + 1].source:
-            return result
-    result.watermark = sum(b << k for k, b in enumerate(bits))
-    return result
+    return _extract(image, inputs, width, tracer, bf_entry, max_steps, select)
 
 
 def native_recognition_report(result: ExtractionResult) -> "RecognitionReport":
