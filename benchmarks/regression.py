@@ -20,8 +20,7 @@ constantly. Every gated metric is therefore a **ratio measured inside
 one process with the two sides interleaved** — fast-engine throughput
 over reference-engine throughput, scanned over packed window counting
 time, scalar over batched decryption time, plain-run over extraction
-time, binary trace size over JSON trace size — which cancels the
-machine out. Raw seconds and steps/sec are
+time — which cancels the machine out. Raw seconds and steps/sec are
 still recorded (they are what humans read) but never gated.
 
 Usage::
@@ -78,7 +77,7 @@ from repro.native_wm import embed_native, extract_native  # noqa: E402
 from repro.obs.vmprofile import profile_run  # noqa: E402
 from repro.vm._reference import run_module_reference  # noqa: E402
 from repro.vm.interpreter import run_module  # noqa: E402
-from repro.vm.trace_io import dump_trace, dump_trace_binary  # noqa: E402
+from repro.vm.trace_io import dump_trace  # noqa: E402
 from repro.workloads.caffeinemark import (  # noqa: E402
     DEFAULT_INPUT as CAFFEINE_INPUT,
     caffeinemark_module,
@@ -323,27 +322,6 @@ def _native_extract_pair(repeats: int, results: Dict[str, dict]) -> bool:
     )
 
 
-def _trace_size_ratio(results: Dict[str, dict]) -> None:
-    """Binary-vs-JSON trace size: deterministic, so gated tightly."""
-    module = jess_module()
-    run = run_module(module, JESS_INPUT, trace_mode="full")
-    jbuf = io.StringIO()
-    dump_trace(run.trace, module, jbuf)
-    bbuf = io.BytesIO()
-    dump_trace_binary(run.trace, module, bbuf)
-    json_size = len(jbuf.getvalue().encode("utf-8"))
-    binary_size = len(bbuf.getvalue())
-    results["trace.jess.binary_compression"] = {
-        "unit": "ratio",
-        "median": json_size / binary_size,
-        "iqr": 0.0,
-        "repeats": 1,
-        "json_bytes": json_size,
-        "binary_bytes": binary_size,
-        "gate": "min",
-    }
-
-
 def _fault_hook_inertness_check() -> dict:
     """Disarmed fault hooks must be free.
 
@@ -455,7 +433,6 @@ def run_benchmarks(repeats: int, figures: bool) -> dict:
         repeats,
         results,
     )
-    _trace_size_ratio(results)
     trace_identical, bits_exact = _trace_identity_checks()
     print("== window counting ==", flush=True)
     windows_exact = _window_multiset_pair(repeats, results)

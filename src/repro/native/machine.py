@@ -21,10 +21,13 @@ Instrumentation is bound into that table, not called per instruction.
 A profiled run counts executions in a twin of the run loop, and a
 :class:`CallRecord` wraps only the handlers it watches (calls, returns
 and one entry address) — the "tracer tool that uses hardware
-single-stepping" of Section 4.2.3 at the cost of a plain run. The
+single-stepping" of Section 4.2.3 at the cost of a plain run. A
 ``step_hook`` callback, which observes every instruction with full
-machine state before it executes, remains for tests and debugging; no
-library code uses it.
+machine state before it executes, is bound the same way: it wraps each
+handler as it is bound, outside any :class:`CallRecord` wrapper, so it
+composes with a recorded or a profiled run and a run without one pays
+nothing for it. It is for tests and debugging; no library code uses
+it.
 
 Time is measured in executed instructions (see DESIGN.md).
 """
@@ -109,6 +112,7 @@ class Machine:
         self._inputs: Sequence[int] = ()
         self._input_pos = 0
         self._calls: Optional[CallRecord] = None
+        self._step_hook: Optional[StepHook] = None
         self.regs[4] = STACK_TOP - 64  # esp
 
     # -- memory -----------------------------------------------------------
@@ -167,17 +171,17 @@ class Machine:
         faulting or not, ``steps`` counts the instructions that began,
         plus one if the budget ran out. ``calls`` records the run's
         calls and returns; ``profile`` selects the profiled loop, which
-        fills its ``counts`` and ``first_seen`` (and takes no hook).
+        fills its ``counts`` and ``first_seen``. ``step_hook`` is called
+        with ``(machine, eip, instruction)`` before each instruction.
         """
-        if profile is not None and step_hook is not None:
-            raise ValueError("a profiled run takes no step hook")
         self._inputs = inputs
         self._input_pos = 0
         self._calls = calls
+        self._step_hook = step_hook
         self.push(EXIT_ADDRESS)
         try:
             if profile is None:
-                self._loop(step_hook)
+                self._loop()
             else:
                 self._loop_profiled(profile.counts, profile.first_seen)
         except _Halt:
@@ -195,7 +199,7 @@ class Machine:
     # collector frees, and one kept per image would live as long as the
     # image does.
 
-    def _loop(self, step_hook: Optional[StepHook]) -> None:
+    def _loop(self) -> None:
         table: Dict[int, Tuple[Handler, NInstruction]] = {}
         max_steps = self.max_steps
         steps = self.steps
@@ -210,8 +214,6 @@ class Machine:
                 if steps > max_steps:
                     raise MachineFault("instruction budget exceeded", eip)
                 self.steps = steps
-                if step_hook is not None:
-                    step_hook(self, eip, entry[1])
                 eip = entry[0]()
             self.eip = eip
         finally:
@@ -261,7 +263,21 @@ class Machine:
         handler = _BUILDERS[instr.mnemonic](self, instr, eip, nxt)
         if self._calls is not None:
             handler = self._calls.wrap(self, instr, eip, nxt, handler)
+        if self._step_hook is not None:
+            handler = _hooked(self, self._step_hook, instr, eip, handler)
         return handler, instr
+
+
+def _hooked(
+    m: Machine, hook: StepHook, instr: NInstruction, eip: int,
+    handler: Handler,
+) -> Handler:
+    """``handler``, calling ``hook`` first. The run loops call a handler
+    once ``eip`` and ``steps`` name its instruction."""
+    def h():
+        hook(m, eip, instr)
+        return handler()
+    return h
 
 
 # -- handler builders ---------------------------------------------------

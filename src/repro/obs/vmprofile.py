@@ -13,8 +13,7 @@ superinstruction-selection pass) can act on:
 * the two ratios that drive fusion work: the **superinstruction hit
   rate** (fraction of executed instructions covered by fused slots)
   and the **dispatch reduction** (dispatches saved per instruction);
-* optional wall-time context: steps/second and, for traced runs, the
-  encoded trace-byte throughput.
+* optional wall-time context: steps/second.
 
 Profiles merge (:meth:`DispatchProfile.merge`), so a batch run can sum
 the per-copy self-check profiles with the prepare-time trace profile
@@ -23,7 +22,6 @@ into one picture of where the engine's dispatches went.
 
 from __future__ import annotations
 
-import io
 import json
 import time
 from dataclasses import dataclass, field
@@ -40,21 +38,16 @@ class DispatchProfile:
     fused_dispatches: int = 0
     fused_steps: int = 0
     wall_seconds: float = 0.0
-    trace_bytes: int = 0
     runs: int = 0
 
     @staticmethod
     def from_counts(
-        raw: Sequence[int],
-        wall_seconds: float = 0.0,
-        trace_bytes: int = 0,
+        raw: Sequence[int], wall_seconds: float = 0.0
     ) -> "DispatchProfile":
         """Build from the interpreter's raw per-opcode array."""
         from ..vm.compiler import OP_FUSED_BASE, opcode_name, slot_width
 
-        prof = DispatchProfile(
-            wall_seconds=wall_seconds, trace_bytes=trace_bytes, runs=1
-        )
+        prof = DispatchProfile(wall_seconds=wall_seconds, runs=1)
         for op, n in enumerate(raw):
             if not n:
                 continue
@@ -78,7 +71,6 @@ class DispatchProfile:
         self.fused_dispatches += other.fused_dispatches
         self.fused_steps += other.fused_steps
         self.wall_seconds += other.wall_seconds
-        self.trace_bytes += other.trace_bytes
         self.runs += other.runs
         return self
 
@@ -104,13 +96,6 @@ class DispatchProfile:
             return 0.0
         return self.total_steps / self.wall_seconds
 
-    @property
-    def trace_bytes_per_second(self) -> float:
-        """Encoded (binary) trace bytes produced per second of run."""
-        if self.wall_seconds <= 0.0:
-            return 0.0
-        return self.trace_bytes / self.wall_seconds
-
     def top(self, n: int = 10) -> List[Tuple[str, int]]:
         """The ``n`` hottest slots by dispatch count."""
         return sorted(
@@ -129,7 +114,6 @@ class DispatchProfile:
             "superinstruction_hit_rate": self.superinstruction_hit_rate,
             "dispatch_reduction": self.dispatch_reduction,
             "wall_seconds": self.wall_seconds,
-            "trace_bytes": self.trace_bytes,
             "runs": self.runs,
         }
 
@@ -142,7 +126,6 @@ class DispatchProfile:
             fused_dispatches=doc.get("fused_dispatches", 0),
             fused_steps=doc.get("fused_steps", 0),
             wall_seconds=doc.get("wall_seconds", 0.0),
-            trace_bytes=doc.get("trace_bytes", 0),
             runs=doc.get("runs", 0),
         )
 
@@ -160,15 +143,9 @@ class DispatchProfile:
             f"dispatch reduction {self.dispatch_reduction:.1%}",
         ]
         if self.wall_seconds > 0.0:
-            line = (
+            lines.append(
                 f"  throughput: {self.steps_per_second / 1e6:.2f}M steps/s"
             )
-            if self.trace_bytes:
-                line += (
-                    f", trace {self.trace_bytes_per_second / 1e6:.2f}MB/s "
-                    f"({self.trace_bytes} bytes)"
-                )
-            lines.append(line)
         width = max((len(name) for name, _ in self.top(top)), default=0)
         for name, n in self.top(top):
             share = n / self.total_dispatches if self.total_dispatches else 0.0
@@ -184,12 +161,9 @@ def profile_run(
 ) -> Tuple[Any, DispatchProfile]:
     """Run a module with dispatch profiling and wall-time context.
 
-    Returns ``(RunResult, DispatchProfile)``. For traced runs the
-    profile also carries the binary-encoded trace size, giving the
-    trace-mode byte throughput the engine sustained.
+    Returns ``(RunResult, DispatchProfile)``.
     """
     from ..vm.interpreter import run_module
-    from ..vm.trace_io import dump_trace_binary
 
     kwargs: Dict[str, Any] = {"trace_mode": trace_mode, "profile": True}
     if max_steps is not None:
@@ -197,12 +171,7 @@ def profile_run(
     start = time.perf_counter()
     result = run_module(module, inputs, **kwargs)
     elapsed = time.perf_counter() - start
-    trace_bytes = 0
-    if result.trace is not None:
-        buf = io.BytesIO()
-        dump_trace_binary(result.trace, module, buf)
-        trace_bytes = len(buf.getvalue())
     assert result.dispatch_counts is not None
     return result, DispatchProfile.from_counts(
-        result.dispatch_counts, wall_seconds=elapsed, trace_bytes=trace_bytes
+        result.dispatch_counts, wall_seconds=elapsed
     )

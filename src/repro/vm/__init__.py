@@ -43,13 +43,9 @@ from .rewriter import (
     site_index,
 )
 from .trace_io import (
-    BinaryTraceReader,
-    BinaryTraceWriter,
     TraceFormatError,
     dump_trace,
-    dump_trace_binary,
     load_trace,
-    load_trace_binary,
 )
 from .tracing import BranchEvent, RunResult, SiteKey, Trace, TracePoint
 from .verifier import VerificationError, is_verifiable, verify_module
@@ -57,8 +53,6 @@ from .verifier import VerificationError, is_verifiable, verify_module
 __all__ = [
     "AssemblyError",
     "BasicBlock",
-    "BinaryTraceReader",
-    "BinaryTraceWriter",
     "BranchEvent",
     "CFG",
     "CONDITIONAL_BRANCHES",
@@ -85,14 +79,12 @@ __all__ = [
     "disassemble",
     "disassemble_function",
     "dump_trace",
-    "dump_trace_binary",
     "freshen_template",
     "ins",
     "insert_at_site",
     "is_verifiable",
     "label",
     "load_trace",
-    "load_trace_binary",
     "rename_labels",
     "run_module",
     "run_module_reference",

@@ -4,23 +4,12 @@
     a file the sequence of basic blocks it executes. At each trace
     point we also store the value of every local variable ..."
 
-The embedding pipeline can therefore be split across processes: trace
-once on the machine that has the secret input, ship the trace file,
-embed elsewhere. Two formats coexist:
-
-* **JSON (version 1)** — :func:`dump_trace` / :func:`load_trace`, the
-  original human-greppable document. Kept for compatibility and for
-  debugging sessions where seeing the trace matters more than size.
-* **Binary (version 2)** — :func:`dump_trace_binary` /
-  :func:`load_trace_binary` on top of the streaming
-  :class:`BinaryTraceWriter` / :class:`BinaryTraceReader` pair. A
-  jess-scale full trace is tens of megabytes as JSON; the binary form
-  interns every function/site name once (``DEF`` records emitted
-  inline, on first use), stores integers as zigzag LEB128 varints,
-  run-length-encodes repeated branch events, and finishes with an
-  explicit ``END`` marker so truncation is always detected. This is
-  what :class:`repro.pipeline.prepare.PreparedProgram` embeds in its
-  pickle, which is why cache artifacts stay cheap to persist.
+:func:`dump_trace` writes that file as one JSON document (format
+version 1) and :func:`load_trace` reads it back, so tracing and
+embedding can run in separate processes: trace once on the machine
+that has the secret input, ship the file, embed elsewhere. The text is
+also the byte-identity oracle between the fast engine and
+:mod:`repro.vm._reference`.
 
 Branch events reference static instructions, whose identity is
 object-based in memory; on disk they are keyed by a stable
@@ -32,17 +21,13 @@ events against a module with matching structure.
 from __future__ import annotations
 
 import json
-from typing import BinaryIO, Dict, List, Optional, TextIO, Tuple
+from typing import Dict, List, TextIO, Tuple
 
 from .instructions import Instruction
 from .program import Module
 from .tracing import BranchEvent, SiteKey, Trace, TracePoint
 
 FORMAT_VERSION = 1
-
-#: First bytes of every binary trace stream, followed by one version byte.
-BINARY_MAGIC = b"WVMT"
-BINARY_FORMAT_VERSION = 2
 
 
 class TraceFormatError(Exception):
@@ -143,307 +128,3 @@ def load_trace(fp: TextIO, module: Module) -> Trace:
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(f"malformed trace file: {exc}") from exc
     return trace
-
-
-# -- binary format (version 2) ----------------------------------------------
-#
-# Stream layout: ``WVMT`` + version byte, then tagged records, then END.
-#
-#   DEF_STR     0x01  varint(len) utf8-bytes
-#       Interns a function/site/label name; ids are assigned in order
-#       of appearance (0, 1, 2, ...). Emitted lazily, on first use.
-#   POINT       0x02  varint(site-fn-id) varint(site-name-id)
-#                     varint(nlocals) zigzag*  varint(nglobals) zigzag*
-#   DEF_EDGE    0x03  varint(branch-fn-id) varint(branch-ordinal)
-#                     varint(follower-fn-id) varint(follower-ordinal)
-#                     taken-byte
-#       Interns one distinct (branch, follower, taken) event; a module
-#       has few distinct edges but a trace exercises them millions of
-#       times, so each is described once and referenced by id.
-#   BRANCH      0x04  varint(edge-id)
-#   BRANCH_RUN  0x05  varint(edge-id) varint(count)
-#       ``count`` consecutive occurrences of the same edge (tight loops
-#       whose body contains a single conditional produce long runs).
-#   END         0x7F
-#       Mandatory terminator: a reader that hits end-of-file first
-#       reports truncation instead of silently yielding a short trace.
-
-_TAG_DEF_STR = 0x01
-_TAG_POINT = 0x02
-_TAG_DEF_EDGE = 0x03
-_TAG_BRANCH = 0x04
-_TAG_BRANCH_RUN = 0x05
-_TAG_END = 0x7F
-
-
-def _write_uvarint(out: List[bytes], value: int) -> None:
-    while value > 0x7F:
-        out.append(bytes(((value & 0x7F) | 0x80,)))
-        value >>= 7
-    out.append(bytes((value,)))
-
-
-def _zigzag(value: int) -> int:
-    return value << 1 if value >= 0 else ((-value) << 1) - 1
-
-
-def _unzigzag(value: int) -> int:
-    return (value >> 1) if not value & 1 else -((value + 1) >> 1)
-
-
-class BinaryTraceWriter:
-    """Streams a trace to a binary file object as it is produced.
-
-    Points and branch events may be fed in any interleaving; the
-    reader reassembles them into the two ordered lists of a
-    :class:`Trace`. Call :meth:`close` (or use as a context manager)
-    to flush the pending run-length state and write the END marker —
-    a stream without it is deliberately unreadable.
-    """
-
-    def __init__(self, fp: BinaryIO, module: Module):
-        self._fp = fp
-        self._index = _instruction_index(module)
-        self._strings: Dict[str, int] = {}
-        self._edges: Dict[Tuple[int, int, int, int, bool], int] = {}
-        self._run_edge: Optional[int] = None
-        self._run_count = 0
-        self._closed = False
-        fp.write(BINARY_MAGIC + bytes((BINARY_FORMAT_VERSION,)))
-
-    def __enter__(self) -> "BinaryTraceWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-
-    def _intern(self, out: List[bytes], name: str) -> int:
-        sid = self._strings.get(name)
-        if sid is None:
-            sid = self._strings[name] = len(self._strings)
-            data = name.encode("utf-8")
-            out.append(bytes((_TAG_DEF_STR,)))
-            _write_uvarint(out, len(data))
-            out.append(data)
-        return sid
-
-    def _locate(self, instr: Instruction) -> Tuple[str, int]:
-        try:
-            return self._index[id(instr)]
-        except KeyError:
-            raise TraceFormatError(
-                "trace references an instruction not present in the module"
-            ) from None
-
-    def write_point(self, point: TracePoint) -> None:
-        out: List[bytes] = []
-        fn_id = self._intern(out, point.key.function)
-        site_id = self._intern(out, point.key.site)
-        out.append(bytes((_TAG_POINT,)))
-        _write_uvarint(out, fn_id)
-        _write_uvarint(out, site_id)
-        _write_uvarint(out, len(point.locals_snapshot))
-        for v in point.locals_snapshot:
-            _write_uvarint(out, _zigzag(v))
-        _write_uvarint(out, len(point.globals_snapshot))
-        for v in point.globals_snapshot:
-            _write_uvarint(out, _zigzag(v))
-        self._fp.write(b"".join(out))
-
-    def write_branch(self, event: BranchEvent) -> None:
-        b_fn, b_ord = self._locate(event.branch)
-        f_fn, f_ord = self._locate(event.follower)
-        out: List[bytes] = []
-        key = (
-            self._intern(out, b_fn),
-            b_ord,
-            self._intern(out, f_fn),
-            f_ord,
-            bool(event.taken),
-        )
-        edge_id = self._edges.get(key)
-        if edge_id is None:
-            edge_id = self._edges[key] = len(self._edges)
-            out.append(bytes((_TAG_DEF_EDGE,)))
-            _write_uvarint(out, key[0])
-            _write_uvarint(out, key[1])
-            _write_uvarint(out, key[2])
-            _write_uvarint(out, key[3])
-            out.append(b"\x01" if key[4] else b"\x00")
-        if edge_id == self._run_edge:
-            self._run_count += 1
-            if out:
-                self._fp.write(b"".join(out))
-            return
-        self._flush_run(out)
-        self._run_edge = edge_id
-        self._run_count = 1
-        if out:
-            self._fp.write(b"".join(out))
-
-    def _flush_run(self, out: List[bytes]) -> None:
-        if self._run_edge is None:
-            return
-        if self._run_count == 1:
-            out.append(bytes((_TAG_BRANCH,)))
-            _write_uvarint(out, self._run_edge)
-        else:
-            out.append(bytes((_TAG_BRANCH_RUN,)))
-            _write_uvarint(out, self._run_edge)
-            _write_uvarint(out, self._run_count)
-        self._run_edge = None
-        self._run_count = 0
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        out: List[bytes] = []
-        self._flush_run(out)
-        out.append(bytes((_TAG_END,)))
-        self._fp.write(b"".join(out))
-        self._closed = True
-
-
-class BinaryTraceReader:
-    """Decodes one binary trace stream back into a :class:`Trace`."""
-
-    def __init__(self, fp: BinaryIO, module: Module):
-        header = fp.read(len(BINARY_MAGIC) + 1)
-        if header[: len(BINARY_MAGIC)] != BINARY_MAGIC or len(header) <= len(
-            BINARY_MAGIC
-        ):
-            raise TraceFormatError("not a binary trace file (bad magic)")
-        version = header[len(BINARY_MAGIC)]
-        if version != BINARY_FORMAT_VERSION:
-            raise TraceFormatError(
-                f"unsupported binary trace version {version}"
-            )
-        self._fp = fp
-        self._table = _instruction_table(module)
-        self._strings: List[str] = []
-        self._edges: List[BranchEvent] = []
-
-    def _read_exact(self, n: int) -> bytes:
-        data = self._fp.read(n)
-        if len(data) != n:
-            raise TraceFormatError("truncated binary trace")
-        return data
-
-    def _read_uvarint(self) -> int:
-        shift = 0
-        value = 0
-        while True:
-            byte = self._read_exact(1)[0]
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
-            if shift > 70:
-                raise TraceFormatError("corrupt varint in binary trace")
-
-    def _string(self, sid: int) -> str:
-        try:
-            return self._strings[sid]
-        except IndexError:
-            raise TraceFormatError(
-                f"corrupt binary trace: undefined string id {sid}"
-            ) from None
-
-    def _edge(self, edge_id: int) -> BranchEvent:
-        try:
-            return self._edges[edge_id]
-        except IndexError:
-            raise TraceFormatError(
-                f"corrupt binary trace: undefined edge id {edge_id}"
-            ) from None
-
-    def _instruction(self, fn: str, ordinal: int) -> Instruction:
-        try:
-            return self._table[(fn, ordinal)]
-        except KeyError:
-            raise TraceFormatError(
-                f"trace references missing instruction {fn}[{ordinal}]"
-            ) from None
-
-    def read(self) -> Trace:
-        trace = Trace()
-        points_append = trace.points.append
-        branches_append = trace.branches.append
-        while True:
-            tag = self._read_exact(1)[0]
-            if tag == _TAG_END:
-                return trace
-            if tag == _TAG_BRANCH:
-                branches_append(self._edge(self._read_uvarint()))
-            elif tag == _TAG_BRANCH_RUN:
-                event = self._edge(self._read_uvarint())
-                count = self._read_uvarint()
-                if count < 1:
-                    raise TraceFormatError(
-                        "corrupt binary trace: empty branch run"
-                    )
-                branches_append(event)
-                for _ in range(count - 1):
-                    branches_append(event)
-            elif tag == _TAG_POINT:
-                fn = self._string(self._read_uvarint())
-                site = self._string(self._read_uvarint())
-                locals_ = tuple(
-                    _unzigzag(self._read_uvarint())
-                    for _ in range(self._read_uvarint())
-                )
-                globals_ = tuple(
-                    _unzigzag(self._read_uvarint())
-                    for _ in range(self._read_uvarint())
-                )
-                points_append(TracePoint(SiteKey(fn, site), locals_, globals_))
-            elif tag == _TAG_DEF_STR:
-                length = self._read_uvarint()
-                data = self._read_exact(length)
-                try:
-                    self._strings.append(data.decode("utf-8"))
-                except UnicodeDecodeError as exc:
-                    raise TraceFormatError(
-                        f"corrupt binary trace: bad string ({exc})"
-                    ) from exc
-            elif tag == _TAG_DEF_EDGE:
-                b_fn = self._string(self._read_uvarint())
-                b_ord = self._read_uvarint()
-                f_fn = self._string(self._read_uvarint())
-                f_ord = self._read_uvarint()
-                taken = self._read_exact(1)[0]
-                if taken not in (0, 1):
-                    raise TraceFormatError(
-                        "corrupt binary trace: bad taken flag"
-                    )
-                self._edges.append(
-                    BranchEvent(
-                        self._instruction(b_fn, b_ord),
-                        self._instruction(f_fn, f_ord),
-                        bool(taken),
-                    )
-                )
-            else:
-                raise TraceFormatError(
-                    f"corrupt binary trace: unknown record tag 0x{tag:02x}"
-                )
-
-
-def dump_trace_binary(trace: Trace, module: Module, fp: BinaryIO) -> None:
-    """Write ``trace`` to a binary file object (format version 2)."""
-    with BinaryTraceWriter(fp, module) as writer:
-        for point in trace.points:
-            writer.write_point(point)
-        for event in trace.branches:
-            writer.write_branch(event)
-
-
-def load_trace_binary(fp: BinaryIO, module: Module) -> Trace:
-    """Read a binary trace back, re-binding events against ``module``.
-
-    Raises :class:`TraceFormatError` on a bad magic/version, any
-    corrupt record, or a stream that ends before its END marker
-    (truncation is never silent).
-    """
-    return BinaryTraceReader(fp, module).read()

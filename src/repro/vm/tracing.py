@@ -7,8 +7,10 @@ Two granularities, matching the two phases of the algorithm:
   boundaries — each with a snapshot of the local variables and module
   globals, "the value of every local variable and every static and
   instance field of the containing class". The embedder mines these
+  in one pass (:func:`repro.bytecode_wm.placement.eligible_sites`)
   for insertion frequencies and for variable values to build
-  condition-code predicates from.
+  condition-code predicates from; :func:`repro.vm.trace_io.dump_trace`
+  writes them to the paper's trace file.
 * **Branch traces** (recognition time): the sequence of conditional
   branch events, each the pair (static branch instruction, dynamic
   follower), and the bit-string they decode to. The fast engine
@@ -23,7 +25,7 @@ serves both needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Hashable, List, Optional, Tuple
 
 from .instructions import Instruction
 
@@ -85,13 +87,6 @@ class Trace:
     def branch_pairs(self) -> List[Tuple[Hashable, Hashable]]:
         """(branch identity, follower identity) pairs for the decoder."""
         return [(e.branch, e.follower) for e in self.branches]
-
-    def site_counts(self) -> Dict[SiteKey, int]:
-        """Execution frequency of every trace site, in first-seen order."""
-        counts: Dict[SiteKey, int] = {}
-        for p in self.points:
-            counts[p.key] = counts.get(p.key, 0) + 1
-        return counts
 
     def site_snapshots(self, key: SiteKey) -> List[TracePoint]:
         """All executions of one site, in order (a fresh list per call)."""

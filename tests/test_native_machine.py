@@ -16,6 +16,7 @@ from repro.native import (
     MachineFault,
     Mem,
     NInstruction,
+    Profile,
     Reg,
     TEXT_BASE,
     assemble_text,
@@ -372,7 +373,7 @@ class TestMachineContract:
             gc.enable()
 
     @staticmethod
-    def _hook_view(src):
+    def _hook_view(src, profile=None):
         seen = []
 
         def hook(machine, addr, instr):
@@ -383,7 +384,7 @@ class TestMachineContract:
             ))
 
         image = assemble_text(src)
-        result = Machine(image).run((), hook)
+        result = Machine(image).run((), hook, profile=profile)
         return image, result, seen
 
     # sha256 of the step-by-step hook view, captured while Machine.step
@@ -395,14 +396,21 @@ class TestMachineContract:
             "35e1ff50c70dd696302bc52a1f004493c3c42ff3c2fc2c359475f61d87c35c22",
     }
 
+    @pytest.mark.parametrize("profiled", [False, True],
+                             ids=["plain", "profiled"])
     @pytest.mark.parametrize("name,src", [("fact", FACT_SRC),
                                           ("mangler", MANGLER_SRC)])
-    def test_step_hook_view(self, name, src):
-        image, result, seen = self._hook_view(src)
+    def test_step_hook_view(self, name, src, profiled):
+        """The hook sees the same machine states in the plain and the
+        profiled loop, and the profile counts every step it sees."""
+        profile = Profile() if profiled else None
+        image, result, seen = self._hook_view(src, profile)
         assert [view[0] for view in seen] == list(range(1, result.steps + 1))
         assert all(view[1] == view[2] for view in seen)
         digest = hashlib.sha256(repr(seen).encode()).hexdigest()
         assert digest == self.HOOK_VIEWS[name]
+        if profiled:
+            assert sum(profile.counts.values()) == result.steps
 
     def test_ret_through_rewritten_slot_lands_on_target(self):
         """The branch-function trick: the ret after ``xor [esp], eax``

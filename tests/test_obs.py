@@ -340,14 +340,16 @@ class TestDispatchProfile:
         assert a.total_steps == 2 * before
         assert a.runs == 2
 
-    def test_profile_run_traced_reports_trace_bytes(self):
+    def test_profile_run_traced_reports_wall_time_and_steps(self):
         module = gcd_module()
         result, profile = profile_run(module, [48, 18], trace_mode="full")
         assert result.trace is not None
-        assert profile.trace_bytes > 0
         assert profile.wall_seconds > 0
-        assert profile.trace_bytes_per_second > 0
-        assert "dispatch profile:" in profile.summary()
+        assert profile.total_steps == result.steps
+        assert profile.steps_per_second > 0
+        summary = profile.summary()
+        assert "dispatch profile:" in summary
+        assert "M steps/s" in summary
 
 
 class TestRecognitionReport:

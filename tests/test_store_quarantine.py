@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import warnings
 
 import pytest
@@ -13,7 +14,10 @@ from repro.faults.injector import FaultPlan, FaultRule
 from repro.obs import MetricsRegistry, get_registry, set_registry
 from repro.pipeline import prepare
 from repro.serve import ArtifactStore, StoreError
+from repro.vm import run_module
 from repro.workloads import gcd_module
+
+from tests.v1_artifacts import v1_artifact
 
 KEY = WatermarkKey(secret=b"pldi-2004", inputs=[25, 10])
 BITS = 16
@@ -219,3 +223,48 @@ class TestWriteFaults:
         a.refresh()
         assert da in a or da not in a  # no exception is the contract
         assert json.load(open(os.path.join(root, "store.json")))
+
+
+class TestPreparedProgramBackcompat:
+    """Artifacts carry no trace. A version-1 artifact carried it as a
+    binary blob; the store refuses every version-1 blob on its format
+    version, whatever its trace field holds, and never decodes it."""
+
+    @staticmethod
+    def _refused(store, old):
+        digest = store.put(old).digest
+        with pytest.raises(StoreError, match="format version"):
+            store.load(digest)
+        assert [q.reason for q in store.quarantined()] == [
+            "unsupported format version"
+        ]
+
+    def test_pickle_stores_binary_blob(self, prepared):
+        # The binary blob left the artifact together with the trace.
+        data = pickle.dumps(prepared)
+        assert b"WVMT" in pickle.dumps(v1_artifact(prepared))
+        assert b"WVMT" not in data
+        assert "trace" not in vars(pickle.loads(data))
+
+    def test_pickle_round_trip_rebinds_trace(self, prepared):
+        # What replaced the trace, the site table, round-trips intact
+        # and names functions of the artifact's own module.
+        clone = pickle.loads(pickle.dumps(prepared))
+        assert clone.sites == prepared.sites
+        assert all(site.function in clone.module.functions
+                   for site in clone.sites)
+
+    def test_object_graph_trace_state_is_refused(self, store, prepared):
+        trace = run_module(prepared.module, KEY.inputs,
+                           trace_mode="full").trace
+        self._refused(store, v1_artifact(prepared, trace=trace))
+
+    def test_corrupt_blob_raises_prepare_error(self, store, prepared):
+        old = v1_artifact(prepared)
+        old.trace = old.trace[:-3]
+        self._refused(store, old)
+
+    def test_unrecognisable_trace_field_raises_prepare_error(
+        self, store, prepared
+    ):
+        self._refused(store, v1_artifact(prepared, trace=12345))

@@ -23,12 +23,7 @@ from repro.vm import assemble, run_module
 from repro.vm import compiler as C
 from repro.vm._reference import run_module_reference
 from repro.vm.compiler import CompiledFunction
-from repro.vm.trace_io import (
-    dump_trace,
-    dump_trace_binary,
-    load_trace,
-    load_trace_binary,
-)
+from repro.vm.trace_io import dump_trace, load_trace
 from repro.workloads import (
     CAFFEINEMARK_INPUT,
     JESS_INPUT,
@@ -208,19 +203,13 @@ class TestTraceContract:
         ref = run_module_reference(module, [27], trace_mode="full").trace
         assert ref.bits is None and fast.bits
         assert fast == ref
-        text, blob = io.StringIO(), io.BytesIO()
+        text, ref_text = io.StringIO(), io.StringIO()
         dump_trace(fast, module, text)
-        dump_trace_binary(fast, module, blob)
-        ref_text, ref_blob = io.StringIO(), io.BytesIO()
         dump_trace(ref, module, ref_text)
-        dump_trace_binary(ref, module, ref_blob)
         assert text.getvalue() == ref_text.getvalue()
-        assert blob.getvalue() == ref_blob.getvalue()
         text.seek(0)
-        blob.seek(0)
-        for loaded in (load_trace(text, module),
-                       load_trace_binary(blob, module)):
-            assert loaded == fast and loaded.bits is None
+        loaded = load_trace(text, module)
+        assert loaded == fast and loaded.bits is None
 
     @pytest.mark.parametrize("codec", ["gcrt", "rs-8"])
     def test_recognize_reads_either_engines_trace_alike(self, codec):

@@ -1,5 +1,7 @@
 """Tests for the WVM interpreter: semantics, traps, tracing."""
 
+from collections import Counter
+
 import pytest
 
 from repro.vm import VMError, assemble, run_module, wrap64
@@ -288,7 +290,7 @@ done:
     def test_full_trace_snapshots(self):
         result = run_src(self.BRANCHY, trace_mode="full")
         trace = result.trace
-        counts = trace.site_counts()
+        counts = Counter(p.key for p in trace.points)
         from repro.vm import SiteKey
         assert counts[SiteKey("main", "loop")] == 4
         assert counts[SiteKey("main", "done")] == 1

@@ -7,6 +7,8 @@ tests pin those properties so a workload edit cannot silently distort
 the figures.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.native import run_image
@@ -70,7 +72,7 @@ class TestJessProfile:
         assert module.byte_size() > 8 * cm.byte_size(), \
             "Jess-like must be an order of magnitude larger"
         result = run_module(module, JESS_INPUT, trace_mode="full")
-        counts = result.trace.site_counts()
+        counts = Counter(p.key for p in result.trace.points)
         executed_sites = len(counts)
         # Cold: a large fraction of static sites never executes.
         total_sites = sum(
@@ -82,7 +84,7 @@ class TestJessProfile:
     def test_most_rules_never_fire(self):
         module = jess_module()
         result = run_module(module, JESS_INPUT, trace_mode="full")
-        counts = result.trace.site_counts()
+        counts = Counter(p.key for p in result.trace.points)
         fired_rules = {
             k.function for k in counts
             if k.function.startswith("rule_") and k.site != "<entry>"

@@ -7,13 +7,15 @@ then still hold such blobs; the artifact store must quarantine them as
 ``unsupported format version`` and re-prepare the release.
 """
 
-import io
-
 from repro.core.primes import choose_moduli
 from repro.pipeline import PreparedProgram
 from repro.vm.cfg import build_cfg
-from repro.vm.interpreter import run_module
-from repro.vm.trace_io import dump_trace_binary
+
+#: A frozen version-1 trace blob: binary trace format 2 (``WVMT`` plus
+#: its version byte) holding one ``main:<entry>`` point. The format is
+#: gone from the code; the store refuses a version-1 artifact on its
+#: ``version`` field before it would read this one.
+V1_TRACE_BLOB = b"WVMT\x02\x01\x04main\x01\x07<entry>\x02\x00\x01\x00\x00\x7f"
 
 
 def v1_state(prepared, drop=(), **changes):
@@ -23,16 +25,13 @@ def v1_state(prepared, drop=(), **changes):
     ``changes`` overrides fields.
     """
     module = prepared.module
-    trace = run_module(module, prepared.key.inputs, trace_mode="full").trace
-    blob = io.BytesIO()
-    dump_trace_binary(trace, module, blob)
     state = {
         "module": module,
         "key": prepared.key,
         "watermark_bits": prepared.watermark_bits,
         "moduli": choose_moduli(prepared.watermark_bits),
         "pieces": prepared.pieces,
-        "trace": blob.getvalue(),
+        "trace": V1_TRACE_BLOB,
         "sites": {key: site.count for key, site in prepared.sites.items()},
         "cfgs": {name: build_cfg(fn) for name, fn in module.functions.items()},
         "baseline_output": prepared.baseline_output,
