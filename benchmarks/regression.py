@@ -33,8 +33,10 @@ Usage::
 Exit status is non-zero when any gated metric regresses more than
 ``--tolerance`` (default 0.20) below/above its committed baseline in
 ``benchmarks/baseline.json``, when the fast engine's trace is not
-byte-identical to the reference engine's, when the bits it decodes in
-its run loop differ from the reference decode, when the packed window
+byte-identical to the reference engine's (with a cold and with a warm
+tier-2 block cache), when the bits it decodes in its run loop differ
+from the reference decode, when a warm untraced run's steps or output
+differ from the reference's, when the packed window
 counts differ from the reference scan's, when a batched window
 decryption differs from the scalar cipher's, or when the native
 extraction misses its mark.
@@ -75,6 +77,7 @@ from repro.core.cipher import BlockCipher  # noqa: E402
 from repro.native.machine import run_image  # noqa: E402
 from repro.native_wm import embed_native, extract_native  # noqa: E402
 from repro.obs.vmprofile import profile_run  # noqa: E402
+from repro.vm import tier2  # noqa: E402
 from repro.vm._reference import run_module_reference  # noqa: E402
 from repro.vm.interpreter import run_module  # noqa: E402
 from repro.vm.trace_io import dump_trace  # noqa: E402
@@ -167,14 +170,17 @@ def _engine_pair(
     }
 
 
-def _trace_identity_checks() -> Tuple[bool, bool]:
+def _trace_identity_checks() -> Tuple[bool, bool, bool]:
     """The fast engine must match the reference on jess and CaffeineMark.
 
-    Returns whether every trace dump was byte-identical, and whether
-    the bits the fast engine decodes in its run loop equalled the
-    reference decode of the reference engine's events.
+    Each program and trace mode runs on the fast engine twice: with a
+    cold tier-2 block cache, then warm. Returns whether every trace
+    dump was byte-identical, whether the bits the fast engine decodes
+    in its run loop equalled the reference decode of the reference
+    engine's events, and whether a warm untraced run gave the
+    reference's steps and output.
     """
-    identical = bits_exact = True
+    identical = bits_exact = untraced_exact = True
     for factory, inputs in (
         (jess_module, JESS_INPUT),
         (caffeinemark_module, CAFFEINE_INPUT),
@@ -182,14 +188,23 @@ def _trace_identity_checks() -> Tuple[bool, bool]:
         module = factory()
         for mode in ("branch", "full"):
             ref = run_module_reference(module, inputs, trace_mode=mode)
-            fast = run_module(module, inputs, trace_mode=mode)
-            ref_buf, fast_buf = io.StringIO(), io.StringIO()
+            ref_buf = io.StringIO()
             dump_trace(ref.trace, module, ref_buf)
-            dump_trace(fast.trace, module, fast_buf)
-            identical = identical and ref_buf.getvalue() == fast_buf.getvalue()
             want = bytes(decode_bits(ref.trace.branch_pairs()))
-            bits_exact = bits_exact and fast.trace.bits == want
-    return identical, bits_exact
+            tier2.clear_cache()
+            for _ in ("cold", "warm"):
+                fast = run_module(module, inputs, trace_mode=mode)
+                fast_buf = io.StringIO()
+                dump_trace(fast.trace, module, fast_buf)
+                identical = (identical
+                             and ref_buf.getvalue() == fast_buf.getvalue())
+                bits_exact = bits_exact and fast.trace.bits == want
+        ref = run_module_reference(module, inputs)
+        fast = run_module(module, inputs)  # warm from the runs above
+        untraced_exact = untraced_exact and (
+            (fast.steps, fast.output) == (ref.steps, ref.output)
+        )
+    return identical, bits_exact, untraced_exact
 
 
 def _interleaved_pair(
@@ -433,7 +448,7 @@ def run_benchmarks(repeats: int, figures: bool) -> dict:
         repeats,
         results,
     )
-    trace_identical, bits_exact = _trace_identity_checks()
+    trace_identical, bits_exact, untraced_exact = _trace_identity_checks()
     print("== window counting ==", flush=True)
     windows_exact = _window_multiset_pair(repeats, results)
     print("== window decryption ==", flush=True)
@@ -457,6 +472,7 @@ def run_benchmarks(repeats: int, figures: bool) -> dict:
         "checks": {
             "trace_byte_identical": trace_identical,
             "trace_bits_exact": bits_exact,
+            "untraced_exact": untraced_exact,
             "window_multiset_exact": windows_exact,
             "decrypt_batch_exact": decrypt_exact,
             "native_extract_exact": extract_exact,
@@ -494,6 +510,8 @@ def print_report(report: dict) -> None:
     print(f"trace byte-identical vs reference engine: {ident}")
     bits = report["checks"]["trace_bits_exact"]
     print(f"in-loop trace bits equal the reference decode: {bits}")
+    untraced = report["checks"]["untraced_exact"]
+    print(f"warm untraced runs match the reference: {untraced}")
     windows = report["checks"]["window_multiset_exact"]
     print(f"packed window counts equal the reference scan: {windows}")
     exact = report["checks"]["decrypt_batch_exact"]
@@ -520,6 +538,10 @@ def compare_to_baseline(
     if not report["checks"]["trace_bits_exact"]:
         failures.append(
             "fast engine's trace bits differ from the reference decode"
+        )
+    if not report["checks"]["untraced_exact"]:
+        failures.append(
+            "fast engine's warm untraced run differs from the reference"
         )
     if not report["checks"]["window_multiset_exact"]:
         failures.append("packed window counts differ from the reference scan")

@@ -444,7 +444,9 @@ def differential_check(
     taken-flags) and the trace bits the fast path decodes in its run
     loop (against :func:`~repro.core.bitstring.decode_bits` of the
     reference events) must match exactly, and the program must actually
-    exercise enough branches to be embeddable.
+    exercise enough branches to be embeddable. A second fast run,
+    warm (its hot blocks now cached as tier-2 code), must give the
+    same outputs, steps, events and bits as the first.
     """
     try:
         module = compile_source(program.source)
@@ -454,9 +456,20 @@ def differential_check(
         fast = run_module(module, program.inputs, trace_mode="branch")
         ref = run_module_reference(module, program.inputs,
                                    trace_mode="branch")
+        warm = run_module(module, program.inputs, trace_mode="branch")
     except Exception as exc:
         return OracleResult(ok=False, detail=f"execution trapped: {exc}")
     assert fast.trace is not None and ref.trace is not None
+    assert warm.trace is not None
+    if (warm.output, warm.steps, warm.trace.bits) != (
+        fast.output, fast.steps, fast.trace.bits
+    ) or [e.taken for e in warm.trace.branches] != [
+        e.taken for e in fast.trace.branches
+    ]:
+        return OracleResult(
+            ok=False, steps=fast.steps,
+            detail="warm run diverges from the first fast run",
+        )
     if fast.output != ref.output:
         return OracleResult(
             ok=False, steps=fast.steps,

@@ -12,15 +12,17 @@ all of that work exactly once per function:
   semantics need them (branch-event followers, full-trace site keys);
 * operands are pre-decoded (const values, local slots, branch targets,
   iinc deltas), so the loop never touches :class:`Instruction` objects;
-* for every conditional branch both possible
+* for every conditional branch of a traced run both possible
   :class:`~repro.vm.tracing.BranchEvent` objects are pre-created, so the
   traced loops append a ready-made event instead of constructing one
   per execution, and each edge carries its outcome code for the in-loop
   bit decode (see :class:`CompiledFunction`);
-* for every control transfer the tuple of
-  :class:`~repro.vm.tracing.SiteKey` objects crossed on that edge is
-  pre-computed, so the full-traced loop records sites without looking at
-  labels at run time;
+* for a full-traced run, the tuple of
+  :class:`~repro.vm.tracing.SiteKey` objects crossed on every control
+  transfer is pre-computed, so the full-traced loop records sites
+  without looking at labels at run time. Branch and untraced runs
+  build no site tables: the label map comes from the same pass that
+  numbers the slots;
 * a peephole pass fuses hot straight-line pairs and triples
   (``load;const``, ``const;mul``, ``load;const;if_icmpge``, ``add;store``,
   …) into superinstructions, cutting dispatches per logical step.
@@ -41,7 +43,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from .instructions import Instruction, wrap64
-from .program import Function
+from .program import Function, VMFormatError
 from .tracing import BranchEvent, SiteKey
 
 # ---------------------------------------------------------------------------
@@ -254,6 +256,11 @@ _FOLDABLE = {
 }
 
 
+#: Mnemonics whose operand is a jump target label.
+_JUMPS = frozenset(
+    name for name, op in _STR2INT.items() if 10 <= op <= OP_GOTO
+)
+
 #: A conditional-branch edge: (event, branch, outcome code).
 _Edge = Tuple[BranchEvent, Instruction, Instruction]
 
@@ -268,35 +275,49 @@ class CompiledFunction:
     * ``aa``/``bb``/``cc``/``dd`` — pre-decoded operands (meaning is
       per-opcode: slots, const values, dense branch targets, fusion
       selectors);
-    * ``evt``/``evf`` — for conditional-branch slots, the taken /
-      not-taken edge as ``(event, branch, code)``: the pre-built
-      :class:`BranchEvent`, the branch instruction (the key of the
-      run's first-outcome table) and the edge's outcome code, which is
-      the follower instruction itself. A branch whose target is its
-      fall-through follower thus has one code on both edges and always
-      decodes to 0, exactly as
-      :func:`~repro.core.bitstring.decode_bits` decodes its pairs;
+    * ``evt``/``evf`` — for conditional-branch slots of a traced
+      compile, the taken / not-taken edge as ``(event, branch, code)``:
+      the pre-built :class:`BranchEvent`, the branch instruction (the
+      key of the run's first-outcome table) and the edge's outcome
+      code, which is the follower instruction itself. A branch whose
+      target is its fall-through follower thus has one code on both
+      edges and always decodes to 0, exactly as
+      :func:`~repro.core.bitstring.decode_bits` decodes its pairs. An
+      untraced compile leaves every edge ``None``;
     * ``fs`` — :class:`SiteKey` tuple crossed when falling through
       *out of* this slot (labels between it and the next real
-      instruction);
+      instruction); full-trace compiles only;
     * ``ts`` — SiteKey tuple crossed when *jumping* via this slot;
-    * ``raw_of`` — raw ``fn.code`` index of each slot, for diagnostics.
+      full-trace compiles only;
+    * ``raw_of`` — raw ``fn.code`` index of each slot, for diagnostics
+      and for reading a tier-2 block's instructions;
+    * ``blk`` — per slot, the run loop's tier-2 state (see
+      :mod:`repro.vm.tier2`): ``None`` until the loop first arrives
+      there, then the installed block, or ``False`` for no block.
 
     ``entry_sites`` is the ``<entry>`` key plus any labels preceding the
     first real instruction, recorded on frame entry in full-trace mode.
+
+    ``mode`` is the run's trace mode: ``None`` builds no branch edges,
+    and only ``"full"`` builds the site tables ``fs``, ``ts`` and
+    ``entry_sites`` (``None`` otherwise), which only the full-traced
+    loop reads.
     """
 
     __slots__ = (
         "name", "params", "nlocals", "ops", "aa", "bb", "cc", "dd", "ee",
-        "evt", "evf", "fs", "ts", "raw_of", "entry_sites", "fn",
+        "evt", "evf", "fs", "ts", "raw_of", "entry_sites", "fn", "blk",
+        "pending",
     )
 
-    def __init__(self, fn: Function):
+    def __init__(self, fn: Function, mode: Optional[str] = "full"):
         self.fn = fn
         self.name = fn.name
         self.params = fn.params
         self.nlocals = fn.locals_count
-        _build(self, fn)
+        _build(self, fn, mode)
+        self.blk: List[Any] = [None] * len(self.ops)
+        self.pending: Dict[int, list] = {}
 
     def mnemonic(self, pc: int) -> str:
         """Best-effort mnemonic of the slot at dense ``pc``."""
@@ -306,109 +327,84 @@ class CompiledFunction:
         return "<end>"
 
 
-def _site_runs(
-    fn: Function,
-) -> Tuple[List[int], List[Tuple[SiteKey, ...]]]:
-    """Per raw pc: dense index of the next real instruction at/after it,
-    and the tuple of label SiteKeys crossed getting there."""
+def _label_sites(fn: Function) -> List[Tuple[SiteKey, ...]]:
+    """Per raw pc: the tuple of label SiteKeys crossed from it to the
+    next real instruction."""
     raw = fn.code
     n = len(raw)
-    dense_at = [0] * (n + 1)
     sites_at: List[Tuple[SiteKey, ...]] = [()] * (n + 1)
-    d = 0
-    pending: List[int] = []
-    for p in range(n):
-        dense_at[p] = d
-        if raw[p].is_label:
-            pending.append(p)
+    run: List[SiteKey] = []
+    for p in range(n - 1, -1, -1):
+        instr = raw[p]
+        if instr.op == "label":
+            run.insert(0, SiteKey(fn.name, instr.arg))
+            sites_at[p] = tuple(run)
         else:
-            if pending:
-                for q in pending:
-                    sites_at[q] = tuple(
-                        SiteKey(fn.name, raw[r].arg)
-                        for r in range(q, p)
-                        if raw[r].is_label
-                    )
-                pending.clear()
+            run.clear()
+    return sites_at
+
+
+def _build(out: CompiledFunction, fn: Function, mode: Optional[str]) -> None:
+    raw = fn.code
+    n = len(raw)
+    traced = mode is not None
+
+    # One pass: the dense index of every raw pc, and the label map.
+    dense_at = [0] * (n + 1)
+    labels: Dict[str, int] = {}
+    d = 0
+    for p, instr in enumerate(raw):
+        dense_at[p] = d
+        if instr.op == "label":
+            if instr.arg in labels:
+                raise VMFormatError(
+                    f"{fn.name}: duplicate label {instr.arg!r}"
+                )
+            labels[instr.arg] = p
+        else:
             d += 1
     dense_at[n] = d
-    for q in pending:
-        sites_at[q] = tuple(
-            SiteKey(fn.name, raw[r].arg) for r in range(q, n)
-            if raw[r].is_label
-        )
-    return dense_at, sites_at
-
-
-def _build(out: CompiledFunction, fn: Function) -> None:
-    raw = fn.code
-    n = len(raw)
-    labels = fn.labels()
-    dense_at, sites_at = _site_runs(fn)
 
     ops: List[int] = []
     aa: List[Any] = []
     bb: List[Any] = []
-    cc: List[Any] = []
-    dd: List[Any] = []
-    ee: List[Any] = []
-    evt: List[Optional[_Edge]] = []
-    evf: List[Optional[_Edge]] = []
-    fs: List[Tuple[SiteKey, ...]] = []
-    ts: List[Tuple[SiteKey, ...]] = []
     raw_of: List[int] = []
+    evt: List[Optional[_Edge]] = [None] * d
+    evf: List[Optional[_Edge]] = [None] * d
 
     for p, instr in enumerate(raw):
-        if instr.is_label:
+        name = instr.op
+        if name == "label":
             continue
-        op = _STR2INT[instr.op]
+        op = _STR2INT[name]
         a: Any = instr.arg
-        b: Any = instr.arg2
-        c: Any = None
-        d2: Any = None
-        e_t: Optional[_Edge] = None
-        e_f: Optional[_Edge] = None
-        t_sites: Tuple[SiteKey, ...] = ()
-        if 10 <= op < 22:  # conditional branch
-            target = labels[instr.arg]
+        if 10 <= op < 23:  # conditional branch or goto
+            target = labels[a]
             a = dense_at[target]
-            t_sites = sites_at[target]
-            follower_not = raw[p + 1] if p + 1 < n else instr
-            e_t = (BranchEvent(instr, raw[target], True), instr, raw[target])
-            e_f = (BranchEvent(instr, follower_not, False), instr,
-                   follower_not)
-        elif op == OP_GOTO:
-            target = labels[instr.arg]
-            a = dense_at[target]
-            t_sites = sites_at[target]
+            if traced and op != OP_GOTO:
+                i = len(ops)
+                follower_not = raw[p + 1] if p + 1 < n else instr
+                evt[i] = (BranchEvent(instr, raw[target], True), instr,
+                          raw[target])
+                evf[i] = (BranchEvent(instr, follower_not, False), instr,
+                          follower_not)
         ops.append(op)
         aa.append(a)
-        bb.append(b)
-        cc.append(c)
-        dd.append(d2)
-        ee.append(None)
-        evt.append(e_t)
-        evf.append(e_f)
-        fs.append(sites_at[p + 1] if p + 1 <= n else ())
-        ts.append(t_sites)
+        bb.append(instr.arg2)
         raw_of.append(p)
+    cc: List[Any] = [None] * d
+    dd: List[Any] = [None] * d
+    ee: List[Any] = [None] * d
 
     labeled = {dense_at[idx] for idx in labels.values()}
-    _fuse(ops, aa, bb, cc, dd, evt, evf, fs, ts, labeled)
-    _fuse2(ops, aa, bb, cc, dd, ee, fs, ts, labeled)
+    _fuse(ops, aa, bb, cc, dd, evt, evf, labeled)
+    _fuse2(ops, aa, bb, cc, dd, ee, labeled)
 
     # OP_END sentinel: falling onto it (or branching to a trailing
     # label) traps exactly where the seed engine raised.
-    ops.append(OP_END)
-    aa.append(None)
-    bb.append(None)
-    cc.append(None)
-    dd.append(None)
-    ee.append(None)
-    evt.append(None)
-    evf.append(None)
-    fs.append(())
-    ts.append(())
+    for arr, fill in ((ops, OP_END), (aa, None), (bb, None), (cc, None),
+                      (dd, None), (ee, None), (evt, None), (evf, None)):
+        arr.append(fill)
 
     out.ops = ops
     out.aa = aa
@@ -418,13 +414,41 @@ def _build(out: CompiledFunction, fn: Function) -> None:
     out.ee = ee
     out.evt = evt
     out.evf = evf
+    out.raw_of = raw_of
+    if mode == "full":
+        _site_tables(out, fn, labels)
+    else:
+        out.fs = out.ts = out.entry_sites = None
+
+
+def _site_tables(
+    out: CompiledFunction, fn: Function, labels: Dict[str, int]
+) -> None:
+    """The full-trace site tables, derived from the fused layout.
+
+    A slot covers its ``slot_width`` components, so it falls through
+    past its last component's labels and jumps via its last component
+    (the only one that can jump). Dead component slots keep their own
+    single-instruction width, hence their own tables.
+    """
+    raw = fn.code
+    sites_at = _label_sites(fn)
+    raw_of = out.raw_of
+    fs: List[Tuple[SiteKey, ...]] = []
+    ts: List[Tuple[SiteKey, ...]] = []
+    for i, op in enumerate(out.ops[:-1]):  # the OP_END sentinel last
+        p = raw_of[i if op < OP_FUSED_BASE else i + _width(op) - 1]
+        fs.append(sites_at[p + 1])
+        last = raw[p]
+        ts.append(sites_at[labels[last.arg]] if last.op in _JUMPS else ())
+    fs.append(())
+    ts.append(())
     out.fs = fs
     out.ts = ts
-    out.raw_of = raw_of
     out.entry_sites = (SiteKey(fn.name, "<entry>"),) + sites_at[0]
 
 
-def _fuse(ops, aa, bb, cc, dd, evt, evf, fs, ts, labeled) -> None:
+def _fuse(ops, aa, bb, cc, dd, evt, evf, labeled) -> None:
     """Peephole superinstruction pass over the dense arrays.
 
     Rewrites slot ``i`` in place to cover the following one or two
@@ -456,7 +480,6 @@ def _fuse(ops, aa, bb, cc, dd, evt, evf, fs, ts, labeled) -> None:
                             # binop: fuse just the pushes.
                             ops[i] = OP_CC2
                             bb[i] = aa[i + 1]
-                            fs[i] = fs[i + 1]
                             i += 2
                             continue
                         ops[i] = OP_CCB
@@ -465,7 +488,6 @@ def _fuse(ops, aa, bb, cc, dd, evt, evf, fs, ts, labeled) -> None:
                         ops[i] = _PPB[k1][k2]
                         bb[i] = aa[i + 1]
                         cc[i] = sel
-                    fs[i] = fs[i + 2]
                     i += 3
                     continue
                 if 10 <= op3 < 16:  # if_icmp family
@@ -477,26 +499,21 @@ def _fuse(ops, aa, bb, cc, dd, evt, evf, fs, ts, labeled) -> None:
                         dd[i] = aa[i + 2]
                         evt[i] = evt[i + 2]
                         evf[i] = evf[i + 2]
-                        ts[i] = ts[i + 2]
-                        fs[i] = fs[i + 2]
                         i += 3
                         continue
                 # plain push-push pair
                 ops[i] = _PP2[k1][k2]
                 bb[i] = aa[i + 1]
-                fs[i] = fs[i + 1]
                 i += 2
                 continue
             if op2 in _PUSHERS:
                 ops[i] = _PP2[k1][_PUSH_KIND[op2]]
                 bb[i] = aa[i + 1]
-                fs[i] = fs[i + 1]
                 i += 2
                 continue
             if op2 in _FUSABLE_BINOPS:
                 ops[i] = _PB[op1]
                 bb[i] = _BINOP_SEL[op2]
-                fs[i] = fs[i + 1]
                 i += 2
                 continue
             if 10 <= op2 < 16:
@@ -505,8 +522,6 @@ def _fuse(ops, aa, bb, cc, dd, evt, evf, fs, ts, labeled) -> None:
                 cc[i] = aa[i + 1]
                 evt[i] = evt[i + 1]
                 evf[i] = evf[i + 1]
-                ts[i] = ts[i + 1]
-                fs[i] = fs[i + 1]
                 i += 2
                 continue
             if 16 <= op2 < 22:
@@ -515,20 +530,16 @@ def _fuse(ops, aa, bb, cc, dd, evt, evf, fs, ts, labeled) -> None:
                 cc[i] = aa[i + 1]
                 evt[i] = evt[i + 1]
                 evf[i] = evf[i + 1]
-                ts[i] = ts[i + 1]
-                fs[i] = fs[i + 1]
                 i += 2
                 continue
             if op2 == OP_STORE:
                 ops[i] = _PS_LOCAL[op1]
                 bb[i] = aa[i + 1]
-                fs[i] = fs[i + 1]
                 i += 2
                 continue
             if op2 == OP_GSTORE:
                 ops[i] = _PS_GLOBAL[op1]
                 bb[i] = aa[i + 1]
-                fs[i] = fs[i + 1]
                 i += 2
                 continue
             i += 1
@@ -539,7 +550,6 @@ def _fuse(ops, aa, bb, cc, dd, evt, evf, fs, ts, labeled) -> None:
             ops[i] = OP_BSL if op2 == OP_STORE else OP_BSG
             aa[i] = aa[i + 1]
             bb[i] = sel
-            fs[i] = fs[i + 1]
             i += 2
             continue
 
@@ -547,14 +557,11 @@ def _fuse(ops, aa, bb, cc, dd, evt, evf, fs, ts, labeled) -> None:
             if op2 == OP_LOAD:
                 ops[i] = OP_SLS if aa[i] == aa[i + 1] else OP_SLD
                 bb[i] = aa[i + 1]
-                fs[i] = fs[i + 1]
                 i += 2
                 continue
             if op2 == OP_GOTO:
                 ops[i] = OP_SGO
                 bb[i] = aa[i + 1]
-                ts[i] = ts[i + 1]
-                fs[i] = fs[i + 1]
                 i += 2
                 continue
             i += 1
@@ -563,8 +570,6 @@ def _fuse(ops, aa, bb, cc, dd, evt, evf, fs, ts, labeled) -> None:
         if op1 == OP_IINC and op2 == OP_GOTO:
             ops[i] = OP_IGO
             cc[i] = aa[i + 1]
-            ts[i] = ts[i + 1]
-            fs[i] = fs[i + 1]
             i += 2
             continue
 
@@ -589,7 +594,7 @@ def _width(op: int) -> int:
     }[op]
 
 
-def _fuse2(ops, aa, bb, cc, dd, ee, fs, ts, labeled) -> None:
+def _fuse2(ops, aa, bb, cc, dd, ee, labeled) -> None:
     """Second peephole pass: merge a live slot with its fall-through
     successor into one of the ``OP_CBS``.. ``OP_BSLLCB`` superops.
 
@@ -614,7 +619,6 @@ def _fuse2(ops, aa, bb, cc, dd, ee, fs, ts, labeled) -> None:
         op1 = ops[i]
         op2 = ops[j]
         nxt = j + _width(op2)
-        fused = True
         if op1 == OP_CB and op2 == OP_STORE:
             ops[i] = OP_CBS
             cc[i] = aa[j]
@@ -633,7 +637,6 @@ def _fuse2(ops, aa, bb, cc, dd, ee, fs, ts, labeled) -> None:
             ops[i] = OP_LCBSG
             dd[i] = aa[j]
             ee[i] = bb[j]
-            ts[i] = ts[j]
         elif op2 == OP_LB and op1 in _BINOP_SEL:
             ops[i] = OP_BLB
             cc[i] = _BINOP_SEL[op1]
@@ -649,12 +652,9 @@ def _fuse2(ops, aa, bb, cc, dd, ee, fs, ts, labeled) -> None:
             dd[i] = bb[j]
             ee[i] = cc[j]
         else:
-            fused = False
-        if fused:
-            fs[i] = fs[j]
-            i = nxt
-        else:
             i = j
+            continue
+        i = nxt
 
 
 def slot_width(op: int) -> int:

@@ -26,6 +26,10 @@ Execution design (see ``docs/performance.md`` for measurements):
   generated from one template at import time (:func:`_gen_loop`);
   tracing differs only in the lines tagged for that mode, which keeps
   the semantics of the variants in lockstep by construction.
+* The untraced and branch-traced loops have a second tier
+  (:mod:`repro.vm.tier2`): at each control transfer they run the
+  block they land on as one generated Python function once it is hot
+  or cached, and fall back to the dispatch tree for everything else.
 * Each specialization also has a *profiled* twin that counts every
   dispatched slot into a per-opcode array (the raw material of
   :class:`repro.obs.vmprofile.DispatchProfile`). Profiled loops are
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Sequence
 
+from . import tier2
 from .compiler import NUM_OPCODES, CompiledFunction
 from .instructions import wrap64
 from .program import Module
@@ -83,6 +88,13 @@ _MAX64 = (1 << 63) - 1
 def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
     T = mode in ("branch", "full")
     F = mode == "full"
+    # Tier 2 (hot blocks as generated Python, see repro.vm.tier2) runs
+    # in the plain untraced and branch-traced loops. There every
+    # control transfer leaves the inner tier-1 loop for the outer one,
+    # which runs the blocks it lands on; fall-throughs stay inside.
+    X = mode != "full" and not profiled
+    NEXT = "break" if X else "continue"
+    B = " " * (16 if X else 12)  # indentation of the dispatch tree
     name = {None: "_run_untraced", "branch": "_run_branch", "full": "_run_full"}
     L: list = []
     emit = L.append
@@ -98,9 +110,7 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
     def record(edges: str, ind: str) -> None:
         """Append the edge's event and decode its bit (paper §3.1): 0
         when the branch's first outcome code is this edge's, else 1."""
-        emit(f"{ind}_e, _b, _c = {edges}[pc]")
-        emit(f"{ind}ev_append(_e)")
-        emit(f"{ind}bits_append(_c is not first_code(_b, _c))")
+        record_edge(f"{edges}[pc]", ind)
 
     def branch_tail(tgt: str, adv: int, ind: str) -> None:
         """Shared conditional-branch epilogue: event, sites, transfer."""
@@ -116,14 +126,14 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
         if F:
             snap("fs[pc]", ind + "    ")
         emit(f"{ind}    pc += {adv}")
-        emit(f"{ind}continue")
+        emit(f"{ind}{NEXT}")
 
     def jump_tail(tgt: str, ind: str) -> None:
         """goto-style epilogue: sites on the taken edge, then transfer."""
         if F:
             snap("ts[pc]", ind)
         emit(f"{ind}pc = {tgt}")
-        emit(f"{ind}continue")
+        emit(f"{ind}{NEXT}")
 
     def fall(adv: int, ind: str) -> None:
         """Fall-through epilogue: sites crossed, then advance."""
@@ -261,6 +271,45 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
         emit(f"{ind}else:")
         emit(f"{ind}    taken = a_ > b_")
 
+    def tier2_chain() -> None:
+        """The outer loop's head: run blocks while the loop lands on
+        installed ones, then fall to tier 1 at ``pc``."""
+        emit("        while not halted:")
+        emit("            while True:")
+        emit("                bk = blk[pc]")
+        emit("                if not bk:")
+        emit("                    if bk is not None:")
+        emit("                        break")
+        emit("                    bk = arrive(cf, pc)")
+        emit("                    if not bk:")
+        emit("                        break")
+        emit("                run_block, nsteps, tgt, nxt, et, ef = bk")
+        emit("                steps += nsteps")
+        emit("                if steps > max_steps:")
+        emit("                    steps -= nsteps")  # tier 1 finds the step
+        emit("                    break")
+        emit("                try:")
+        emit("                    taken = run_block(loc, glob, stack, heap,"
+             " out_append)")
+        emit("                except IndexError:")
+        emit("                    op = 45  # blame it like a fused slot")
+        emit("                    raise")
+        if T:
+            emit("                if taken:")
+            emit("                    pc = tgt")
+            emit("                    if et is not None:")
+            record_edge("et", "                        ")
+            emit("                else:")
+            emit("                    pc = nxt")
+            record_edge("ef", "                    ")
+        else:
+            emit("                pc = tgt if taken else nxt")
+
+    def record_edge(edge: str, ind: str) -> None:
+        emit(f"{ind}_e, _b, _c = {edge}")
+        emit(f"{ind}ev_append(_e)")
+        emit(f"{ind}bits_append(_c is not first_code(_b, _c))")
+
     fname = name[mode] + ("_prof" if profiled else "")
     args = "module, compiled, compile_fn, inputs, max_steps"
     if profiled:
@@ -292,6 +341,8 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
     emit("    dd = cf.dd; ee = cf.ee")
     if T:
         emit("    evt = cf.evt; evf = cf.evf")
+    if X:
+        emit("    blk = cf.blk")
     if F:
         emit("    fs = cf.fs; ts = cf.ts")
     emit("    loc = [0] * cf.nlocals")
@@ -307,19 +358,23 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
         emit("    for _k in cf.entry_sites:")
         emit("        pt_append(TracePoint(_k, _ls, _gs))")
     emit("    try:")
-    emit("        while True:")
-    emit("            op = ops[pc]")
+    if X:
+        tier2_chain()
+        emit("            while True:")
+    else:
+        emit("        while True:")
+    emit(f"{B}op = ops[pc]")
     if profiled:
         # One list-index increment per dispatched slot — the entire
         # profiling hook. Fused slots count once here; their component
         # coverage is recovered from slot widths at report time.
-        emit("            prof[op] += 1")
+        emit(f"{B}prof[op] += 1")
     # ---- singles -----------------------------------------------------
-    emit("            if op < 45:")
-    emit("                steps += 1")
-    emit("                if steps > max_steps:")
-    emit("                    raise StepLimitExceeded(max_steps, cf.name)")
-    IND = "                "
+    emit(f"{B}if op < 45:")
+    emit(f"{B}    steps += 1")
+    emit(f"{B}    if steps > max_steps:")
+    emit(f"{B}        raise StepLimitExceeded(max_steps, cf.name)")
+    IND = B + "    "
     emit(f"{IND}if op < 10:")
     emit(f"{IND}    if op == 0:")  # load
     emit(f"{IND}        push(loc[aa[pc]])")
@@ -418,6 +473,8 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
         emit(f"{IND}    evt = cf.evt; evf = cf.evf")
     if F:
         emit(f"{IND}    fs = cf.fs; ts = cf.ts")
+    if X:
+        emit(f"{IND}    blk = cf.blk")
     emit(f"{IND}    loc = _args + [0] * (cf.nlocals - _np)")
     emit(f"{IND}    stack = []")
     emit(f"{IND}    push = stack.append")
@@ -427,7 +484,7 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
         emit(f"{IND}    _ls = tuple(loc); _gs = tuple(glob)")
         emit(f"{IND}    for _k in cf.entry_sites:")
         emit(f"{IND}        pt_append(TracePoint(_k, _ls, _gs))")
-    emit(f"{IND}    continue")
+    emit(f"{IND}    {NEXT}")
     emit(f"{IND}if op == 24:")  # ret
     emit(f"{IND}    _v = pop()")
     emit(f"{IND}    if not frames:")
@@ -442,7 +499,9 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
     if F:
         emit(f"{IND}    fs = cf.fs; ts = cf.ts")
         snap("fs[pc - 1]", IND + "    ")
-    emit(f"{IND}    continue")
+    if X:
+        emit(f"{IND}    blk = cf.blk")
+    emit(f"{IND}    {NEXT}")
     emit(f"{IND}if op == 25:")  # gload
     emit(f"{IND}    push(glob[aa[pc]])")
     fall(1, IND + "    ")
@@ -521,7 +580,7 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
     # OP_END sentinel
     emit(f"{IND}raise VMError(f'{{cf.name}}: fell off the end of the code')")
     # ---- fused slots -------------------------------------------------
-    J = "            "
+    J = B
     emit(f"{J}elif op < 63:")
     emit(f"{J}    if op < 54:")  # push-push pairs, +2 steps
     emit(f"{J}        steps += 2")
@@ -798,6 +857,7 @@ def _materialize_loop(mode: Optional[str], profiled: bool = False) -> Callable:
         "TracePoint": TracePoint,
         "RunResult": RunResult,
         "_seed_diagnostic_replay": _seed_diagnostic_replay,
+        "arrive": tier2.arrive,
     }
     fname = _MODE_NAMES[mode] + ("_prof" if profiled else "")
     source = _gen_loop(mode, profiled)
@@ -835,7 +895,9 @@ class Interpreter:
     ``profile=True`` selects the profiled loop twin, which counts
     every dispatched slot into a per-opcode array surfaced as
     ``RunResult.dispatch_counts`` (cumulative across ``run`` calls on
-    one interpreter). Plain runs never touch the profiled loops.
+    one interpreter). Plain runs never touch the profiled loops, and
+    profiled runs never enter tier 2, so the counts are of tier-1
+    slots and reconstruct ``steps`` exactly.
 
     Functions are compiled to the dense dispatch form lazily, on first
     call, and cached for the lifetime of the interpreter — so cold
@@ -889,7 +951,7 @@ class Interpreter:
         fn = self.module.functions.get(name)
         if fn is None:
             raise VMError(f"call to unknown function {name!r}")
-        code = CompiledFunction(fn)
+        code = CompiledFunction(fn, self.trace_mode)
         self._compiled[name] = code
         return code
 

@@ -9,9 +9,8 @@ labels.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Set
 
 from .instructions import Instruction, LABEL_OPERANDS
 
@@ -51,7 +50,7 @@ class Function:
         """
         out: Dict[str, int] = {}
         for idx, instr in enumerate(self.code):
-            if instr.is_label:
+            if instr.op == "label":
                 if instr.arg in out:
                     raise VMFormatError(
                         f"{self.name}: duplicate label {instr.arg!r}"
@@ -61,23 +60,31 @@ class Function:
 
     def fresh_label(self, hint: str = "wm") -> str:
         """A label name unused in this function."""
-        existing = {i.arg for i in self.code if i.is_label}
-        for n in itertools.count():
-            candidate = f"{hint}_{n}"
-            if candidate not in existing:
-                return candidate
-        raise AssertionError("unreachable")
+        return self.fresh_labels(1, hint)[0]
 
     def fresh_labels(self, count: int, hint: str = "wm") -> List[str]:
-        """``count`` distinct unused label names."""
-        existing = {i.arg for i in self.code if i.is_label}
+        """``count`` distinct unused label names: ``hint_n`` for the
+        smallest ``n`` that no label of the function already takes."""
+        prefix = f"{hint}_"
+        cut = len(prefix)
+        used: Set[int] = set()
+        for instr in self.code:
+            arg = instr.arg
+            if instr.op == "label" and isinstance(arg, str) and (
+                arg.startswith(prefix)
+            ):
+                suffix = arg[cut:]
+                # Only the canonical spelling of n collides with hint_n.
+                if suffix.isascii() and suffix.isdigit() and (
+                    suffix == "0" or suffix[0] != "0"
+                ):
+                    used.add(int(suffix))
         out: List[str] = []
-        counter = itertools.count()
+        n = 0
         while len(out) < count:
-            candidate = f"{hint}_{next(counter)}"
-            if candidate not in existing:
-                existing.add(candidate)
-                out.append(candidate)
+            if n not in used:
+                out.append(f"{prefix}{n}")
+            n += 1
         return out
 
     def alloc_local(self) -> int:
@@ -158,43 +165,58 @@ class Module:
         )
         return m
 
-    def validate_structure(self) -> None:
+    def validate_structure(self) -> Dict[str, Dict[str, int]]:
         """Cheap structural checks (full checking lives in the verifier).
 
         * entry exists and takes no parameters,
         * every label operand refers to an existing label,
         * every call target exists,
         * local/global indices are in range.
+
+        Returns each function's label map (:meth:`Function.labels`),
+        which the verifier reuses instead of scanning again.
         """
         if self.entry not in self.functions:
             raise VMFormatError(f"entry function {self.entry!r} missing")
         if self.functions[self.entry].params != 0:
             raise VMFormatError("entry function must take no parameters")
+        maps: Dict[str, Dict[str, int]] = {}
         for fn in self.functions.values():
-            labels = fn.labels()
+            maps[fn.name] = labels = fn.labels()
+            nlocals = fn.locals_count
             for instr in fn.code:
-                if instr.op in LABEL_OPERANDS and not instr.is_label:
+                op = instr.op
+                if op in _LABEL_REFS:
                     if instr.arg not in labels:
                         raise VMFormatError(
                             f"{fn.name}: branch to unknown label {instr.arg!r}"
                         )
-                elif instr.op == "call":
-                    if instr.arg not in self.functions:
-                        raise VMFormatError(
-                            f"{fn.name}: call to unknown function {instr.arg!r}"
-                        )
-                elif instr.op in ("load", "store"):
-                    if not 0 <= instr.arg < fn.locals_count:
+                elif op in _SLOT_OPS:
+                    if op == "call":
+                        if instr.arg not in self.functions:
+                            raise VMFormatError(
+                                f"{fn.name}: call to unknown function "
+                                f"{instr.arg!r}"
+                            )
+                    elif op == "iinc":
+                        if not 0 <= instr.arg < nlocals:
+                            raise VMFormatError(
+                                f"{fn.name}: iinc slot {instr.arg} out of range"
+                            )
+                    elif op in ("gload", "gstore"):
+                        if not 0 <= instr.arg < self.globals_count:
+                            raise VMFormatError(
+                                f"{fn.name}: global {instr.arg} out of range"
+                            )
+                    elif not 0 <= instr.arg < nlocals:
                         raise VMFormatError(
                             f"{fn.name}: local slot {instr.arg} out of range"
                         )
-                elif instr.op == "iinc":
-                    if not 0 <= instr.arg < fn.locals_count:
-                        raise VMFormatError(
-                            f"{fn.name}: iinc slot {instr.arg} out of range"
-                        )
-                elif instr.op in ("gload", "gstore"):
-                    if not 0 <= instr.arg < self.globals_count:
-                        raise VMFormatError(
-                            f"{fn.name}: global {instr.arg} out of range"
-                        )
+        return maps
+
+
+#: Opcodes whose label operand must name a label of the function.
+_LABEL_REFS = LABEL_OPERANDS - {"label"}
+
+#: The other opcodes :meth:`Module.validate_structure` checks operands of.
+_SLOT_OPS = frozenset({"call", "load", "store", "iinc", "gload", "gstore"})

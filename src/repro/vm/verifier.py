@@ -19,7 +19,7 @@ file would be rejected by the JVM.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .instructions import (
     CONDITIONAL_BRANCHES,
@@ -35,19 +35,26 @@ class VerificationError(Exception):
 def verify_module(module: Module) -> None:
     """Verify every function of ``module``; raise on the first failure."""
     try:
-        module.validate_structure()
+        label_maps = module.validate_structure()
     except VMFormatError as exc:
         raise VerificationError(str(exc)) from exc
     for fn in module.functions.values():
-        verify_function(fn, module)
+        verify_function(fn, module, label_maps[fn.name])
 
 
-def verify_function(fn: Function, module: Module) -> None:
-    """Abstract-interpret stack depths over the function's code."""
+def verify_function(
+    fn: Function, module: Module, labels: Optional[Dict[str, int]] = None
+) -> None:
+    """Abstract-interpret stack depths over the function's code.
+
+    ``labels`` is the function's label map when the caller has it
+    already (:meth:`Module.validate_structure` returns them all).
+    """
     code = fn.code
     if not code:
         raise VerificationError(f"{fn.name}: empty function body")
-    labels = fn.labels()
+    if labels is None:
+        labels = fn.labels()
     depth_at: Dict[int, int] = {}
     work: List[Tuple[int, int]] = [(0, 0)]
 
