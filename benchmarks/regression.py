@@ -374,9 +374,9 @@ def _dispatch_profiles() -> Dict[str, dict]:
     Separate, *untimed-for-gating* runs on the interpreter's profiled
     loop specializations — the counting twin never touches the timed
     loops above, so profiling here cannot perturb the gated ratios.
-    Recorded for trend-watching (superinstruction hit rate, dispatch
-    reduction), never gated: the counts are deterministic but the
-    throughput context is machine-dependent.
+    Recorded for trend-watching (which opcodes run hot), never gated:
+    the counts are deterministic but the throughput context is
+    machine-dependent.
     """
     profiles: Dict[str, dict] = {}
     for name, factory, inputs, mode in (
@@ -500,11 +500,7 @@ def print_report(report: dict) -> None:
     print()
     for name, profile in sorted(report.get("dispatch", {}).items()):
         print(
-            f"dispatch {name}: {profile['total_dispatches']} dispatches / "
-            f"{profile['total_steps']} steps, "
-            f"superinstruction hit rate "
-            f"{profile['superinstruction_hit_rate']:.1%}, "
-            f"dispatch reduction {profile['dispatch_reduction']:.1%}"
+            f"dispatch {name}: {profile['total_steps']} steps"
         )
     ident = report["checks"]["trace_byte_identical"]
     print(f"trace byte-identical vs reference engine: {ident}")

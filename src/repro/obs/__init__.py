@@ -3,8 +3,8 @@
 Zero-dependency spans, metrics and profiling threaded through every
 layer of the system — the instrumentation that turns "the batch took
 41s" into "the prepare trace took 28s, copy 0413's self-check run
-dominated its worker, and 61% of executed instructions went through
-superinstructions". Seven pieces:
+dominated its worker, and a quarter of executed instructions were
+loads". Seven pieces:
 
 * :mod:`~repro.obs.spans` — a span/trace API with ambient context
   propagation (:func:`span`, :func:`current_context`, :func:`attach`)
@@ -26,8 +26,8 @@ superinstructions". Seven pieces:
   conformance auditor (:func:`check_exposition`) used by tests and
   the CI obs gate against a live ``/metrics``;
 * :mod:`~repro.obs.vmprofile` — per-opcode dispatch profiles of the
-  WVM fast-path engine (superinstruction hit rates, trace byte
-  throughput) built from the interpreter's opt-in profiled loops;
+  WVM fast-path engine (hot opcodes, steps per second) built from the
+  interpreter's opt-in profiled loops;
 * :mod:`~repro.obs.recognition` — structured
   :class:`~repro.obs.recognition.RecognitionReport` diagnostics for
   both recognizers (window/voting/CRT funnel, native chain linkage).

@@ -17,7 +17,7 @@ Execution design (see ``docs/performance.md`` for measurements):
 * Functions are lowered once, lazily, into the dense precompiled form
   of :mod:`repro.vm.compiler` — integer opcodes, resolved branch
   targets, pre-decoded operands, pre-built branch events and site
-  keys, and fused superinstructions for hot straight-line patterns.
+  keys, one slot per instruction.
 * The run loop exists in three *specializations* — untraced,
   branch-traced and full-traced — so ``trace_mode=None`` pays zero
   tracing overhead. Both traced loops decode the trace bit-string of
@@ -26,16 +26,19 @@ Execution design (see ``docs/performance.md`` for measurements):
   generated from one template at import time (:func:`_gen_loop`);
   tracing differs only in the lines tagged for that mode, which keeps
   the semantics of the variants in lockstep by construction.
-* The untraced and branch-traced loops have a second tier
-  (:mod:`repro.vm.tier2`): at each control transfer they run the
-  block they land on as one generated Python function once it is hot
-  or cached, and fall back to the dispatch tree for everything else.
+* Each loop has a second tier (:mod:`repro.vm.tier2`): at each
+  control transfer it runs the block it lands on as one generated
+  Python function once it is hot or cached, and falls back to the
+  dispatch tree for everything else. A block holds no label, so the
+  full-traced loop records a block's trace sites, like its branch
+  event, on the edge it leaves by.
 * Each specialization also has a *profiled* twin that counts every
   dispatched slot into a per-opcode array (the raw material of
   :class:`repro.obs.vmprofile.DispatchProfile`). Profiled loops are
   generated lazily on first use and selected only when
   ``profile=True`` — exactly the ``trace_mode`` pattern, so plain
-  runs keep paying zero instrumentation cost.
+  runs keep paying zero instrumentation cost. Profiled runs stay in
+  tier 1, so their counts are one per executed instruction.
 
 Observable behaviour is identical to the seed engine (kept as
 :mod:`repro.vm._reference` for differential testing): same outputs,
@@ -89,12 +92,13 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
     T = mode in ("branch", "full")
     F = mode == "full"
     # Tier 2 (hot blocks as generated Python, see repro.vm.tier2) runs
-    # in the plain untraced and branch-traced loops. There every
-    # control transfer leaves the inner tier-1 loop for the outer one,
-    # which runs the blocks it lands on; fall-throughs stay inside.
-    X = mode != "full" and not profiled
+    # in every loop but the profiled twins, whose counts are of tier-1
+    # slots. Every control transfer leaves the inner tier-1 loop for
+    # the outer one, which runs the blocks it lands on; fall-throughs
+    # stay inside.
+    X = not profiled
     NEXT = "break" if X else "continue"
-    B = " " * (16 if X else 12)  # indentation of the dispatch tree
+    IND = " " * (16 if X else 12)  # indentation of the dispatch tree
     name = {None: "_run_untraced", "branch": "_run_branch", "full": "_run_full"}
     L: list = []
     emit = L.append
@@ -112,149 +116,35 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
         when the branch's first outcome code is this edge's, else 1."""
         record_edge(f"{edges}[pc]", ind)
 
-    def branch_tail(tgt: str, adv: int, ind: str) -> None:
-        """Shared conditional-branch epilogue: event, sites, transfer."""
+    def branch_tail(ind: str) -> None:
+        """Conditional-branch epilogue: event, sites, transfer."""
         emit(f"{ind}if taken:")
         if T:
             record("evt", ind + "    ")
         if F:
             snap("ts[pc]", ind + "    ")
-        emit(f"{ind}    pc = {tgt}")
+        emit(f"{ind}    pc = aa[pc]")
         emit(f"{ind}else:")
         if T:
             record("evf", ind + "    ")
         if F:
             snap("fs[pc]", ind + "    ")
-        emit(f"{ind}    pc += {adv}")
+        emit(f"{ind}    pc += 1")
         emit(f"{ind}{NEXT}")
 
-    def jump_tail(tgt: str, ind: str) -> None:
-        """goto-style epilogue: sites on the taken edge, then transfer."""
+    def jump_tail(ind: str) -> None:
+        """goto epilogue: sites on the taken edge, then transfer."""
         if F:
             snap("ts[pc]", ind)
-        emit(f"{ind}pc = {tgt}")
+        emit(f"{ind}pc = aa[pc]")
         emit(f"{ind}{NEXT}")
 
-    def fall(adv: int, ind: str) -> None:
+    def fall(ind: str) -> None:
         """Fall-through epilogue: sites crossed, then advance."""
         if F:
             snap("fs[pc]", ind)
-        emit(f"{ind}pc += {adv}")
+        emit(f"{ind}pc += 1")
         emit(f"{ind}continue")
-
-    def binop_chain(
-        out_stmt: Callable[[str], str],
-        adv: int,
-        ind: str,
-        tail: Optional[Callable[[str], None]] = None,
-    ) -> None:
-        """Selector-dispatched fused binop: a_ OP b_ -> ``out_stmt``.
-
-        ``out_stmt`` receives the value expression; the aload arm emits
-        its own (unwrapped) result, everything else goes through the
-        64-bit wrap fast path. ``tail`` overrides the fall-through
-        epilogue (used by fused forms that end in a goto).
-        """
-        if tail is None:
-            def tail(ind2: str) -> None:
-                fall(adv, ind2)
-        wrapped = out_stmt(f"v if {_MIN64} <= v <= {_MAX64} else wrap(v)")
-        emit(f"{ind}if sel < 5:")
-        emit(f"{ind}    if sel == 0:")
-        emit(f"{ind}        v = a_ + b_")
-        emit(f"{ind}    elif sel == 1:")
-        emit(f"{ind}        v = a_ * b_")
-        emit(f"{ind}    elif sel == 2:")  # aload
-        emit(f"{ind}        if not 0 <= a_ < len(heap):")
-        emit(f"{ind}            raise VMError(f'bad array reference {{a_}}')")
-        emit(f"{ind}        _arr = heap[a_]")
-        emit(f"{ind}        if not 0 <= b_ < len(_arr):")
-        emit(f"{ind}            raise VMError(")
-        emit(f"{ind}                f'array index {{b_}} out of bounds "
-             f"({{len(_arr)}})')")
-        emit(f"{ind}        {out_stmt('_arr[b_]')}")
-        tail(ind + "        ")
-        emit(f"{ind}    elif sel == 3:")
-        emit(f"{ind}        v = a_ & b_")
-        emit(f"{ind}    else:")  # mod
-        emit(f"{ind}        if b_ == 0:")
-        emit(f"{ind}            raise VMError('modulo by zero')")
-        emit(f"{ind}        _q = abs(a_) // abs(b_)")
-        emit(f"{ind}        if (a_ < 0) != (b_ < 0):")
-        emit(f"{ind}            _q = -_q")
-        emit(f"{ind}        if not {_MIN64} <= _q <= {_MAX64}:")
-        emit(f"{ind}            _q = wrap(_q)")
-        emit(f"{ind}        v = a_ - _q * b_")
-        emit(f"{ind}elif sel == 5:")
-        emit(f"{ind}    v = a_ - b_")
-        emit(f"{ind}elif sel == 6:")
-        emit(f"{ind}    v = a_ | b_")
-        emit(f"{ind}elif sel == 7:")
-        emit(f"{ind}    v = a_ ^ b_")
-        emit(f"{ind}elif sel == 8:")
-        emit(f"{ind}    v = a_ << (b_ & 63)")
-        emit(f"{ind}elif sel == 9:")
-        emit(f"{ind}    v = a_ >> (b_ & 63)")
-        emit(f"{ind}else:")  # div
-        emit(f"{ind}    if b_ == 0:")
-        emit(f"{ind}        raise VMError('division by zero')")
-        emit(f"{ind}    v = abs(a_) // abs(b_)")
-        emit(f"{ind}    if (a_ < 0) != (b_ < 0):")
-        emit(f"{ind}        v = -v")
-        emit(f"{ind}{wrapped}")
-        tail(ind)
-
-    def inner_chain(a_expr: str, b_expr: str, sel_expr: str, ind: str) -> None:
-        """Full binop into ``t_`` — the inner half of a second-order
-        fused slot. Traps raise the same ``VMError`` as the unfused
-        sequence would; the interleaving difference is unobservable
-        because a trap discards the whole run."""
-        emit(f"{ind}_ia = {a_expr}")
-        emit(f"{ind}_ib = {b_expr}")
-        emit(f"{ind}_s2 = {sel_expr}")
-        emit(f"{ind}if _s2 < 5:")
-        emit(f"{ind}    if _s2 == 0:")
-        emit(f"{ind}        t_ = _ia + _ib")
-        emit(f"{ind}    elif _s2 == 1:")
-        emit(f"{ind}        t_ = _ia * _ib")
-        emit(f"{ind}    elif _s2 == 2:")  # aload
-        emit(f"{ind}        if not 0 <= _ia < len(heap):")
-        emit(f"{ind}            raise VMError(f'bad array reference {{_ia}}')")
-        emit(f"{ind}        _arr = heap[_ia]")
-        emit(f"{ind}        if not 0 <= _ib < len(_arr):")
-        emit(f"{ind}            raise VMError(")
-        emit(f"{ind}                f'array index {{_ib}} out of bounds "
-             f"({{len(_arr)}})')")
-        emit(f"{ind}        t_ = _arr[_ib]")
-        emit(f"{ind}    elif _s2 == 3:")
-        emit(f"{ind}        t_ = _ia & _ib")
-        emit(f"{ind}    else:")  # mod
-        emit(f"{ind}        if _ib == 0:")
-        emit(f"{ind}            raise VMError('modulo by zero')")
-        emit(f"{ind}        _q = abs(_ia) // abs(_ib)")
-        emit(f"{ind}        if (_ia < 0) != (_ib < 0):")
-        emit(f"{ind}            _q = -_q")
-        emit(f"{ind}        if not {_MIN64} <= _q <= {_MAX64}:")
-        emit(f"{ind}            _q = wrap(_q)")
-        emit(f"{ind}        t_ = _ia - _q * _ib")
-        emit(f"{ind}elif _s2 == 5:")
-        emit(f"{ind}    t_ = _ia - _ib")
-        emit(f"{ind}elif _s2 == 6:")
-        emit(f"{ind}    t_ = _ia | _ib")
-        emit(f"{ind}elif _s2 == 7:")
-        emit(f"{ind}    t_ = _ia ^ _ib")
-        emit(f"{ind}elif _s2 == 8:")
-        emit(f"{ind}    t_ = _ia << (_ib & 63)")
-        emit(f"{ind}elif _s2 == 9:")
-        emit(f"{ind}    t_ = _ia >> (_ib & 63)")
-        emit(f"{ind}else:")  # div
-        emit(f"{ind}    if _ib == 0:")
-        emit(f"{ind}        raise VMError('division by zero')")
-        emit(f"{ind}    t_ = abs(_ia) // abs(_ib)")
-        emit(f"{ind}    if (_ia < 0) != (_ib < 0):")
-        emit(f"{ind}        t_ = -t_")
-        emit(f"{ind}if not {_MIN64} <= t_ <= {_MAX64}:")
-        emit(f"{ind}    t_ = wrap(t_)")
 
     def cmp_chain(ind: str) -> None:
         """Selector-dispatched comparison into ``taken``."""
@@ -283,7 +173,11 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
         emit("                    bk = arrive(cf, pc)")
         emit("                    if not bk:")
         emit("                        break")
-        emit("                run_block, nsteps, tgt, nxt, et, ef = bk")
+        if F:
+            emit("                run_block, nsteps, tgt, nxt, et, ef, st, sf"
+                 " = bk")
+        else:
+            emit("                run_block, nsteps, tgt, nxt, et, ef = bk")
         emit("                steps += nsteps")
         emit("                if steps > max_steps:")
         emit("                    steps -= nsteps")  # tier 1 finds the step
@@ -291,17 +185,28 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
         emit("                try:")
         emit("                    taken = run_block(loc, glob, stack, heap,"
              " out_append)")
+        # A block cannot name the instruction that underflowed; the
+        # reference engine, replaying the deterministic run, can.
         emit("                except IndexError:")
-        emit("                    op = 45  # blame it like a fused slot")
+        emit("                    _exc = _seed_diagnostic_replay(module,"
+             " inputs, max_steps)")
+        emit("                    if _exc is not None:")
+        emit("                        raise _exc from None")
         emit("                    raise")
         if T:
+            # A block holds no label, so its only site crossing is on
+            # the edge it leaves by (``st``/``sf``, see tier2._install).
             emit("                if taken:")
             emit("                    pc = tgt")
             emit("                    if et is not None:")
             record_edge("et", "                        ")
+            if F:
+                snap("st", "                    ")
             emit("                else:")
             emit("                    pc = nxt")
             record_edge("ef", "                    ")
+            if F:
+                snap("sf", "                    ")
         else:
             emit("                pc = tgt if taken else nxt")
 
@@ -337,8 +242,7 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
     emit("    cf = compiled_get(module.entry)")
     emit("    if cf is None:")
     emit("        cf = compile_fn(module.entry)")
-    emit("    ops = cf.ops; aa = cf.aa; bb = cf.bb; cc = cf.cc")
-    emit("    dd = cf.dd; ee = cf.ee")
+    emit("    ops = cf.ops; aa = cf.aa; bb = cf.bb")
     if T:
         emit("    evt = cf.evt; evf = cf.evf")
     if X:
@@ -363,33 +267,29 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
         emit("            while True:")
     else:
         emit("        while True:")
-    emit(f"{B}op = ops[pc]")
+    emit(f"{IND}op = ops[pc]")
     if profiled:
         # One list-index increment per dispatched slot — the entire
-        # profiling hook. Fused slots count once here; their component
-        # coverage is recovered from slot widths at report time.
-        emit(f"{B}prof[op] += 1")
-    # ---- singles -----------------------------------------------------
-    emit(f"{B}if op < 45:")
-    emit(f"{B}    steps += 1")
-    emit(f"{B}    if steps > max_steps:")
-    emit(f"{B}        raise StepLimitExceeded(max_steps, cf.name)")
-    IND = B + "    "
+        # profiling hook.
+        emit(f"{IND}prof[op] += 1")
+    emit(f"{IND}steps += 1")
+    emit(f"{IND}if steps > max_steps:")
+    emit(f"{IND}    raise StepLimitExceeded(max_steps, cf.name)")
     emit(f"{IND}if op < 10:")
     emit(f"{IND}    if op == 0:")  # load
     emit(f"{IND}        push(loc[aa[pc]])")
-    fall(1, IND + "        ")
+    fall(IND + "        ")
     emit(f"{IND}    if op == 1:")  # const
     emit(f"{IND}        push(aa[pc])")
-    fall(1, IND + "        ")
+    fall(IND + "        ")
     emit(f"{IND}    if op == 2:")  # add
     emit(f"{IND}        b_ = pop()")
     emit(f"{IND}        v = stack[-1] + b_")
     emit(f"{IND}        stack[-1] = v if {_MIN64} <= v <= {_MAX64} else wrap(v)")
-    fall(1, IND + "        ")
+    fall(IND + "        ")
     emit(f"{IND}    if op == 3:")  # store
     emit(f"{IND}        loc[aa[pc]] = pop()")
-    fall(1, IND + "        ")
+    fall(IND + "        ")
     emit(f"{IND}    if op == 4:")  # aload
     emit(f"{IND}        b_ = pop()")
     emit(f"{IND}        a_ = stack[-1]")
@@ -401,22 +301,22 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
     emit(f"{IND}                f'array index {{b_}} out of bounds "
          f"({{len(_arr)}})')")
     emit(f"{IND}        stack[-1] = _arr[b_]")
-    fall(1, IND + "        ")
+    fall(IND + "        ")
     emit(f"{IND}    if op == 5:")  # mul
     emit(f"{IND}        b_ = pop()")
     emit(f"{IND}        v = stack[-1] * b_")
     emit(f"{IND}        stack[-1] = v if {_MIN64} <= v <= {_MAX64} else wrap(v)")
-    fall(1, IND + "        ")
+    fall(IND + "        ")
     emit(f"{IND}    if op == 6:")  # band
     emit(f"{IND}        b_ = pop()")
     emit(f"{IND}        v = stack[-1] & b_")
     emit(f"{IND}        stack[-1] = v if {_MIN64} <= v <= {_MAX64} else wrap(v)")
-    fall(1, IND + "        ")
+    fall(IND + "        ")
     emit(f"{IND}    if op == 7:")  # sub
     emit(f"{IND}        b_ = pop()")
     emit(f"{IND}        v = stack[-1] - b_")
     emit(f"{IND}        stack[-1] = v if {_MIN64} <= v <= {_MAX64} else wrap(v)")
-    fall(1, IND + "        ")
+    fall(IND + "        ")
     emit(f"{IND}    if op == 8:")  # astore
     emit(f"{IND}        v = pop()")
     emit(f"{IND}        b_ = pop()")
@@ -429,12 +329,12 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
     emit(f"{IND}                f'array index {{b_}} out of bounds "
          f"({{len(_arr)}})')")
     emit(f"{IND}        _arr[b_] = v")
-    fall(1, IND + "        ")
+    fall(IND + "        ")
     # iinc
     emit(f"{IND}    _i = aa[pc]")
     emit(f"{IND}    v = loc[_i] + bb[pc]")
     emit(f"{IND}    loc[_i] = v if {_MIN64} <= v <= {_MAX64} else wrap(v)")
-    fall(1, IND + "    ")
+    fall(IND + "    ")
     # conditionals 10..21
     emit(f"{IND}if op < 22:")
     emit(f"{IND}    if op < 16:")
@@ -446,9 +346,9 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
     emit(f"{IND}        b_ = 0")
     emit(f"{IND}        sel = op - 16")
     cmp_chain(IND + "    ")
-    branch_tail("aa[pc]", 1, IND + "    ")
+    branch_tail(IND + "    ")
     emit(f"{IND}if op == 22:")  # goto
-    jump_tail("aa[pc]", IND + "    ")
+    jump_tail(IND + "    ")
     emit(f"{IND}if op == 23:")  # call
     emit(f"{IND}    callee = compiled_get(aa[pc])")
     emit(f"{IND}    if callee is None:")
@@ -467,8 +367,7 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
     emit(f"{IND}        _args = []")
     emit(f"{IND}    frames_append((cf, pc + 1, loc, stack, push, pop))")
     emit(f"{IND}    cf = callee")
-    emit(f"{IND}    ops = cf.ops; aa = cf.aa; bb = cf.bb; cc = cf.cc")
-    emit(f"{IND}    dd = cf.dd; ee = cf.ee")
+    emit(f"{IND}    ops = cf.ops; aa = cf.aa; bb = cf.bb")
     if T:
         emit(f"{IND}    evt = cf.evt; evf = cf.evf")
     if F:
@@ -492,8 +391,7 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
     emit(f"{IND}        break")
     emit(f"{IND}    cf, pc, loc, stack, push, pop = frames_pop()")
     emit(f"{IND}    push(_v)")
-    emit(f"{IND}    ops = cf.ops; aa = cf.aa; bb = cf.bb; cc = cf.cc")
-    emit(f"{IND}    dd = cf.dd; ee = cf.ee")
+    emit(f"{IND}    ops = cf.ops; aa = cf.aa; bb = cf.bb")
     if T:
         emit(f"{IND}    evt = cf.evt; evf = cf.evf")
     if F:
@@ -504,10 +402,10 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
     emit(f"{IND}    {NEXT}")
     emit(f"{IND}if op == 25:")  # gload
     emit(f"{IND}    push(glob[aa[pc]])")
-    fall(1, IND + "    ")
+    fall(IND + "    ")
     emit(f"{IND}if op == 26:")  # gstore
     emit(f"{IND}    glob[aa[pc]] = pop()")
-    fall(1, IND + "    ")
+    fall(IND + "    ")
     emit(f"{IND}if op < 33:")  # div mod bor bxor shl shr (27..32)
     emit(f"{IND}    b_ = pop()")
     emit(f"{IND}    a_ = stack[-1]")
@@ -535,7 +433,7 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
     emit(f"{IND}    else:")
     emit(f"{IND}        v = a_ >> (b_ & 63)")
     emit(f"{IND}    stack[-1] = v if {_MIN64} <= v <= {_MAX64} else wrap(v)")
-    fall(1, IND + "    ")
+    fall(IND + "    ")
     emit(f"{IND}if op < 38:")  # neg bnot dup pop swap (33..37)
     emit(f"{IND}    if op == 33:")
     emit(f"{IND}        v = -stack[-1]")
@@ -549,267 +447,37 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
     emit(f"{IND}        pop()")
     emit(f"{IND}    else:")
     emit(f"{IND}        stack[-1], stack[-2] = stack[-2], stack[-1]")
-    fall(1, IND + "    ")
+    fall(IND + "    ")
     emit(f"{IND}if op == 38:")  # newarray
     emit(f"{IND}    _n = pop()")
     emit(f"{IND}    if _n < 0 or _n > 10_000_000:")
     emit(f"{IND}        raise VMError(f'bad array length {{_n}}')")
     emit(f"{IND}    heap_append([0] * _n)")
     emit(f"{IND}    push(len(heap) - 1)")
-    fall(1, IND + "    ")
+    fall(IND + "    ")
     emit(f"{IND}if op == 39:")  # alen
     emit(f"{IND}    a_ = stack[-1]")
     emit(f"{IND}    if not 0 <= a_ < len(heap):")
     emit(f"{IND}        raise VMError(f'bad array reference {{a_}}')")
     emit(f"{IND}    stack[-1] = len(heap[a_])")
-    fall(1, IND + "    ")
+    fall(IND + "    ")
     emit(f"{IND}if op == 40:")  # print
     emit(f"{IND}    out_append(pop())")
-    fall(1, IND + "    ")
+    fall(IND + "    ")
     emit(f"{IND}if op == 41:")  # input
     emit(f"{IND}    if input_pos >= n_inputs:")
     emit(f"{IND}        raise VMError('input sequence exhausted')")
     emit(f"{IND}    push(inputs[input_pos])")
     emit(f"{IND}    input_pos += 1")
-    fall(1, IND + "    ")
+    fall(IND + "    ")
     emit(f"{IND}if op == 42:")  # nop
-    fall(1, IND + "    ")
+    fall(IND + "    ")
     emit(f"{IND}if op == 43:")  # halt
     emit(f"{IND}    halted = True")
     emit(f"{IND}    break")
     # OP_END sentinel
     emit(f"{IND}raise VMError(f'{{cf.name}}: fell off the end of the code')")
-    # ---- fused slots -------------------------------------------------
-    J = B
-    emit(f"{J}elif op < 63:")
-    emit(f"{J}    if op < 54:")  # push-push pairs, +2 steps
-    emit(f"{J}        steps += 2")
-    emit(f"{J}        if steps > max_steps:")
-    emit(f"{J}            raise StepLimitExceeded(max_steps, cf.name)")
-    K = J + "        "
-    for opn, (s1, s2) in {
-        45: ("loc[aa[pc]]", "loc[bb[pc]]"),
-        46: ("loc[aa[pc]]", "bb[pc]"),
-        47: ("loc[aa[pc]]", "glob[bb[pc]]"),
-        48: ("aa[pc]", "loc[bb[pc]]"),
-        49: ("aa[pc]", "bb[pc]"),
-        50: ("aa[pc]", "glob[bb[pc]]"),
-        51: ("glob[aa[pc]]", "loc[bb[pc]]"),
-        52: ("glob[aa[pc]]", "bb[pc]"),
-    }.items():
-        emit(f"{K}if op == {opn}:")
-        emit(f"{K}    push({s1})")
-        emit(f"{K}    push({s2})")
-        fall(2, K + "    ")
-    emit(f"{K}push(glob[aa[pc]])")  # 53 GG2
-    emit(f"{K}push(glob[bb[pc]])")
-    fall(2, K)
-    emit(f"{J}    else:")  # push-push-binop triples, +3 steps
-    emit(f"{J}        steps += 3")
-    emit(f"{J}        if steps > max_steps:")
-    emit(f"{J}            raise StepLimitExceeded(max_steps, cf.name)")
-    emit(f"{K}if op == 62:")  # CCB constant-folded
-    emit(f"{K}    push(aa[pc])")
-    fall(3, K + "    ")
-    for opn, (s1, s2) in {
-        54: ("loc[aa[pc]]", "loc[bb[pc]]"),
-        55: ("loc[aa[pc]]", "bb[pc]"),
-        56: ("loc[aa[pc]]", "glob[bb[pc]]"),
-        57: ("aa[pc]", "loc[bb[pc]]"),
-        58: ("aa[pc]", "glob[bb[pc]]"),
-        59: ("glob[aa[pc]]", "loc[bb[pc]]"),
-        60: ("glob[aa[pc]]", "bb[pc]"),
-    }.items():
-        emit(f"{K}{'if' if opn == 54 else 'elif'} op == {opn}:")
-        emit(f"{K}    a_ = {s1}; b_ = {s2}")
-    emit(f"{K}else:")  # 61 GGB
-    emit(f"{K}    a_ = glob[aa[pc]]; b_ = glob[bb[pc]]")
-    emit(f"{K}sel = cc[pc]")
-    binop_chain(lambda v: f"push({v})", 3, K)
-    emit(f"{J}elif op < 71:")  # push-push-compare triples, +3 steps
-    emit(f"{J}    steps += 3")
-    emit(f"{J}    if steps > max_steps:")
-    emit(f"{J}        raise StepLimitExceeded(max_steps, cf.name)")
-    K = J + "    "
-    for opn, (s1, s2) in {
-        63: ("loc[aa[pc]]", "loc[bb[pc]]"),
-        64: ("loc[aa[pc]]", "bb[pc]"),
-        65: ("loc[aa[pc]]", "glob[bb[pc]]"),
-        66: ("aa[pc]", "loc[bb[pc]]"),
-        67: ("aa[pc]", "glob[bb[pc]]"),
-        68: ("glob[aa[pc]]", "loc[bb[pc]]"),
-        69: ("glob[aa[pc]]", "bb[pc]"),
-    }.items():
-        emit(f"{K}{'if' if opn == 63 else 'elif'} op == {opn}:")
-        emit(f"{K}    a_ = {s1}; b_ = {s2}")
-    emit(f"{K}else:")  # 70 GGI
-    emit(f"{K}    a_ = glob[aa[pc]]; b_ = glob[bb[pc]]")
-    emit(f"{K}sel = cc[pc]")
-    cmp_chain(K)
-    branch_tail("dd[pc]", 3, K)
-    emit(f"{J}elif op < 80:")  # push-binop / push-compare pairs, +2
-    emit(f"{J}    steps += 2")
-    emit(f"{J}    if steps > max_steps:")
-    emit(f"{J}        raise StepLimitExceeded(max_steps, cf.name)")
-    K = J + "    "
-    emit(f"{K}if op < 74:")  # LB CB GB: in-place binop with stack top
-    emit(f"{K}    if op == 71:")
-    emit(f"{K}        b_ = loc[aa[pc]]")
-    emit(f"{K}    elif op == 72:")
-    emit(f"{K}        b_ = aa[pc]")
-    emit(f"{K}    else:")
-    emit(f"{K}        b_ = glob[aa[pc]]")
-    emit(f"{K}    a_ = stack[-1]")
-    emit(f"{K}    sel = bb[pc]")
-    binop_chain(lambda v: f"stack[-1] = {v}", 2, K + "    ")
-    emit(f"{K}if op < 77:")  # LIC CIC GIC: b from src, a popped
-    emit(f"{K}    if op == 74:")
-    emit(f"{K}        b_ = loc[aa[pc]]")
-    emit(f"{K}    elif op == 75:")
-    emit(f"{K}        b_ = aa[pc]")
-    emit(f"{K}    else:")
-    emit(f"{K}        b_ = glob[aa[pc]]")
-    emit(f"{K}    a_ = pop()")
-    emit(f"{K}else:")  # LIZ CIZ GIZ: a from src, compare against zero
-    emit(f"{K}    if op == 77:")
-    emit(f"{K}        a_ = loc[aa[pc]]")
-    emit(f"{K}    elif op == 78:")
-    emit(f"{K}        a_ = aa[pc]")
-    emit(f"{K}    else:")
-    emit(f"{K}        a_ = glob[aa[pc]]")
-    emit(f"{K}    b_ = 0")
-    emit(f"{K}sel = bb[pc]")
-    cmp_chain(K)
-    branch_tail("cc[pc]", 2, K)
-    emit(f"{J}elif op < 95:")  # binop-store / push-store / store-load, +2
-    emit(f"{J}    steps += 2")
-    emit(f"{J}    if steps > max_steps:")
-    emit(f"{J}        raise StepLimitExceeded(max_steps, cf.name)")
-    K = J + "    "
-    emit(f"{K}if op == 80:")  # BSL
-    emit(f"{K}    b_ = pop()")
-    emit(f"{K}    a_ = pop()")
-    emit(f"{K}    sel = bb[pc]")
-    binop_chain(lambda v: f"loc[aa[pc]] = {v}", 2, K + "    ")
-    emit(f"{K}if op == 81:")  # BSG
-    emit(f"{K}    b_ = pop()")
-    emit(f"{K}    a_ = pop()")
-    emit(f"{K}    sel = bb[pc]")
-    binop_chain(lambda v: f"glob[aa[pc]] = {v}", 2, K + "    ")
-    for opn, src in ((82, "loc[aa[pc]]"), (83, "aa[pc]"), (84, "glob[aa[pc]]")):
-        emit(f"{K}if op == {opn}:")
-        emit(f"{K}    loc[bb[pc]] = {src}")
-        fall(2, K + "    ")
-    for opn, src in ((85, "loc[aa[pc]]"), (86, "aa[pc]"), (87, "glob[aa[pc]]")):
-        emit(f"{K}if op == {opn}:")
-        emit(f"{K}    glob[bb[pc]] = {src}")
-        fall(2, K + "    ")
-    emit(f"{K}if op == 88:")  # store s; load s
-    emit(f"{K}    loc[aa[pc]] = stack[-1]")
-    fall(2, K + "    ")
-    emit(f"{K}if op == 89:")  # store s1; load s2
-    emit(f"{K}    loc[aa[pc]] = pop()")
-    emit(f"{K}    push(loc[bb[pc]])")
-    fall(2, K + "    ")
-    emit(f"{K}if op == 90:")  # store s; goto t
-    emit(f"{K}    loc[aa[pc]] = pop()")
-    jump_tail("bb[pc]", K + "    ")
-    emit(f"{K}_i = aa[pc]")  # 91: iinc s d; goto t
-    emit(f"{K}v = loc[_i] + bb[pc]")
-    emit(f"{K}loc[_i] = v if {_MIN64} <= v <= {_MAX64} else wrap(v)")
-    jump_tail("cc[pc]", K)
-    # ---- second-order superinstructions ------------------------------
-    emit(f"{J}else:")
-    K = J + "    "
-    emit(f"{K}if op == 99:")  # LCBSG: load;const;BINOP;store;goto
-    emit(f"{K}    steps += 5")
-    emit(f"{K}    if steps > max_steps:")
-    emit(f"{K}        raise StepLimitExceeded(max_steps, cf.name)")
-    emit(f"{K}    a_ = loc[aa[pc]]")
-    emit(f"{K}    b_ = bb[pc]")
-    emit(f"{K}    sel = cc[pc]")
-    binop_chain(
-        lambda v: f"loc[dd[pc]] = {v}", 5, K + "    ",
-        tail=lambda ind2: jump_tail("ee[pc]", ind2),
-    )
-    emit(f"{K}if op == 98:")  # GLB2: gload;load;OP1;OP2
-    emit(f"{K}    steps += 4")
-    emit(f"{K}    if steps > max_steps:")
-    emit(f"{K}        raise StepLimitExceeded(max_steps, cf.name)")
-    inner_chain("glob[aa[pc]]", "loc[bb[pc]]", "cc[pc]", K + "    ")
-    emit(f"{K}    a_ = stack[-1]")
-    emit(f"{K}    b_ = t_")
-    emit(f"{K}    sel = dd[pc]")
-    binop_chain(lambda v: f"stack[-1] = {v}", 4, K + "    ")
-    emit(f"{K}if op == 101:")  # LBCB: load;OP1;const;OP2
-    emit(f"{K}    steps += 4")
-    emit(f"{K}    if steps > max_steps:")
-    emit(f"{K}        raise StepLimitExceeded(max_steps, cf.name)")
-    inner_chain("stack[-1]", "loc[aa[pc]]", "bb[pc]", K + "    ")
-    emit(f"{K}    a_ = t_")
-    emit(f"{K}    b_ = cc[pc]")
-    emit(f"{K}    sel = dd[pc]")
-    binop_chain(lambda v: f"stack[-1] = {v}", 4, K + "    ")
-    emit(f"{K}if op == 102:")  # BSLLCB: OP1;store;load;const;OP2
-    emit(f"{K}    steps += 5")
-    emit(f"{K}    if steps > max_steps:")
-    emit(f"{K}        raise StepLimitExceeded(max_steps, cf.name)")
-    emit(f"{K}    _b1 = pop()")
-    emit(f"{K}    _a1 = pop()")
-    inner_chain("_a1", "_b1", "bb[pc]", K + "    ")
-    emit(f"{K}    loc[aa[pc]] = t_")
-    emit(f"{K}    a_ = loc[cc[pc]]")
-    emit(f"{K}    b_ = dd[pc]")
-    emit(f"{K}    sel = ee[pc]")
-    binop_chain(lambda v: f"push({v})", 5, K + "    ")
-    emit(f"{K}if op == 97:")  # LGC: load;gload;const;BINOP
-    emit(f"{K}    steps += 4")
-    emit(f"{K}    if steps > max_steps:")
-    emit(f"{K}        raise StepLimitExceeded(max_steps, cf.name)")
-    emit(f"{K}    push(loc[aa[pc]])")
-    emit(f"{K}    a_ = glob[bb[pc]]")
-    emit(f"{K}    b_ = cc[pc]")
-    emit(f"{K}    sel = dd[pc]")
-    binop_chain(lambda v: f"push({v})", 4, K + "    ")
-    emit(f"{K}if op == 95:")  # CBS: const;BINOP;store
-    emit(f"{K}    steps += 3")
-    emit(f"{K}    if steps > max_steps:")
-    emit(f"{K}        raise StepLimitExceeded(max_steps, cf.name)")
-    emit(f"{K}    a_ = pop()")
-    emit(f"{K}    b_ = aa[pc]")
-    emit(f"{K}    sel = bb[pc]")
-    binop_chain(lambda v: f"loc[cc[pc]] = {v}", 3, K + "    ")
-    emit(f"{K}if op == 96:")  # CBB: const;OP1;OP2;store
-    emit(f"{K}    steps += 4")
-    emit(f"{K}    if steps > max_steps:")
-    emit(f"{K}        raise StepLimitExceeded(max_steps, cf.name)")
-    emit(f"{K}    _a1 = pop()")
-    inner_chain("_a1", "aa[pc]", "bb[pc]", K + "    ")
-    emit(f"{K}    a_ = pop()")
-    emit(f"{K}    b_ = t_")
-    emit(f"{K}    sel = dd[pc]")
-    binop_chain(lambda v: f"loc[cc[pc]] = {v}", 4, K + "    ")
-    # 100: BLB: OP1;load;OP2
-    emit(f"{K}steps += 3")
-    emit(f"{K}if steps > max_steps:")
-    emit(f"{K}    raise StepLimitExceeded(max_steps, cf.name)")
-    emit(f"{K}_b1 = pop()")
-    inner_chain("stack[-1]", "_b1", "cc[pc]", K)
-    emit(f"{K}a_ = t_")
-    emit(f"{K}b_ = loc[aa[pc]]")
-    emit(f"{K}sel = bb[pc]")
-    binop_chain(lambda v: f"stack[-1] = {v}", 3, K)
-    # ---- epilogue ----------------------------------------------------
-    # Underflow inside a *fused* slot cannot name the exact component
-    # the seed engine would blame (the pop interleaving is collapsed),
-    # so the cold error path replays the deterministic program on the
-    # reference engine to recover the seed-identical diagnostic.
     emit("    except IndexError:")
-    emit("        if op >= 45:")
-    emit("            _exc = _seed_diagnostic_replay(module, inputs,"
-         " max_steps)")
-    emit("            if _exc is not None:")
-    emit("                raise _exc from None")
     emit("        raise VMError(")
     emit("            f'{cf.name}@{cf.raw_of[pc] if pc < len(cf.raw_of)"
          " else pc}: '")
@@ -826,11 +494,11 @@ def _seed_diagnostic_replay(module, inputs, max_steps):
     """Re-run a trapped program on the reference engine (cold path).
 
     WVM programs are deterministic, so the replay reaches the same
-    trap; the reference engine attributes it to the exact component
-    instruction, which a fused slot cannot do from inside the fast
-    loop. Returns the replayed :class:`VMError`, or ``None`` if the
-    replay unexpectedly diverges (the caller then falls back to its
-    own slot-level message).
+    trap; the reference engine attributes it to the exact instruction,
+    which a tier-2 block cannot do. Returns the replayed
+    :class:`VMError`, or ``None`` if the replay unexpectedly diverges
+    (the caller then falls back to a message naming the block's first
+    instruction).
     """
     from ._reference import run_module_reference
 
@@ -897,7 +565,7 @@ class Interpreter:
     ``RunResult.dispatch_counts`` (cumulative across ``run`` calls on
     one interpreter). Plain runs never touch the profiled loops, and
     profiled runs never enter tier 2, so the counts are of tier-1
-    slots and reconstruct ``steps`` exactly.
+    slots and sum to ``steps``.
 
     Functions are compiled to the dense dispatch form lazily, on first
     call, and cached for the lifetime of the interpreter — so cold

@@ -1,18 +1,17 @@
 """Tier 2 of the WVM run loop: hot basic blocks as generated Python.
 
-The untraced and branch-traced loops (tier 1) dispatch one dense slot
-at a time. At every control transfer they look up the slot they land
-on in ``CompiledFunction.blk``; when it starts a *block* that has
-turned hot, the loop calls one generated Python function for the
-whole block instead.
+The untraced, branch-traced and full-traced loops (tier 1) dispatch
+one dense slot at a time. At every control transfer they look up the
+slot they land on in ``CompiledFunction.blk``; when it starts a
+*block* that has turned hot, the loop calls one generated Python
+function for the whole block instead.
 
 * **Block.** A straight-line run of real instructions with no label
   inside it. It ends at a conditional branch or a ``goto`` (included),
   or just before a label, ``call``, ``ret``, ``halt`` or ``input``
   (those stay with tier 1: they touch frames, the input cursor or the
-  run's end). No fused slot continues past any of these, so a block
-  start is always a live tier-1 slot and the tier-1 arrays need no
-  change.
+  run's end). One tier-1 slot is one instruction, so a block start is
+  always a tier-1 slot and the tier-1 arrays need no change.
 * **Generated function.** ``f(loc, glob, stack, heap, out)``. Operand
   stack traffic inside the block becomes Python temporaries; the
   function pops from the real stack only what the block did not push,
@@ -20,7 +19,9 @@ whole block instead.
   branch returns whether the branch is taken; every other block
   returns ``True``. The loop adds the block's step count once and
   records the terminating branch's event and bit from the slot's
-  existing ``evt``/``evf`` edges, as tier 1 does.
+  existing ``evt``/``evf`` edges, as tier 1 does. A full-traced run
+  also snapshots the sites of the edge the block leaves by (its only
+  site crossing), from the slot's ``ts``/``fs`` tables.
 * **Cache.** One per process, shared by threads, keyed by the block's
   content with its position removed: each instruction's opcode and
   operands, without the terminator's label name. Branch targets stay
@@ -35,9 +36,10 @@ whole block instead.
   ``max_steps`` as its tier-1 slots, so ``StepLimitExceeded`` lands on
   the same step and in the same function. A trap inside a block raises
   the message tier 1 raises, evaluated in the same instruction order,
-  and a stack underflow takes tier 1's reference-replay path.
+  and a stack underflow, which a block cannot attribute to one
+  instruction, replays the run on the reference engine.
 
-Full-traced and profiled runs never enter tier 2.
+Profiled runs never enter tier 2.
 """
 
 from __future__ import annotations
@@ -133,7 +135,17 @@ def _scan(cf, start: int) -> Optional[Tuple[Key, int]]:
 
 
 def _install(cf, pc: int, end: int, f: Callable) -> tuple:
-    """Bind a generated block to its position in ``cf``."""
+    """Bind a generated block to its position in ``cf``.
+
+    The entry is ``(f, steps, taken target, not-taken target, taken
+    edge, not-taken edge)``; a full-trace compile appends the site
+    tuples crossed on the taken and the not-taken edge. A block holds
+    no label, so the exit of its last slot is its only site crossing.
+    Both edges of a branch to the label after it land on one slot, but
+    a jump to the second of two adjacent labels crosses fewer sites
+    than the fall-through, so the taken tuple is never inferred from
+    the landing slot.
+    """
     last = end - 1
     op = cf.fn.code[cf.raw_of[last]].op
     if op in CONDITIONAL_BRANCHES:
@@ -142,6 +154,9 @@ def _install(cf, pc: int, end: int, f: Callable) -> tuple:
         entry = (f, end - pc, cf.aa[last], end, None, None)
     else:
         entry = (f, end - pc, end, end, None, None)
+    if cf.fs is not None:
+        jumps = op in CONDITIONAL_BRANCHES or op == "goto"
+        entry += (cf.ts[last] if jumps else cf.fs[last], cf.fs[last])
     cf.blk[pc] = entry
     return entry
 

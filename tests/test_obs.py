@@ -15,7 +15,7 @@ from repro.obs.spans import Span, Tracer, attach, render_span_tree
 from repro.obs.vmprofile import DispatchProfile, profile_run
 from repro.pipeline import prepare
 from repro.pipeline.metrics import StageTimings, stage_span
-from repro.vm.compiler import NUM_OPCODES, OP_FUSED_BASE, opcode_name, slot_width
+from repro.vm.compiler import NUM_OPCODES, OP_CONST, OP_IINC, opcode_name
 from repro.vm.interpreter import run_module
 from repro.workloads import gcd_module
 
@@ -298,37 +298,22 @@ class TestDispatchProfile:
         assert counts is not None and len(counts) == NUM_OPCODES
 
     def test_counts_reconstruct_exact_steps(self):
-        """sum(count * slot_width) over every slot == executed steps."""
+        """One dispatch per executed instruction, in every mode."""
         module = gcd_module()
         for mode in (None, "branch", "full"):
             result = run_module(module, [48, 18], trace_mode=mode,
                                 profile=True)
-            total = sum(
-                n * slot_width(op)
-                for op, n in enumerate(result.dispatch_counts)
-            )
-            assert total == result.steps
+            assert sum(result.dispatch_counts) == result.steps
 
     def test_from_counts_and_ratios(self):
         raw = [0] * NUM_OPCODES
-        raw[1] = 10                    # an unfused opcode
-        raw[OP_FUSED_BASE] = 5         # a fused slot
-        width = slot_width(OP_FUSED_BASE)
-        profile = DispatchProfile.from_counts(raw)
-        assert profile.total_dispatches == 15
-        assert profile.total_steps == 10 + 5 * width
-        assert profile.fused_dispatches == 5
-        assert profile.superinstruction_hit_rate == pytest.approx(
-            5 * width / (10 + 5 * width)
-        )
-        assert profile.dispatch_reduction == pytest.approx(
-            1 - 15 / (10 + 5 * width)
-        )
-        assert opcode_name(OP_FUSED_BASE) in dict(profile.top(5))
-
-    def test_gap_opcodes_have_width_one(self):
-        for op in (92, 93, 94):
-            assert slot_width(op) == 1
+        raw[OP_CONST] = 10
+        raw[OP_IINC] = 5
+        profile = DispatchProfile.from_counts(raw, wall_seconds=0.5)
+        assert profile.total_steps == 15
+        assert profile.counts == {"const": 10, "iinc": 5}
+        assert profile.top(1) == [(opcode_name(OP_CONST), 10)]
+        assert profile.steps_per_second == pytest.approx(30.0)
 
     def test_merge_and_round_trip(self):
         module = gcd_module()

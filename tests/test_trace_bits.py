@@ -1,10 +1,9 @@
 """The fast engine decodes the trace bit-string inside its run loop.
 
 ``Trace.bits`` must be exactly what :func:`decode_bits` makes of the
-reference engine's branch events — for every shape a branch slot can
-take in the compiled form (each fused compare-branch family, unfused
-branches, a branch whose target is its own fall-through), across call
-frames, in branch and full mode, on the plain and the profiled loops,
+reference engine's branch events — for every shape a branch can take
+(each compare-branch shape at the end of a tier-2 block, a branch
+whose target is its own fall-through), across call frames, in branch and full mode, on the plain and the profiled loops,
 and on generated programs. Recognition reads those bits, so a trace
 from either engine must recognize the same way, and the window
 multiset must not depend on how the bits are held.
@@ -19,10 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bytecode_wm import WatermarkKey, embed, recognize
 from repro.core.bitstring import decode_bits, sliding_windows, window_multiset
-from repro.vm import assemble, run_module
-from repro.vm import compiler as C
+from repro.vm import Interpreter, assemble, run_module
 from repro.vm._reference import run_module_reference
-from repro.vm.compiler import CompiledFunction
 from repro.vm.trace_io import dump_trace, load_trace
 from repro.workloads import (
     CAFFEINEMARK_INPUT,
@@ -93,35 +90,48 @@ skip:
 """)
 
 
-# Each compare-branch shape of the compiled form, with the opcode the
-# compiler must lower it to.
+# Each compare-branch shape: where its operands come from (L local,
+# C const, G global; I/IC an if_icmp, Z/IZ a zero compare).
 FAMILIES = {
-    "LLI": ("load 0\n load 1\n if_icmplt skip", C.OP_LLI),
-    "LCI": ("load 0\n const 4\n if_icmpge skip", C.OP_LCI),
-    "LGI": ("load 0\n gload 0\n if_icmpeq skip", C.OP_LGI),
-    "CLI": ("const 4\n load 0\n if_icmple skip", C.OP_CLI),
-    "CGI": ("const 1\n gload 0\n if_icmpgt skip", C.OP_CGI),
-    "GLI": ("gload 1\n load 0\n if_icmpne skip", C.OP_GLI),
-    "GCI": ("gload 0\n const 1\n if_icmplt skip", C.OP_GCI),
-    "GGI": ("gload 0\n gload 1\n if_icmpge skip", C.OP_GGI),
-    "LIC": ("load 0\n const 2\n mod\n load 1\n if_icmpgt skip", C.OP_LIC),
-    "CIC": ("load 0\n const 2\n mod\n const 1\n if_icmpeq skip", C.OP_CIC),
-    "GIC": ("load 0\n const 2\n mod\n gload 0\n if_icmpne skip", C.OP_GIC),
-    "LIZ": ("load 0\n ifle skip", C.OP_LIZ),
-    "CIZ": ("const 0\n ifeq skip", C.OP_CIZ),
-    "GIZ": ("gload 0\n ifne skip", C.OP_GIZ),
-    "icmp": ("load 0\n dup\n if_icmpeq skip", C.OP_ICMPEQ),
-    "zero": ("load 0\n const 2\n mod\n ifeq skip", C.OP_IFEQ),
+    "LLI": "load 0\n load 1\n if_icmplt skip",
+    "LCI": "load 0\n const 4\n if_icmpge skip",
+    "LGI": "load 0\n gload 0\n if_icmpeq skip",
+    "CLI": "const 4\n load 0\n if_icmple skip",
+    "CGI": "const 1\n gload 0\n if_icmpgt skip",
+    "GLI": "gload 1\n load 0\n if_icmpne skip",
+    "GCI": "gload 0\n const 1\n if_icmplt skip",
+    "GGI": "gload 0\n gload 1\n if_icmpge skip",
+    "LIC": "load 0\n const 2\n mod\n load 1\n if_icmpgt skip",
+    "CIC": "load 0\n const 2\n mod\n const 1\n if_icmpeq skip",
+    "GIC": "load 0\n const 2\n mod\n gload 0\n if_icmpne skip",
+    "LIZ": "load 0\n ifle skip",
+    "CIZ": "const 0\n ifeq skip",
+    "GIZ": "gload 0\n ifne skip",
+    "icmp": "load 0\n dup\n if_icmpeq skip",
+    "zero": "load 0\n const 2\n mod\n ifeq skip",
 }
+
+
+def branch_ends_a_block(module, mode):
+    """Whether a run installs a tier-2 block that ends at the branch
+    to ``skip``."""
+    interp = Interpreter(module, trace_mode=mode)
+    interp.run()
+    cf = interp._compiled["main"]
+    return any(
+        cf.fn.code[cf.raw_of[bk[3] - 1]].arg == "skip"
+        for bk in cf.blk if bk
+    )
 
 
 class TestBranchShapes:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_each_compare_branch_family(self, family):
-        body, opcode = FAMILIES[family]
-        module = loop_program(body)
-        assert opcode in CompiledFunction(module.functions["main"]).ops
+        # The loop passes the branch 9 times, past tier 2's promotion
+        # threshold, so the branch runs in a generated block.
+        module = loop_program(FAMILIES[family])
         for mode in ("branch", "full"):
+            assert branch_ends_a_block(module, mode)
             assert_bits_exact(module, mode=mode)
 
     @pytest.mark.parametrize("body", [

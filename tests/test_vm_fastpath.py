@@ -5,8 +5,8 @@ indistinguishable from the seed tree-walking engine kept in
 `repro.vm._reference`: same outputs, same step counts, same traps
 with the same messages, and — crucially for the watermark decoder —
 the *same instruction objects* in every branch event. These tests pin
-that equivalence, including around the superinstruction fusion that
-makes the fast path fast.
+that equivalence, including at the edges of the tier-2 blocks that
+make the fast path fast.
 """
 
 import io
@@ -21,6 +21,7 @@ from repro.vm import (
     dump_trace,
     run_module,
 )
+from repro.vm import tier2
 from repro.vm._reference import run_module_reference
 from repro.workloads import (
     CAFFEINEMARK_INPUT,
@@ -101,12 +102,28 @@ class TestDifferentialEquivalence:
             assert str(fast_exc.value) == str(ref_exc.value)
 
 
+def _assert_cold_and_warm(module, inputs=()):
+    """Each mode with every block generated on its first arrival, then
+    again with every block already cached."""
+    for mode in (None, "branch", "full"):
+        tier2.clear_cache()
+        _assert_equivalent(module, inputs, mode)
+        _assert_equivalent(module, inputs, mode)
+
+
 class TestFusionEdgeCases:
-    """Superinstruction fusion must never swallow a label (trace site)."""
+    """Block boundaries: a tier-2 block must never swallow a label
+    (trace site), and traps and frames stay exact around blocks. The
+    class keeps the name of the superinstruction fuser these programs
+    were first written against."""
+
+    @pytest.fixture(autouse=True)
+    def _promote_at_once(self, monkeypatch):
+        monkeypatch.setattr(tier2, "_THRESHOLD", 1)
 
     def test_branch_into_middle_of_fusable_pair(self):
-        # `const 1 / store 0` would fuse, but `mid:` is a branch target
-        # between them — the engine must keep the store reachable.
+        # `mid:` is a branch target between `const 1` and `store 0`, so
+        # a block ends before it and the jump lands on the store.
         src = """
 .globals 0
 .entry main
@@ -132,8 +149,7 @@ done:
 .end
 """
         module = assemble(src)
-        for mode in (None, "branch", "full"):
-            _assert_equivalent(module, (), mode)
+        _assert_cold_and_warm(module)
         assert run_module(module).output == [11]
 
     def test_label_sites_survive_fusion_in_full_trace(self):
@@ -155,7 +171,7 @@ loop:
 .end
 """
         module = assemble(src)
-        _assert_equivalent(module, (), "full")
+        _assert_cold_and_warm(module)
         run = run_module(module, trace_mode="full")
         sites = [p.key.site for p in run.trace.points]
         assert sites.count("loop") == 7
@@ -174,8 +190,15 @@ loop:
 .end
 """
         module = assemble(src)
-        with pytest.raises(VMError, match="division by zero"):
-            run_module(module)
+        with pytest.raises(VMError) as ref:
+            run_module_reference(module)
+        assert "division by zero" in str(ref.value)
+        for mode in (None, "branch", "full"):
+            tier2.clear_cache()
+            for _ in ("cold", "warm"):
+                with pytest.raises(VMError) as fast:
+                    run_module(module, trace_mode=mode)
+                assert str(fast.value) == str(ref.value)
 
     def test_deep_recursion_overflows_like_reference(self):
         src = """
@@ -193,8 +216,10 @@ loop:
         module = assemble(src)
         with pytest.raises(VMError, match="call stack overflow"):
             run_module_reference(module)
-        with pytest.raises(VMError, match="call stack overflow"):
-            run_module(module)
+        for mode in (None, "branch", "full"):
+            for _ in ("cold", "warm"):
+                with pytest.raises(VMError, match="call stack overflow"):
+                    run_module(module, trace_mode=mode)
 
 
 class TestStepLimit:
@@ -233,7 +258,7 @@ top:
     def test_limit_counts_real_instructions_like_reference(self):
         # A bounded loop: both engines must agree on the smallest
         # max_steps that succeeds, even though the fast engine checks
-        # the budget once per (possibly fused) dispatch.
+        # the budget once per tier-2 block.
         src_done = """
 .globals 0
 .entry main

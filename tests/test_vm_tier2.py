@@ -1,7 +1,7 @@
 """Tier 2 of the fast engine: hot basic blocks as generated Python.
 
-The untraced and branch-traced loops run a block that has turned hot
-(or is already cached) as one generated function. Everything a caller
+The untraced, branch-traced and full-traced loops run a block that has
+turned hot (or is already cached) as one generated function. Everything a caller
 can observe must stay the reference engine's: outputs, steps,
 ``dump_trace`` bytes, ``Trace.bits``, trap messages, and where the
 step budget runs out. Each differential check runs with a cold cache
@@ -164,7 +164,7 @@ class TestDifferential:
         run_module(factory(), inputs, trace_mode="branch")
         marked = _marked(factory, inputs, codec)
         want = {mode: _reference(marked, inputs, mode)
-                for mode in (None, "branch")}
+                for mode in (None, "branch", "full")}
         for mode in want:  # unchanged blocks hit the cache
             assert _fast(marked, inputs, mode) == want[mode]
         _cold()
@@ -174,7 +174,7 @@ class TestDifferential:
     @given(module=branchy_programs())
     @settings(max_examples=40, deadline=None)
     def test_generated_programs(self, module):
-        assert_cold_and_warm(module, (), (None, "branch"))
+        assert_cold_and_warm(module)
 
     def test_odd_operands_stay_in_tier_one(self):
         # Keys compare 1 == 1.0 == True, so a cached block for `const 1`
@@ -242,6 +242,95 @@ done:
 """
 
 
+# Every way a block can leave, each crossing its own sites. The counter
+# (local 0) runs 12 .. 1: through `loop` while above 4, then through
+# `goto second`.
+EXITS = """
+.globals 1
+.entry main
+.func main params=0 locals=2
+    const 12
+    store 0
+loop:
+    load 0
+    const 3
+    mod
+    ifeq second
+first:
+second:
+    load 0
+    const 1
+    add
+    store 1
+mid:
+    load 0
+    load 1
+    add
+    call work
+after:
+    gstore 0
+    iinc 0 -1
+    load 0
+    const 4
+    if_icmpgt loop
+    load 0
+    ifle done
+    goto second
+done:
+    gload 0
+    print
+    const 0
+    ret
+.end
+.func work params=1 locals=2
+    load 0
+    const 5
+    mul
+    store 1
+    load 1
+    const 7
+    bxor
+    ret
+.end
+"""
+
+
+def _block_ends(cf):
+    """Mnemonic of the last instruction of each installed block."""
+    return {cf.fn.code[cf.raw_of[bk[3] - 1]].op for bk in cf.blk if bk}
+
+
+class TestFullTrace:
+    def test_warm_full_run_installs_blocks(self):
+        module = assemble(HOT_CALLEE)
+        _cold()
+        run_module(module, trace_mode="full")
+        interp = Interpreter(module, trace_mode="full")
+        result = interp.run()
+        assert result.steps == run_module_reference(module).steps
+        assert any(interp._compiled["work"].blk)  # main's loop stays cold
+
+    def test_each_block_exit_crosses_its_own_sites(self, monkeypatch):
+        # `ifeq second` lands on the slot after `first:` `second:` on
+        # both edges, but only its fall-through crosses `first`; `goto
+        # second` crosses `second` alone; `store 1` ends a block just
+        # before `mid`, `add` one just before `call`, and `bxor` one
+        # just before `ret` (the return crosses `after`).
+        module = assemble(EXITS)
+        points = run_module_reference(module, trace_mode="full").trace.points
+        sites = [p.key.site for p in points]
+        assert (sites.count("first"), sites.count("second")) == (5, 12)
+        assert sites.count("mid") == sites.count("after") == 12
+        monkeypatch.setattr(tier2, "_THRESHOLD", 1)  # every block runs
+        _cold()
+        interp = Interpreter(module, trace_mode="full")
+        interp.run()
+        assert {"ifeq", "store", "add", "goto", "if_icmpgt"} <= _block_ends(
+            interp._compiled["main"])
+        assert _block_ends(interp._compiled["work"]) == {"bxor"}
+        assert_cold_and_warm(module)
+
+
 def _tier1_limit(module, budget):
     """Where tier 1 alone runs out (profiled loops never use tier 2)."""
     with pytest.raises(StepLimitExceeded) as exc:
@@ -250,7 +339,7 @@ def _tier1_limit(module, budget):
 
 
 class TestStepBudget:
-    @pytest.mark.parametrize("mode", [None, "branch"])
+    @pytest.mark.parametrize("mode", [None, "branch", "full"])
     def test_every_budget_lands_where_tier_one_does(self, mode):
         module = assemble(HOT_CALLEE)
         total = run_module_reference(module).steps
@@ -268,7 +357,7 @@ class TestStepBudget:
         assert run_module(module, trace_mode=mode,
                           max_steps=total).steps == total
 
-    @pytest.mark.parametrize("mode", [None, "branch"])
+    @pytest.mark.parametrize("mode", [None, "branch", "full"])
     def test_budget_runs_out_before_a_later_trap(self, mode):
         # The loop stays in tier 2 until it divides by zero; any budget
         # short of that must still stop the run on the budget.
@@ -335,7 +424,7 @@ TRAPS = {
 
 class TestTraps:
     @pytest.mark.parametrize("trap", sorted(TRAPS))
-    @pytest.mark.parametrize("mode", [None, "branch"])
+    @pytest.mark.parametrize("mode", [None, "branch", "full"])
     def test_trap_in_a_block_matches_reference(self, trap, mode):
         module = _looped(TRAPS[trap])
         with pytest.raises(VMError) as ref:
@@ -347,7 +436,7 @@ class TestTraps:
                 run_module(module, trace_mode=mode)
             assert str(fast.value) == str(ref.value)
 
-    @pytest.mark.parametrize("mode", [None, "branch"])
+    @pytest.mark.parametrize("mode", [None, "branch", "full"])
     def test_underflow_in_a_block_gives_reference_diagnostic(self, mode):
         # Unverifiable: main leaves 10 values, and each pass of the loop
         # pops one more than it pushes, so the 11th pass underflows.
