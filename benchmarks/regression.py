@@ -76,7 +76,6 @@ from repro.core.bitstring import (  # noqa: E402
 from repro.core.cipher import BlockCipher  # noqa: E402
 from repro.native.machine import run_image  # noqa: E402
 from repro.native_wm import embed_native, extract_native  # noqa: E402
-from repro.obs.vmprofile import profile_run  # noqa: E402
 from repro.vm import tier2  # noqa: E402
 from repro.vm._reference import run_module_reference  # noqa: E402
 from repro.vm.interpreter import run_module  # noqa: E402
@@ -368,27 +367,6 @@ def _fault_hook_inertness_check() -> dict:
     }
 
 
-def _dispatch_profiles() -> Dict[str, dict]:
-    """Per-opcode dispatch profiles of the gated workloads.
-
-    Separate, *untimed-for-gating* runs on the interpreter's profiled
-    loop specializations — the counting twin never touches the timed
-    loops above, so profiling here cannot perturb the gated ratios.
-    Recorded for trend-watching (which opcodes run hot), never gated:
-    the counts are deterministic but the throughput context is
-    machine-dependent.
-    """
-    profiles: Dict[str, dict] = {}
-    for name, factory, inputs, mode in (
-        ("jess.untraced", jess_module, JESS_INPUT, None),
-        ("jess.full", jess_module, JESS_INPUT, "full"),
-        ("caffeinemark.untraced", caffeinemark_module, CAFFEINE_INPUT, None),
-    ):
-        _, profile = profile_run(factory(), inputs, trace_mode=mode)
-        profiles[name] = profile.to_dict()
-    return profiles
-
-
 def _figure_benchmarks(results: Dict[str, dict]) -> None:
     """Run the ``benchmarks/test_*`` figure suite under pytest-benchmark.
 
@@ -456,8 +434,6 @@ def run_benchmarks(repeats: int, figures: bool) -> dict:
     print("== native extraction ==", flush=True)
     extract_exact = _native_extract_pair(repeats, results)
     fault_hooks = _fault_hook_inertness_check()
-    print("== dispatch profiles ==", flush=True)
-    dispatch = _dispatch_profiles()
     if figures:
         print("== figure reproduction benchmarks ==", flush=True)
         _figure_benchmarks(results)
@@ -468,7 +444,6 @@ def run_benchmarks(repeats: int, figures: bool) -> dict:
         "platform": platform.platform(),
         "repeats": repeats,
         "benchmarks": results,
-        "dispatch": dispatch,
         "checks": {
             "trace_byte_identical": trace_identical,
             "trace_bits_exact": bits_exact,
@@ -498,10 +473,6 @@ def print_report(report: dict) -> None:
             f"{name.ljust(width)}  {med:>12}  {entry['iqr']:>10.4f}  {gated}"
         )
     print()
-    for name, profile in sorted(report.get("dispatch", {}).items()):
-        print(
-            f"dispatch {name}: {profile['total_steps']} steps"
-        )
     ident = report["checks"]["trace_byte_identical"]
     print(f"trace byte-identical vs reference engine: {ident}")
     bits = report["checks"]["trace_bits_exact"]
@@ -628,13 +599,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="also run the benchmarks/test_* figure suite (slow)",
     )
     parser.add_argument(
-        "--dispatch-out",
-        default=None,
-        metavar="FILE",
-        help="also write the dispatch-profile section alone to FILE "
-             "(CI uploads it as its own artifact)",
-    )
-    parser.add_argument(
         "--no-check",
         action="store_true",
         help="write the report without gating against the baseline",
@@ -656,21 +620,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         json.dump(report, fp, indent=2, sort_keys=True)
         fp.write("\n")
     print(f"report written to {out_path}")
-
-    if args.dispatch_out:
-        with open(args.dispatch_out, "w") as fp:
-            json.dump(
-                {
-                    "schema": SCHEMA,
-                    "generated": report["generated"],
-                    "dispatch": report["dispatch"],
-                },
-                fp,
-                indent=2,
-                sort_keys=True,
-            )
-            fp.write("\n")
-        print(f"dispatch profiles written to {args.dispatch_out}")
 
     if args.rebaseline:
         write_baseline(report, args.baseline)

@@ -20,9 +20,9 @@ Usage (also via ``python -m repro``)::
     python -m repro plan --bits 128 --loss 0.4 --target 0.99
 
     # Fingerprint many copies in parallel from one shared preparation,
-    # with spans + metrics + a VM dispatch profile
+    # with spans (each VM run's steps on its span) + metrics
     python -m repro batch-embed manifest.json -o dist/ --workers 4 \\
-        --obs-out obs.jsonl --profile
+        --obs-out obs.jsonl
 
     # Persist the preparation as a store artifact, then serve
     # embed/recognize over HTTP from it
@@ -241,7 +241,6 @@ def cmd_batch_embed(args) -> int:
         pieces=manifest.pieces,
         piece_loss=manifest.piece_loss,
         target_success=manifest.target_success,
-        profile=args.profile,
         codec=manifest.codec,
     )
     cache_hit = False
@@ -271,7 +270,6 @@ def cmd_batch_embed(args) -> int:
         chunksize=args.chunksize,
         cache_hits=1 if cache_hit else 0,
         cache_misses=0 if cache_hit else 1,
-        profile=args.profile,
         checkpoint=args.checkpoint,
         resume=args.resume,
     )
@@ -279,10 +277,6 @@ def cmd_batch_embed(args) -> int:
 
     if args.obs_out and tracer is not None:
         _write_obs_out(args.obs_out, tracer)
-    if args.profile and report.dispatch_profile is not None:
-        with open(os.path.join(args.output, "profile.json"), "w") as fp:
-            report.dispatch_profile.write_json(fp)
-        print(report.dispatch_profile.summary(), file=sys.stderr)
     if hub is not None:
         hub.snapshot_metrics(obs.get_registry())
         obs.set_hub(None)
@@ -545,7 +539,6 @@ def cmd_artifact_prepare(args) -> int:
             pieces=manifest.pieces,
             piece_loss=manifest.piece_loss,
             target_success=manifest.target_success,
-            profile=args.profile,
             label=args.label,
             codec=manifest.codec,
         )
@@ -779,9 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--obs-out", default=None, metavar="FILE",
                    help="write spans + metrics as JSON lines to FILE "
                         "(plus Prometheus text to FILE's .prom sibling)")
-    p.add_argument("--profile", action="store_true",
-                   help="count VM dispatches (prepare trace + every "
-                        "self-check run); writes <outdir>/profile.json")
     p.add_argument("--checkpoint", default=None, metavar="FILE",
                    help="journal each completed copy to FILE (JSON lines) "
                         "as it lands")
@@ -946,8 +936,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "fabric of N shard stores")
     a.add_argument("--label", default="",
                    help="free-form release label kept in the manifest")
-    a.add_argument("--profile", action="store_true",
-                   help="count VM dispatches during the prepare trace")
     a.set_defaults(fn=cmd_artifact_prepare)
 
     a = asub.add_parser("list", help="list stored artifacts")

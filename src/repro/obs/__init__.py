@@ -1,10 +1,9 @@
 """End-to-end observability for the watermarking pipeline.
 
-Zero-dependency spans, metrics and profiling threaded through every
+Zero-dependency spans, metrics and diagnostics threaded through every
 layer of the system — the instrumentation that turns "the batch took
-41s" into "the prepare trace took 28s, copy 0413's self-check run
-dominated its worker, and a quarter of executed instructions were
-loads". Seven pieces:
+41s" into "the prepare trace took 28s over 3.1M VM steps, and copy
+0413's self-check run dominated its worker". Six pieces:
 
 * :mod:`~repro.obs.spans` — a span/trace API with ambient context
   propagation (:func:`span`, :func:`current_context`, :func:`attach`)
@@ -25,19 +24,16 @@ loads". Seven pieces:
 * :mod:`~repro.obs.promcheck` — a Prometheus text-exposition
   conformance auditor (:func:`check_exposition`) used by tests and
   the CI obs gate against a live ``/metrics``;
-* :mod:`~repro.obs.vmprofile` — per-opcode dispatch profiles of the
-  WVM fast-path engine (hot opcodes, steps per second) built from the
-  interpreter's opt-in profiled loops;
 * :mod:`~repro.obs.recognition` — structured
   :class:`~repro.obs.recognition.RecognitionReport` diagnostics for
   both recognizers (window/voting/CRT funnel, native chain linkage).
 
 Everything is **pay-for-use**: with tracing disabled, :func:`span`
 only keeps time (two clock reads; its ``duration`` is the one clock
-the reports read) and records nothing; the interpreter's profiled
-loops are separate generated specializations that plain runs never
-touch; the ambient metrics registry is a handful of dict updates per
-pipeline *stage* (never per instruction).
+the reports read) and records nothing; the VM is never instrumented
+per instruction — each run's ``steps`` goes on the span that times
+it; the ambient metrics registry is a handful of dict updates per
+pipeline *stage*.
 
 Typical use::
 
@@ -87,12 +83,10 @@ from .spans import (
     render_span_tree,
     span,
 )
-from .vmprofile import DispatchProfile, profile_run
 
 __all__ = [
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
-    "DispatchProfile",
     "Event",
     "Gauge",
     "Histogram",
@@ -115,7 +109,6 @@ __all__ = [
     "get_hub",
     "get_registry",
     "get_tracer",
-    "profile_run",
     "read_events",
     "read_journal",
     "read_spans",

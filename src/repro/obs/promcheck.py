@@ -30,7 +30,7 @@ codebase can violate):
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["check_exposition"]
 

@@ -24,10 +24,8 @@ Observability: when the parent has tracing enabled, the batch span's
 each worker; workers record their per-copy spans locally, return them
 on the :class:`~.metrics.CopyResult`, and the parent grafts them back
 (:meth:`~repro.obs.spans.Tracer.adopt`) — one coherent tree at any
-``workers`` setting. With ``profile=True`` each self-check run counts
-VM dispatches and the batch folds every copy's counts (plus the
-prepared trace's, if it was profiled) into one
-:class:`~repro.obs.vmprofile.DispatchProfile` on the report.
+``workers`` setting. The ``prepare.trace`` and each ``copy.self_check``
+span carry the ``steps`` of the VM run they time.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ from ..faults.injector import FaultPlan
 from ..faults.retry import RetryPolicy
 from ..obs.journal import read_journal
 from ..obs.spans import SpanContext, hand_off
-from ..obs.vmprofile import DispatchProfile
 from ..vm.assembler import assemble
 from ..vm.disassembler import disassemble
 from ..vm.interpreter import run_module
@@ -88,7 +85,6 @@ def embed_copy(
     prepared: PreparedProgram,
     spec: CopySpec,
     self_check: bool = True,
-    profile: bool = False,
     codec: Optional[str] = None,
 ) -> CopyResult:
     """Embed, emit and (by default) self-check one copy. Never raises.
@@ -98,8 +94,6 @@ def embed_copy(
     that single trace to both the output comparison and the
     recognizer. ``self_check=False`` skips that run — a throughput
     knob for deployments that verify by sampling instead.
-    ``profile=True`` counts VM dispatches during the self-check run
-    and attaches the raw per-opcode array to the result.
 
     ``codec`` overrides the artifact's planned redundancy scheme for
     this copy (the per-request payload-vs-resilience knob the service
@@ -124,16 +118,13 @@ def embed_copy(
                 )
             recognized = None
             check_ok = output_ok = False
-            dispatch_counts = None
             if self_check:
                 with obs.span("copy.self_check") as sp:
                     check_run = run_module(
                         result.module,
                         prepared.key.inputs,
                         trace_mode="branch",
-                        profile=profile,
                     )
-                    dispatch_counts = check_run.dispatch_counts
                     found = recognize(
                         result.module,
                         prepared.key,
@@ -166,7 +157,6 @@ def embed_copy(
             byte_size_increase=result.byte_size_increase,
             wall_seconds=copy_span.duration,
             text=text,
-            dispatch_counts=dispatch_counts,
         )
     except Exception as exc:  # per-copy isolation: report, don't propagate
         # An exception raised *inside* the embed is deterministic in
@@ -188,7 +178,6 @@ def embed_copy(
 
 _WORKER_PREPARED: Optional[PreparedProgram] = None
 _WORKER_SELF_CHECK: bool = True
-_WORKER_PROFILE: bool = False
 _WORKER_PARENT: Optional[SpanContext] = None
 
 
@@ -221,16 +210,13 @@ def init_pool_worker(
 def _init_worker(
     prepared: PreparedProgram,
     self_check: bool,
-    profile: bool = False,
     parent: Optional[SpanContext] = None,
     fault_plan: Optional[FaultPlan] = None,
     hub_config: Optional[obs.HubConfig] = None,
 ) -> None:
-    global _WORKER_PREPARED, _WORKER_SELF_CHECK
-    global _WORKER_PROFILE, _WORKER_PARENT
+    global _WORKER_PREPARED, _WORKER_SELF_CHECK, _WORKER_PARENT
     _WORKER_PREPARED = prepared
     _WORKER_SELF_CHECK = self_check
-    _WORKER_PROFILE = profile
     _WORKER_PARENT = parent
     init_pool_worker(fault_plan, hub_config)
     if parent is not None:
@@ -246,9 +232,7 @@ def _embed_in_worker(spec: CopySpec) -> CopyResult:
     # exception isolation of embed_copy.
     faults.check("batch.worker.task", copy_id=spec.copy_id)
     with hand_off(_WORKER_PARENT, drain=True) as spans:
-        result = embed_copy(
-            _WORKER_PREPARED, spec, _WORKER_SELF_CHECK, _WORKER_PROFILE
-        )
+        result = embed_copy(_WORKER_PREPARED, spec, _WORKER_SELF_CHECK)
     result.spans = spans
     return result
 
@@ -406,7 +390,6 @@ def _run_round(
     workers: int,
     chunksize: Optional[int],
     self_check: bool,
-    profile: bool,
     attempt: int,
     record: Callable[[CopyResult], None],
     tracer: Any,
@@ -428,7 +411,7 @@ def _run_round(
         for spec in pending:
             try:
                 faults.check("batch.worker.task", copy_id=spec.copy_id)
-                record(stamp(embed_copy(prepared, spec, self_check, profile)))
+                record(stamp(embed_copy(prepared, spec, self_check)))
             except Exception as exc:
                 # In-process there is no worker to lose, but an injected
                 # control fault here still counts as transient loss.
@@ -441,7 +424,7 @@ def _run_round(
     with ProcessPoolExecutor(
         max_workers=workers,
         initializer=_init_worker,
-        initargs=(prepared, self_check, profile, parent, *worker_bootstrap()),
+        initargs=(prepared, self_check, parent, *worker_bootstrap()),
     ) as pool:
         futures: Dict[Future, List[CopySpec]] = {
             pool.submit(_embed_chunk, group): group for group in chunks
@@ -484,7 +467,6 @@ def run_batch(
     cache_hits: int = 0,
     cache_misses: int = 1,
     self_check: bool = True,
-    profile: bool = False,
     checkpoint: Optional[str] = None,
     resume: bool = False,
     retry: Optional[RetryPolicy] = None,
@@ -496,9 +478,6 @@ def run_batch(
     successful copy is written to ``<outdir>/<copy_id>.wasm``.
     Results keep the order of ``copies`` regardless of scheduling.
     ``self_check=False`` skips the per-copy re-run + recognition.
-    ``profile=True`` aggregates per-opcode VM dispatch counts from
-    every self-check run (and the prepared trace, when it was
-    profiled) into ``report.dispatch_profile``.
 
     Resilience:
 
@@ -583,7 +562,7 @@ def run_batch(
             while pending:
                 round_errors = _run_round(
                     prepared, pending, workers, chunksize,
-                    self_check, profile, attempt, record, tracer,
+                    self_check, attempt, record, tracer,
                 )
                 pending = [s for s in pending if s.copy_id not in results]
                 if not pending:
@@ -621,20 +600,6 @@ def run_batch(
                 tracer.adopt(copy.spans)
                 copy.spans = []
 
-    dispatch_profile = None
-    if profile:
-        dispatch_profile = DispatchProfile()
-        if prepared.dispatch_counts is not None:
-            dispatch_profile.merge(DispatchProfile.from_counts(
-                prepared.dispatch_counts,
-                wall_seconds=prepared.timings.stages.get("trace", 0.0),
-            ))
-        for copy in results_in_order:
-            if copy.dispatch_counts is not None:
-                dispatch_profile.merge(
-                    DispatchProfile.from_counts(copy.dispatch_counts)
-                )
-
     return BatchReport(
         workers=workers,
         copies=results_in_order,
@@ -643,7 +608,6 @@ def run_batch(
         cache_hits=cache_hits,
         cache_misses=cache_misses,
         wall_seconds=batch_span.duration,
-        dispatch_profile=dispatch_profile,
         retry_rounds=retry_rounds,
     )
 

@@ -26,7 +26,6 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from .. import obs
 from ..obs.spans import Span
-from ..obs.vmprofile import DispatchProfile
 
 __all__ = [
     "BatchReport",
@@ -86,11 +85,10 @@ class CopyResult:
     exhausted). ``attempts`` counts how many rounds the copy took;
     ``resumed`` marks a copy restored from a checkpoint journal
     instead of re-embedded (see ``run_batch(..., resume=True)``).
-    ``spans``/``dispatch_counts`` are observability payloads recorded
-    in the worker and aggregated by the parent; they travel on the
-    object (across the process pool) but not into the JSON report —
-    spans land in the ``--obs-out`` stream, dispatch counts in the
-    batch-level profile.
+    ``spans`` are the observability payload recorded in the worker and
+    grafted by the parent; they travel on the object (across the
+    process pool) but not into the JSON report — they land in the
+    ``--obs-out`` stream.
     """
 
     copy_id: str
@@ -112,7 +110,6 @@ class CopyResult:
     resumed: bool = False
     text: Optional[str] = None
     spans: List[Span] = field(default_factory=list)
-    dispatch_counts: Optional[List[int]] = None
 
     @property
     def verified(self) -> bool:
@@ -180,7 +177,6 @@ class BatchReport:
     cache_hits: int = 0
     cache_misses: int = 0
     wall_seconds: float = 0.0
-    dispatch_profile: Optional[DispatchProfile] = None
     #: How many extra submission rounds the executor ran after losing
     #: work to dead workers (0 = nothing was ever retried).
     retry_rounds: int = 0
@@ -213,7 +209,7 @@ class BatchReport:
         return sum(c.bytes_emitted for c in self.copies)
 
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "workers": self.workers,
             "copy_count": len(self.copies),
             "succeeded": self.succeeded,
@@ -229,13 +225,9 @@ class BatchReport:
             "batch_stages": dict(self.batch_timings.stages),
             "copies": [c.to_dict() for c in self.copies],
         }
-        if self.dispatch_profile is not None:
-            doc["dispatch_profile"] = self.dispatch_profile.to_dict()
-        return doc
 
     @staticmethod
     def from_dict(doc: Dict[str, Any]) -> "BatchReport":
-        profile = doc.get("dispatch_profile")
         return BatchReport(
             workers=doc["workers"],
             copies=[CopyResult.from_dict(c) for c in doc.get("copies", [])],
@@ -244,11 +236,6 @@ class BatchReport:
             cache_hits=doc.get("cache", {}).get("hits", 0),
             cache_misses=doc.get("cache", {}).get("misses", 0),
             wall_seconds=doc.get("wall_seconds", 0.0),
-            dispatch_profile=(
-                DispatchProfile.from_dict(profile)
-                if profile is not None
-                else None
-            ),
             retry_rounds=doc.get("retry_rounds", 0),
         )
 

@@ -70,9 +70,6 @@ class PreparedProgram:
     baseline_output: List[int]
     timings: StageTimings = field(default_factory=StageTimings)
     version: int = FORMAT_VERSION
-    #: Raw per-opcode dispatch counts of the key-input trace run, set
-    #: only when preparation ran with ``profile=True``.
-    dispatch_counts: Optional[List[int]] = None
     #: Redundancy codec spec the release is planned for.
     codec: str = "gcrt"
 
@@ -172,7 +169,6 @@ def prepare(
     piece_loss: Optional[float] = None,
     target_success: float = 0.99,
     max_steps: int = DEFAULT_MAX_STEPS,
-    profile: bool = False,
     codec: str = "gcrt",
 ) -> PreparedProgram:
     """Run every watermark-independent stage once and snapshot it.
@@ -194,9 +190,6 @@ def prepare(
     :class:`PrepareError` naming the step budget; the partial trace is
     discarded with the failed run and never reaches an artifact or the
     store.
-
-    ``profile=True`` counts VM dispatches during the trace run and
-    keeps the raw array on the artifact for batch-level profiling.
     """
     if watermark_bits < 1:
         raise PrepareError("watermark_bits must be positive")
@@ -209,7 +202,7 @@ def prepare(
             try:
                 run = run_module(
                     snapshot, key.inputs, trace_mode="full",
-                    max_steps=max_steps, profile=profile,
+                    max_steps=max_steps,
                 )
             except StepLimitExceeded as exc:
                 raise PrepareError(
@@ -248,6 +241,5 @@ def prepare(
         sites=sites,
         baseline_output=list(run.output),
         timings=timings,
-        dispatch_counts=run.dispatch_counts,
         codec=codec_spec,
     )

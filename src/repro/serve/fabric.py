@@ -352,7 +352,6 @@ class ShardedArtifactStore:
         piece_loss: Optional[float] = None,
         target_success: float = 0.99,
         max_steps: int = DEFAULT_MAX_STEPS,
-        profile: bool = False,
         label: str = "",
         codec: str = "gcrt",
     ) -> Tuple[PreparedProgram, bool]:
@@ -376,7 +375,6 @@ class ShardedArtifactStore:
             piece_loss=piece_loss,
             target_success=target_success,
             max_steps=max_steps,
-            profile=profile,
             label=label,
             codec=codec,
         )

@@ -632,7 +632,6 @@ class ArtifactStore:
         piece_loss: Optional[float] = None,
         target_success: float = 0.99,
         max_steps: int = DEFAULT_MAX_STEPS,
-        profile: bool = False,
         label: str = "",
         codec: str = "gcrt",
     ) -> Tuple[PreparedProgram, bool]:
@@ -668,7 +667,6 @@ class ArtifactStore:
             piece_loss,
             target_success,
             max_steps=max_steps,
-            profile=profile,
             codec=codec,
         )
         self.put(artifact, label=label)

@@ -24,10 +24,9 @@ all of that work exactly once per function:
   build no site tables: the label map comes from the same pass that
   numbers the slots.
 
-One slot is one instruction: a slot adds one to ``steps``, a
-fall-through advances by one, and a profile's per-opcode dispatch
-counts sum to the steps. Straight-line runs of hot slots execute as
-tier-2 blocks (:mod:`repro.vm.tier2`).
+One slot is one instruction: a slot adds one to ``steps`` and a
+fall-through advances by one. Straight-line runs of hot slots execute
+as tier-2 blocks (:mod:`repro.vm.tier2`).
 
 The compiled form is private to the interpreter; nothing here changes
 observable semantics. See ``docs/performance.md`` for the design notes
@@ -105,19 +104,6 @@ _STR2INT: Dict[str, int] = {
     "newarray": OP_NEWARRAY, "alen": OP_ALEN,
     "print": OP_PRINT, "input": OP_INPUT, "nop": OP_NOP, "halt": OP_HALT,
 }
-
-#: int opcode -> mnemonic, for diagnostics and dispatch profiles.
-INT2STR: Dict[int, str] = {v: k for k, v in _STR2INT.items()}
-
-#: One past the highest opcode the run loops can dispatch — the size
-#: of a per-opcode dispatch-count array.
-NUM_OPCODES = OP_END + 1
-
-
-def opcode_name(op: int) -> str:
-    """Human-readable name of any dispatchable opcode."""
-    return "<end>" if op == OP_END else INT2STR.get(op, f"op{op}")
-
 
 #: Mnemonics whose operand is a jump target label.
 _JUMPS = frozenset(

@@ -32,13 +32,8 @@ Execution design (see ``docs/performance.md`` for measurements):
   dispatch tree for everything else. A block holds no label, so the
   full-traced loop records a block's trace sites, like its branch
   event, on the edge it leaves by.
-* Each specialization also has a *profiled* twin that counts every
-  dispatched slot into a per-opcode array (the raw material of
-  :class:`repro.obs.vmprofile.DispatchProfile`). Profiled loops are
-  generated lazily on first use and selected only when
-  ``profile=True`` — exactly the ``trace_mode`` pattern, so plain
-  runs keep paying zero instrumentation cost. Profiled runs stay in
-  tier 1, so their counts are one per executed instruction.
+* A run's executed-instruction count is ``RunResult.steps``; the
+  pipeline puts it on the span that times the run.
 
 Observable behaviour is identical to the seed engine (kept as
 :mod:`repro.vm._reference` for differential testing): same outputs,
@@ -50,7 +45,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Sequence
 
 from . import tier2
-from .compiler import NUM_OPCODES, CompiledFunction
+from .compiler import CompiledFunction
 from .instructions import wrap64
 from .program import Module
 from .tracing import RunResult, Trace, TracePoint
@@ -88,18 +83,14 @@ _MIN64 = -(1 << 63)
 _MAX64 = (1 << 63) - 1
 
 
-def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
+def _gen_loop(mode: Optional[str]) -> str:
     T = mode in ("branch", "full")
     F = mode == "full"
     # Tier 2 (hot blocks as generated Python, see repro.vm.tier2) runs
-    # in every loop but the profiled twins, whose counts are of tier-1
-    # slots. Every control transfer leaves the inner tier-1 loop for
-    # the outer one, which runs the blocks it lands on; fall-throughs
-    # stay inside.
-    X = not profiled
-    NEXT = "break" if X else "continue"
-    IND = " " * (16 if X else 12)  # indentation of the dispatch tree
-    name = {None: "_run_untraced", "branch": "_run_branch", "full": "_run_full"}
+    # in every loop: every control transfer breaks out of the inner
+    # tier-1 loop to the outer one, which runs the blocks it lands on;
+    # fall-throughs stay inside.
+    IND = " " * 16  # indentation of the dispatch tree
     L: list = []
     emit = L.append
 
@@ -130,14 +121,14 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
         if F:
             snap("fs[pc]", ind + "    ")
         emit(f"{ind}    pc += 1")
-        emit(f"{ind}{NEXT}")
+        emit(f"{ind}break")
 
     def jump_tail(ind: str) -> None:
         """goto epilogue: sites on the taken edge, then transfer."""
         if F:
             snap("ts[pc]", ind)
         emit(f"{ind}pc = aa[pc]")
-        emit(f"{ind}{NEXT}")
+        emit(f"{ind}break")
 
     def fall(ind: str) -> None:
         """Fall-through epilogue: sites crossed, then advance."""
@@ -215,11 +206,8 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
         emit(f"{ind}ev_append(_e)")
         emit(f"{ind}bits_append(_c is not first_code(_b, _c))")
 
-    fname = name[mode] + ("_prof" if profiled else "")
-    args = "module, compiled, compile_fn, inputs, max_steps"
-    if profiled:
-        args += ", prof"
-    emit(f"def {fname}({args}):")
+    emit(f"def {_MODE_NAMES[mode]}"
+         "(module, compiled, compile_fn, inputs, max_steps):")
     emit("    compiled_get = compiled.get")
     emit("    glob = [0] * module.globals_count")
     emit("    output = []")
@@ -245,8 +233,7 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
     emit("    ops = cf.ops; aa = cf.aa; bb = cf.bb")
     if T:
         emit("    evt = cf.evt; evf = cf.evf")
-    if X:
-        emit("    blk = cf.blk")
+    emit("    blk = cf.blk")
     if F:
         emit("    fs = cf.fs; ts = cf.ts")
     emit("    loc = [0] * cf.nlocals")
@@ -262,16 +249,9 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
         emit("    for _k in cf.entry_sites:")
         emit("        pt_append(TracePoint(_k, _ls, _gs))")
     emit("    try:")
-    if X:
-        tier2_chain()
-        emit("            while True:")
-    else:
-        emit("        while True:")
+    tier2_chain()
+    emit("            while True:")
     emit(f"{IND}op = ops[pc]")
-    if profiled:
-        # One list-index increment per dispatched slot — the entire
-        # profiling hook.
-        emit(f"{IND}prof[op] += 1")
     emit(f"{IND}steps += 1")
     emit(f"{IND}if steps > max_steps:")
     emit(f"{IND}    raise StepLimitExceeded(max_steps, cf.name)")
@@ -372,8 +352,7 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
         emit(f"{IND}    evt = cf.evt; evf = cf.evf")
     if F:
         emit(f"{IND}    fs = cf.fs; ts = cf.ts")
-    if X:
-        emit(f"{IND}    blk = cf.blk")
+    emit(f"{IND}    blk = cf.blk")
     emit(f"{IND}    loc = _args + [0] * (cf.nlocals - _np)")
     emit(f"{IND}    stack = []")
     emit(f"{IND}    push = stack.append")
@@ -383,7 +362,7 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
         emit(f"{IND}    _ls = tuple(loc); _gs = tuple(glob)")
         emit(f"{IND}    for _k in cf.entry_sites:")
         emit(f"{IND}        pt_append(TracePoint(_k, _ls, _gs))")
-    emit(f"{IND}    {NEXT}")
+    emit(f"{IND}    break")
     emit(f"{IND}if op == 24:")  # ret
     emit(f"{IND}    _v = pop()")
     emit(f"{IND}    if not frames:")
@@ -397,9 +376,8 @@ def _gen_loop(mode: Optional[str], profiled: bool = False) -> str:
     if F:
         emit(f"{IND}    fs = cf.fs; ts = cf.ts")
         snap("fs[pc - 1]", IND + "    ")
-    if X:
-        emit(f"{IND}    blk = cf.blk")
-    emit(f"{IND}    {NEXT}")
+    emit(f"{IND}    blk = cf.blk")
+    emit(f"{IND}    break")
     emit(f"{IND}if op == 25:")  # gload
     emit(f"{IND}    push(glob[aa[pc]])")
     fall(IND + "    ")
@@ -516,7 +494,7 @@ _MODE_NAMES: Dict[Optional[str], str] = {
 }
 
 
-def _materialize_loop(mode: Optional[str], profiled: bool = False) -> Callable:
+def _materialize_loop(mode: Optional[str]) -> Callable:
     namespace: Dict = {
         "wrap64": wrap64,
         "VMError": VMError,
@@ -527,8 +505,8 @@ def _materialize_loop(mode: Optional[str], profiled: bool = False) -> Callable:
         "_seed_diagnostic_replay": _seed_diagnostic_replay,
         "arrive": tier2.arrive,
     }
-    fname = _MODE_NAMES[mode] + ("_prof" if profiled else "")
-    source = _gen_loop(mode, profiled)
+    fname = _MODE_NAMES[mode]
+    source = _gen_loop(mode)
     code = compile(source, f"<wvm-loop:{fname}>", "exec")
     exec(code, namespace)  # noqa: S102 - internal template, no user input
     return namespace[fname]
@@ -537,17 +515,6 @@ def _materialize_loop(mode: Optional[str], profiled: bool = False) -> Callable:
 _LOOPS: Dict[Optional[str], Callable] = {
     mode: _materialize_loop(mode) for mode in _MODE_NAMES
 }
-
-#: Profiled twins, generated on first request so the common import
-#: path never pays their codegen.
-_PROFILED_LOOPS: Dict[Optional[str], Callable] = {}
-
-
-def _profiled_loop(mode: Optional[str]) -> Callable:
-    loop = _PROFILED_LOOPS.get(mode)
-    if loop is None:
-        loop = _PROFILED_LOOPS[mode] = _materialize_loop(mode, profiled=True)
-    return loop
 
 
 class Interpreter:
@@ -560,13 +527,6 @@ class Interpreter:
       * ``"full"`` — branch events plus per-site variable snapshots
         (the embedding-time tracing phase).
 
-    ``profile=True`` selects the profiled loop twin, which counts
-    every dispatched slot into a per-opcode array surfaced as
-    ``RunResult.dispatch_counts`` (cumulative across ``run`` calls on
-    one interpreter). Plain runs never touch the profiled loops, and
-    profiled runs never enter tier 2, so the counts are of tier-1
-    slots and sum to ``steps``.
-
     Functions are compiled to the dense dispatch form lazily, on first
     call, and cached for the lifetime of the interpreter — so cold
     code (most of a jess-like module) never pays compilation.
@@ -577,7 +537,6 @@ class Interpreter:
         module: Module,
         max_steps: int = DEFAULT_MAX_STEPS,
         trace_mode: Optional[str] = None,
-        profile: bool = False,
     ):
         if trace_mode not in (None, "branch", "full"):
             raise ValueError(f"bad trace_mode {trace_mode!r}")
@@ -586,12 +545,7 @@ class Interpreter:
         self.max_steps = max_steps
         self.trace_mode = trace_mode
         self._compiled: Dict[str, CompiledFunction] = {}
-        self.dispatch_counts: Optional[list] = (
-            [0] * NUM_OPCODES if profile else None
-        )
-        self._loop = (
-            _profiled_loop(trace_mode) if profile else _LOOPS[trace_mode]
-        )
+        self._loop = _LOOPS[trace_mode]
 
     # -- public API ---------------------------------------------------------
 
@@ -601,17 +555,10 @@ class Interpreter:
         ``inputs`` is the secret input sequence consumed by ``input``
         instructions (the watermark key at trace time).
         """
-        if self.dispatch_counts is None:
-            return self._loop(
-                self.module, self._compiled, self._compile, inputs,
-                self.max_steps,
-            )
-        result = self._loop(
+        return self._loop(
             self.module, self._compiled, self._compile, inputs,
-            self.max_steps, self.dispatch_counts,
+            self.max_steps,
         )
-        result.dispatch_counts = self.dispatch_counts
-        return result
 
     # -- helpers -------------------------------------------------------------
 
@@ -629,9 +576,8 @@ def run_module(
     inputs: Sequence[int] = (),
     trace_mode: Optional[str] = None,
     max_steps: int = DEFAULT_MAX_STEPS,
-    profile: bool = False,
 ) -> RunResult:
     """Convenience wrapper: build an interpreter and run the module."""
     return Interpreter(
-        module, max_steps=max_steps, trace_mode=trace_mode, profile=profile
+        module, max_steps=max_steps, trace_mode=trace_mode
     ).run(inputs)

@@ -38,8 +38,6 @@ function for the whole block instead.
   the message tier 1 raises, evaluated in the same instruction order,
   and a stack underflow, which a block cannot attribute to one
   instruction, replays the run on the reference engine.
-
-Profiled runs never enter tier 2.
 """
 
 from __future__ import annotations

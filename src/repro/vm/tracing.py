@@ -100,14 +100,9 @@ class RunResult:
     ``steps`` counts executed (non-label) instructions and is the
     deterministic stand-in for running time throughout the evaluation
     (see DESIGN.md, "Known deviations").
-
-    ``dispatch_counts`` is populated only by profiled runs
-    (``profile=True``): a per-opcode array of dispatched slots, raw
-    material for :class:`repro.obs.vmprofile.DispatchProfile`.
     """
 
     output: List[int]
     steps: int
     trace: Optional[Trace] = None
     halted: bool = True
-    dispatch_counts: Optional[List[int]] = None

@@ -1,5 +1,5 @@
 """Tests for the observability subsystem: spans, metrics, stage
-timings, VM dispatch profiles and recognition diagnostics."""
+timings and recognition diagnostics."""
 
 import io
 import json
@@ -12,11 +12,8 @@ from repro.bytecode_wm import WatermarkKey
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recognition import RecognitionReport
 from repro.obs.spans import Span, Tracer, attach, render_span_tree
-from repro.obs.vmprofile import DispatchProfile, profile_run
 from repro.pipeline import prepare
 from repro.pipeline.metrics import StageTimings, stage_span
-from repro.vm.compiler import NUM_OPCODES, OP_CONST, OP_IINC, opcode_name
-from repro.vm.interpreter import run_module
 from repro.workloads import gcd_module
 
 
@@ -284,57 +281,6 @@ class TestStageAccumulator:
         clone = pickle.loads(pickle.dumps(timings))
         assert clone.stages == {"s": 1.25}
         assert vars(clone) == {"stages": {"s": 1.25}}
-
-
-class TestDispatchProfile:
-    def test_profiled_run_matches_plain_run(self):
-        module = gcd_module()
-        plain = run_module(module, [48, 18])
-        prof = run_module(module, [48, 18], profile=True)
-        assert prof.output == plain.output
-        assert prof.steps == plain.steps
-        assert plain.dispatch_counts is None
-        counts = prof.dispatch_counts
-        assert counts is not None and len(counts) == NUM_OPCODES
-
-    def test_counts_reconstruct_exact_steps(self):
-        """One dispatch per executed instruction, in every mode."""
-        module = gcd_module()
-        for mode in (None, "branch", "full"):
-            result = run_module(module, [48, 18], trace_mode=mode,
-                                profile=True)
-            assert sum(result.dispatch_counts) == result.steps
-
-    def test_from_counts_and_ratios(self):
-        raw = [0] * NUM_OPCODES
-        raw[OP_CONST] = 10
-        raw[OP_IINC] = 5
-        profile = DispatchProfile.from_counts(raw, wall_seconds=0.5)
-        assert profile.total_steps == 15
-        assert profile.counts == {"const": 10, "iinc": 5}
-        assert profile.top(1) == [(opcode_name(OP_CONST), 10)]
-        assert profile.steps_per_second == pytest.approx(30.0)
-
-    def test_merge_and_round_trip(self):
-        module = gcd_module()
-        _, a = profile_run(module, [48, 18])
-        before = a.total_steps
-        b = DispatchProfile.from_dict(a.to_dict())
-        assert b.to_dict() == a.to_dict()
-        a.merge(b)
-        assert a.total_steps == 2 * before
-        assert a.runs == 2
-
-    def test_profile_run_traced_reports_wall_time_and_steps(self):
-        module = gcd_module()
-        result, profile = profile_run(module, [48, 18], trace_mode="full")
-        assert result.trace is not None
-        assert profile.wall_seconds > 0
-        assert profile.total_steps == result.steps
-        assert profile.steps_per_second > 0
-        summary = profile.summary()
-        assert "dispatch profile:" in summary
-        assert "M steps/s" in summary
 
 
 class TestRecognitionReport:

@@ -22,8 +22,10 @@ from repro.pipeline import (
     run_batch,
     sequential_specs,
 )
+from repro.pipeline.batch import embed_copy
+from repro.pipeline.prepare import FORMAT_VERSION
 from repro.serve.store import ArtifactStore, StoreError
-from repro.vm import disassemble
+from repro.vm import disassemble, run_module, verify_module
 from repro.workloads import collatz_module, gcd_module
 
 from tests.v1_artifacts import v1_artifact
@@ -227,15 +229,23 @@ class TestCampaignCellSpans:
                 assert sp.trace_id == campaign.trace_id
 
 
+def with_extra_state(prepared, **extra):
+    """A copy of ``prepared`` whose pickled state has ``extra`` fields."""
+    old = dataclasses.replace(prepared)
+    old.__dict__.update(extra)
+    return old
+
+
 class TestPreparePickleCompat:
     def test_prepared_program_pickles(self, prepared):
         clone = pickle.loads(pickle.dumps(prepared))
         assert clone.watermark_bits == prepared.watermark_bits
-        assert clone.dispatch_counts == prepared.dispatch_counts
+        assert clone.sites == prepared.sites
 
-    def test_old_state_without_dispatch_counts(self, prepared, tmp_path):
-        # Pickles older than the dispatch_counts field are refused by
-        # the store on their format version, not patched up on load.
+    def test_oldest_v1_state_is_refused(self, prepared, tmp_path):
+        # Even the earliest version-1 pickles, which lacked fields later
+        # v1 blobs carried, are refused by the store on their format
+        # version, not patched up on load.
         old = v1_artifact(prepared, drop=("dispatch_counts",))
         store = ArtifactStore(str(tmp_path / "store"))
         digest = store.put(old).digest
@@ -244,6 +254,23 @@ class TestPreparePickleCompat:
         assert [q.reason for q in store.quarantined()] == [
             "unsupported format version"
         ]
+
+    def test_v2_blob_with_dispatch_counts_still_mints(self, prepared,
+                                                      tmp_path):
+        # Version-2 blobs stored before the VM dispatch profiler was
+        # removed carry a ``dispatch_counts`` attribute. Nothing reads
+        # it, so such a blob loads, verifies and mints as it did.
+        old = with_extra_state(prepared, dispatch_counts=[0] * 45)
+        assert old.version == FORMAT_VERSION == 2
+        store = ArtifactStore(str(tmp_path / "store"))
+        digest = store.put(old).digest
+        loaded = store.load(digest)
+        assert loaded.dispatch_counts == [0] * 45
+        assert store.verify() == []
+        verify_module(loaded.module)
+        copy = embed_copy(loaded, CopySpec("legacy", 0x1D1))
+        assert copy.verified and copy.checked
+        assert copy.recognized == 0x1D1
 
 
 #: ``StageTimings({"trace": 0.5, "plan": 0.25})`` as pickled (protocol
@@ -299,7 +326,7 @@ class TestBatchObservability:
     def test_report_json_round_trip(self, prepared, tmp_path):
         report = run_batch(
             prepared, sequential_specs(3, start_watermark=70),
-            workers=1, profile=True,
+            workers=1,
         )
         path = str(tmp_path / "report.json")
         report.write(path)
@@ -308,16 +335,21 @@ class TestBatchObservability:
         assert [c.copy_id for c in rebuilt.copies] == \
             [c.copy_id for c in report.copies]
         assert rebuilt.copies[0].traceback is None
-        assert rebuilt.dispatch_profile is not None
-        assert rebuilt.dispatch_profile.to_dict() == \
-            report.dispatch_profile.to_dict()
 
     def test_no_profile_no_dispatch_key(self, prepared):
         report = run_batch(
             prepared, sequential_specs(2, start_watermark=40), workers=1
         )
-        assert report.dispatch_profile is None
-        assert "dispatch_profile" not in report.to_dict()
+        doc = report.to_dict()
+        assert "dispatch_profile" not in doc
+        # Reports archived while batches could be profiled may carry
+        # the key; they still load, and it is dropped on rewrite.
+        archived = dict(doc, dispatch_profile={
+            "runs": 3, "total_steps": 1234, "wall_seconds": 0.5,
+            "counts": {"load": 1234},
+        })
+        rebuilt = BatchReport.from_dict(archived)
+        assert rebuilt.to_dict() == doc
 
     def test_failed_copy_carries_traceback(self, prepared):
         report = run_batch(
@@ -363,7 +395,6 @@ class TestBatchObservability:
         )
         doc = report.to_dict()
         assert "spans" not in doc["copies"][0]
-        assert "dispatch_counts" not in doc["copies"][0]
 
     def test_untraced_batch_produces_no_spans(self, prepared):
         report = run_batch(
@@ -371,19 +402,6 @@ class TestBatchObservability:
         )
         assert report.all_ok
         assert obs.get_tracer().drain() == []
-
-    def test_profile_merges_prepare_and_self_checks(self):
-        module = gcd_module()
-        prep = prepare(module, KEY, BITS, profile=True)
-        assert prep.dispatch_counts is not None
-        report = run_batch(
-            prep, sequential_specs(3, start_watermark=20),
-            workers=1, profile=True,
-        )
-        profile = report.dispatch_profile
-        # One prepare trace plus three self-check runs.
-        assert profile.runs == 4
-        assert profile.total_steps > 0
 
     def test_prepare_emits_stage_spans(self):
         tracer = obs.enable_tracing()
@@ -456,13 +474,13 @@ class TestObservabilityCli:
         }))
         return str(tmp_path / "job.json")
 
-    def test_batch_embed_obs_out_and_profile(self, tmp_path, capsys):
+    def test_batch_embed_obs_out_carries_vm_steps(self, tmp_path):
         job = self._write_job(tmp_path)
         outdir = str(tmp_path / "dist")
         obs_path = str(tmp_path / "obs.jsonl")
         rc = cli_main([
             "batch-embed", job, "-o", outdir, "--workers", "2",
-            "--obs-out", obs_path, "--profile",
+            "--obs-out", obs_path,
         ])
         assert rc == 0
         docs = [json.loads(line)
@@ -481,16 +499,14 @@ class TestObservabilityCli:
         prom = open(str(tmp_path / "obs.prom")).read()
         assert "# TYPE repro_stage_seconds histogram" in prom
         assert 'le="+Inf"' in prom
-        # Dispatch profile artifact agrees with the report.
-        profile = json.loads(
-            open(os.path.join(outdir, "profile.json")).read()
-        )
-        report = json.loads(
-            open(os.path.join(outdir, "report.json")).read()
-        )
-        assert profile == report["dispatch_profile"]
-        assert profile["total_steps"] > 0
-        assert "dispatch profile:" in capsys.readouterr().err
+        # Every VM run the batch made puts its steps on its span: the
+        # key-input trace and each copy's self-check run.
+        (trace,) = [d for d in spans if d["name"] == "prepare.trace"]
+        assert trace["attributes"]["steps"] == \
+            run_module(collatz_module(), [27]).steps
+        checks = [d for d in spans if d["name"] == "copy.self_check"]
+        assert len(checks) == 3
+        assert all(d["attributes"]["steps"] > 0 for d in checks)
 
     def test_batch_embed_without_flags_emits_nothing(self, tmp_path):
         job = self._write_job(tmp_path, count=2)
@@ -498,11 +514,6 @@ class TestObservabilityCli:
         rc = cli_main(["batch-embed", job, "-o", outdir])
         assert rc == 0
         assert not os.path.exists(str(tmp_path / "obs.jsonl"))
-        assert not os.path.exists(os.path.join(outdir, "profile.json"))
-        report = json.loads(
-            open(os.path.join(outdir, "report.json")).read()
-        )
-        assert "dispatch_profile" not in report
 
     def test_recognize_diagnose(self, tmp_path, capsys):
         src = tmp_path / "app.wee"

@@ -3,10 +3,11 @@
 ``Trace.bits`` must be exactly what :func:`decode_bits` makes of the
 reference engine's branch events — for every shape a branch can take
 (each compare-branch shape at the end of a tier-2 block, a branch
-whose target is its own fall-through), across call frames, in branch and full mode, on the plain and the profiled loops,
-and on generated programs. Recognition reads those bits, so a trace
-from either engine must recognize the same way, and the window
-multiset must not depend on how the bits are held.
+whose target is its own fall-through), across call frames, in branch
+and full mode, with a cold and a warm tier-2 block cache, and on
+generated programs. Recognition reads those bits, so a trace from
+either engine must recognize the same way, and the window multiset
+must not depend on how the bits are held.
 """
 
 import io
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bytecode_wm import WatermarkKey, embed, recognize
 from repro.core.bitstring import decode_bits, sliding_windows, window_multiset
-from repro.vm import Interpreter, assemble, run_module
+from repro.vm import Interpreter, assemble, run_module, tier2
 from repro.vm._reference import run_module_reference
 from repro.vm.trace_io import dump_trace, load_trace
 from repro.workloads import (
@@ -43,8 +44,8 @@ def reference_bits(module, inputs, mode="branch"):
     return bytes(decode_bits(ref.trace.branch_pairs()))
 
 
-def assert_bits_exact(module, inputs=(), mode="branch", profile=False):
-    fast = run_module(module, inputs, trace_mode=mode, profile=profile)
+def assert_bits_exact(module, inputs=(), mode="branch"):
+    fast = run_module(module, inputs, trace_mode=mode)
     assert isinstance(fast.trace.bits, bytes)
     assert fast.trace.bits == reference_bits(module, inputs, mode)
     assert len(fast.trace.bits) == len(fast.trace.branches)
@@ -195,12 +196,16 @@ base:
 
 class TestModesAndProfiles:
     @pytest.mark.parametrize("mode", ["branch", "full"])
-    @pytest.mark.parametrize("profile", [False, True])
+    @pytest.mark.parametrize("warm", [False, True])
     @pytest.mark.parametrize(
         "name,factory,inputs", WORKLOADS, ids=[w[0] for w in WORKLOADS]
     )
-    def test_workload(self, name, factory, inputs, mode, profile):
-        assert_bits_exact(factory(), inputs, mode, profile)
+    def test_workload(self, name, factory, inputs, mode, warm):
+        module = factory()
+        tier2.clear_cache()
+        if warm:  # every hot block is cached before the checked run
+            run_module(module, inputs, trace_mode=mode)
+        assert_bits_exact(module, inputs, mode)
 
     def test_untraced_run_has_no_trace(self):
         assert run_module(gcd_module(), [252, 105]).trace is None

@@ -331,22 +331,36 @@ class TestFullTrace:
         assert_cold_and_warm(module)
 
 
-def _tier1_limit(module, budget):
-    """Where tier 1 alone runs out (profiled loops never use tier 2)."""
-    with pytest.raises(StepLimitExceeded) as exc:
-        run_module(module, max_steps=budget, profile=True)
-    return exc.value
+def _tier1_limits(module, mode, total, monkeypatch):
+    """Where tier 1 alone runs out, for every budget short of ``total``.
+
+    Recorded from an empty cache with a promotion threshold no run of
+    ``total`` steps reaches, so no block is ever installed.
+    """
+    _cold()
+    limits = {}
+    with monkeypatch.context() as m:
+        m.setattr(tier2, "_THRESHOLD", total + 1)
+        for budget in range(1, total):
+            interp = Interpreter(module, max_steps=budget, trace_mode=mode)
+            with pytest.raises(StepLimitExceeded) as exc:
+                interp.run()
+            assert not any(any(cf.blk) for cf in interp._compiled.values())
+            limits[budget] = exc.value
+    assert tier2.cache_size() == 0
+    return limits
 
 
 class TestStepBudget:
     @pytest.mark.parametrize("mode", [None, "branch", "full"])
-    def test_every_budget_lands_where_tier_one_does(self, mode):
+    def test_every_budget_lands_where_tier_one_does(self, mode, monkeypatch):
         module = assemble(HOT_CALLEE)
         total = run_module_reference(module).steps
-        _cold()
+        limits = _tier1_limits(module, mode, total, monkeypatch)
         run_module(module, trace_mode=mode)  # warm: blocks cached
+        assert tier2.cache_size() > 0
         for budget in range(1, total):
-            want = _tier1_limit(module, budget)
+            want = limits[budget]
             with pytest.raises(VMError, match="step limit"):
                 run_module_reference(module, max_steps=budget)
             with pytest.raises(StepLimitExceeded) as got:

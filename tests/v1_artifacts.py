@@ -37,7 +37,7 @@ def v1_state(prepared, drop=(), **changes):
         "baseline_output": prepared.baseline_output,
         "timings": prepared.timings,
         "version": 1,
-        "dispatch_counts": prepared.dispatch_counts,
+        "dispatch_counts": None,
         "codec": prepared.codec,
     }
     state.update(changes)
