@@ -10,7 +10,7 @@ round so pytest-benchmark records one honest timing per experiment.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 
 def print_table(title: str, header: Sequence[str], rows: Iterable[Sequence]):

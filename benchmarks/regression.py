@@ -5,10 +5,11 @@ Runs the interpreter micro-benchmarks (fast engine vs the seed
 reference engine, interleaved in the same process), reference-scan vs
 packed window counting over one recognition's trace bits, scalar vs
 batched window decryption over one recognition's windows, a plain N32
-run vs a native extraction of marked bzip2, plus, with
-``--figures``, the ``benchmarks/test_*`` figure reproductions under
-pytest-benchmark, and writes a schema-versioned ``BENCH_<date>.json``
-report with per-benchmark median, IQR and steps/sec.
+run vs a native extraction of marked bzip2, a cold vs a warm native
+embed of bzip2, plus, with ``--figures``, the ``benchmarks/test_*``
+figure reproductions under pytest-benchmark, and writes a
+schema-versioned ``BENCH_<date>.json`` report with per-benchmark
+median, IQR and steps/sec.
 
 Gating philosophy
 -----------------
@@ -20,8 +21,9 @@ constantly. Every gated metric is therefore a **ratio measured inside
 one process with the two sides interleaved** — fast-engine throughput
 over reference-engine throughput, scanned over packed window counting
 time, scalar over batched decryption time, plain-run over extraction
-time — which cancels the machine out. Raw seconds and steps/sec are
-still recorded (they are what humans read) but never gated.
+time, cold over warm native embedding time — which cancels the
+machine out. Raw seconds and steps/sec are still recorded (they are
+what humans read) but never gated.
 
 Usage::
 
@@ -36,10 +38,10 @@ Exit status is non-zero when any gated metric regresses more than
 byte-identical to the reference engine's (with a cold and with a warm
 tier-2 block cache), when the bits it decodes in its run loop differ
 from the reference decode, when a warm untraced run's steps or output
-differ from the reference's, when the packed window
-counts differ from the reference scan's, when a batched window
-decryption differs from the scalar cipher's, or when the native
-extraction misses its mark.
+differ from the reference's, when the packed window counts differ
+from the reference scan's, when a batched window decryption differs
+from the scalar cipher's, when the native extraction misses its mark,
+or when a warm native embed's image differs from a cold one's.
 """
 
 from __future__ import annotations
@@ -75,7 +77,11 @@ from repro.core.bitstring import (  # noqa: E402
 )
 from repro.core.cipher import BlockCipher  # noqa: E402
 from repro.native.machine import run_image  # noqa: E402
-from repro.native_wm import embed_native, extract_native  # noqa: E402
+from repro.native_wm import (  # noqa: E402
+    clear_native_releases,
+    embed_native,
+    extract_native,
+)
 from repro.vm import tier2  # noqa: E402
 from repro.vm._reference import run_module_reference  # noqa: E402
 from repro.vm.interpreter import run_module  # noqa: E402
@@ -336,6 +342,37 @@ def _native_extract_pair(repeats: int, results: Dict[str, dict]) -> bool:
     )
 
 
+def _native_release_pair(repeats: int, results: Dict[str, dict]) -> bool:
+    """A cold vs a warm ``embed_native`` of bzip2.
+
+    The cold side clears the kept releases first, so it profiles,
+    analyses loops and ranks begin edges; the warm side reuses that
+    release and only lifts, places the chain and lowers. Returns whether
+    every warm image was byte-identical to the cold one.
+    """
+    image = spec_native("bzip2")
+
+    def embed() -> Tuple[bytes, bytes]:
+        emb = embed_native(
+            image, 0x00000000FFFFFFFF, 64, SPEC_TRAIN_INPUT, rng_seed=15
+        )
+        return emb.image.text, bytes(emb.image.data)
+
+    def cold() -> Tuple[bytes, bytes]:
+        clear_native_releases()
+        return embed()
+
+    return _interleaved_pair(
+        "native.embed.release",
+        ("cold", "warm"),
+        cold,
+        embed,
+        repeats,
+        results,
+        kernel="bzip2",
+    )
+
+
 def _fault_hook_inertness_check() -> dict:
     """Disarmed fault hooks must be free.
 
@@ -433,6 +470,8 @@ def run_benchmarks(repeats: int, figures: bool) -> dict:
     decrypt_exact = _decrypt_batch_pair(repeats, results)
     print("== native extraction ==", flush=True)
     extract_exact = _native_extract_pair(repeats, results)
+    print("== native releases ==", flush=True)
+    release_exact = _native_release_pair(repeats, results)
     fault_hooks = _fault_hook_inertness_check()
     if figures:
         print("== figure reproduction benchmarks ==", flush=True)
@@ -451,6 +490,7 @@ def run_benchmarks(repeats: int, figures: bool) -> dict:
             "window_multiset_exact": windows_exact,
             "decrypt_batch_exact": decrypt_exact,
             "native_extract_exact": extract_exact,
+            "native_release_exact": release_exact,
             "fault_hooks": fault_hooks,
         },
     }
@@ -485,6 +525,8 @@ def print_report(report: dict) -> None:
     print(f"batched window decryption equals the scalar cipher: {exact}")
     extracted = report["checks"]["native_extract_exact"]
     print(f"native extraction recovers marked bzip2's mark: {extracted}")
+    release = report["checks"]["native_release_exact"]
+    print(f"warm native embeds equal cold ones byte for byte: {release}")
     hooks = report["checks"].get("fault_hooks")
     if hooks:
         print(
@@ -518,6 +560,8 @@ def compare_to_baseline(
         )
     if not report["checks"]["native_extract_exact"]:
         failures.append("native extraction missed marked bzip2's mark")
+    if not report["checks"]["native_release_exact"]:
+        failures.append("a warm native embed differs from a cold one")
     hooks = report["checks"].get("fault_hooks", {})
     if not hooks.get("inert", True):
         failures.append(

@@ -18,7 +18,7 @@ part of a loop" — loop membership is computed here, statically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .image import BinaryImage
 from .isa import CONDITIONAL_JUMPS, Imm, NInstruction
@@ -171,9 +171,17 @@ class NativeCFG:
         return out
 
 
-def build_native_cfg(image: BinaryImage) -> NativeCFG:
-    """Disassemble and construct the whole-text CFG."""
-    listing = image.disassemble()
+def build_native_cfg(
+    image: BinaryImage,
+    listing: Optional[Sequence[Tuple[int, NInstruction]]] = None,
+) -> NativeCFG:
+    """Disassemble and construct the whole-text CFG.
+
+    ``listing`` is ``image.disassemble()`` when the caller already has
+    it (the embedder lifts the same listing).
+    """
+    if listing is None:
+        listing = image.disassemble()
     addresses = [a for a, _ in listing]
     addr_set = set(addresses)
     by_addr = dict(listing)

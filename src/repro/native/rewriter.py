@@ -25,7 +25,7 @@ attack (Section 5.2.2, attack 4) without any relayout at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .encoding import encode_instruction
 from .image import BinaryImage
@@ -78,9 +78,17 @@ def _target_label(addr: int) -> str:
     return f"La_{addr:08x}"
 
 
-def lift(image: BinaryImage) -> LiftedProgram:
-    """Disassemble into symbolic, editable form."""
-    listing = image.disassemble()
+def lift(
+    image: BinaryImage,
+    listing: Optional[Sequence[Tuple[int, NInstruction]]] = None,
+) -> LiftedProgram:
+    """Disassemble into symbolic, editable form.
+
+    ``listing`` is ``image.disassemble()`` when the caller already has
+    it; its instructions are copied, never edited.
+    """
+    if listing is None:
+        listing = image.disassemble()
     addresses = {addr for addr, _ in listing}
 
     targets = set()

@@ -16,7 +16,14 @@ from .branch_function import (
     branch_function_byte_size,
     emit_branch_function,
 )
-from .embedder import CALL_LENGTH, NativeEmbedding, embed_native
+from .embedder import (
+    CALL_LENGTH,
+    NativeEmbedding,
+    NativeRelease,
+    clear_native_releases,
+    embed_native,
+    prepare_native,
+)
 from .extractor import (
     BranchFunctionEvent,
     ExtractionResult,
@@ -36,11 +43,13 @@ __all__ = [
     "ENTRY_LABEL",
     "ExtractionResult",
     "NativeEmbedding",
+    "NativeRelease",
     "PerfectHash",
     "SimpleTracer",
     "SmartTracer",
     "branch_function_byte_size",
     "build_perfect_hash",
+    "clear_native_releases",
     "embed_native",
     "emit_branch_function",
     "extract_native",
@@ -48,4 +57,5 @@ __all__ = [
     "hash_geometry",
     "identify_branch_function",
     "native_recognition_report",
+    "prepare_native",
 ]

@@ -3,7 +3,8 @@
 Pipeline:
 
 1. **Profile** the binary on the key input (PLTO instrumentation mode)
-   to find a cold, executed, unconditional edge ``begin -> end``.
+   to find a cold, executed, unconditional edge ``begin -> end``. This
+   is done once per image and key input (:class:`NativeRelease`).
 2. **Chain construction**: replace the ``begin`` jump with ``call
    bf_entry`` (= ``a_0``), then for each watermark bit scan forward
    (bit 1) or backward (bit 0) for the nearest unused *no-fall-through
@@ -27,14 +28,18 @@ Pipeline:
 from __future__ import annotations
 
 import bisect
+import hashlib
 import random
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.bitstring import int_to_bits_lsb_first
 from ..core.errors import EmbeddingError
 from ..native.image import BinaryImage
 from ..native.isa import (
+    Imm,
     Label,
     Mem,
     NInstruction,
@@ -42,7 +47,7 @@ from ..native.isa import (
     ni,
 )
 from ..native.cfg import build_native_cfg
-from ..native.profiler import Profile, profile_image
+from ..native.profiler import profile_image
 from ..native.rewriter import (
     LiftedProgram,
     RewriteError,
@@ -113,30 +118,95 @@ def _slot_positions(items: List[TextItem]) -> List[int]:
     ]
 
 
-def _begin_candidates(
-    prog: LiftedProgram, profile: Profile
-) -> List[Tuple[int, int]]:
-    """(address, item index) of cold executed direct jumps, best first.
+@dataclass(frozen=True)
+class NativeRelease:
+    """What embedding reads of one image's profile on one key input.
+
+    Built once per (image, key input) by :func:`prepare_native`: the
+    profile run, the loop analysis and the begin-edge ranking. Every
+    copy embedded from it lifts the caller's image afresh, so it keeps
+    no reference to an image or to a lifted program.
+    """
+
+    #: executed direct jumps: address -> (execution count, sequence
+    #: number of the first execution, inside a static loop)
+    jumps: Dict[int, Tuple[int, int, bool]]
+    #: begin-edge candidates, best first
+    begins: Tuple[int, ...]
+
+
+def _begin_candidates(jumps: Dict[int, Tuple[int, int, bool]]) -> Tuple[int, ...]:
+    """Addresses of cold executed direct jumps, best first.
 
     Cold jumps (a handful of executions) are bucketed together and
     ordered by *earliest first execution*: an early begin edge keeps
     the chain's runtime cost low AND leaves the most later-executing
     cold jumps available as tamper-proofing candidates.
     """
-    out = []
-    for addr, idx in prog.index_of_addr.items():
-        item = prog.items[idx]
-        if isinstance(item, tuple) or item.mnemonic != "jmp":
+    ranked = sorted(
+        (count if count > 4 else 1, first, addr)
+        for addr, (count, first, _in_loop) in jumps.items()
+    )
+    return tuple(addr for _b, _f, addr in ranked)
+
+
+def _prepare(
+    image: BinaryImage,
+    inputs: Sequence[int],
+    listing: Sequence[Tuple[int, NInstruction]],
+) -> NativeRelease:
+    profile = profile_image(image, inputs)
+    # Static loop membership for the paper's tamper-proofing criterion
+    # ("... and is not part of a loop", Section 4.3).
+    loops = build_native_cfg(image, listing).loop_instruction_addresses()
+    jumps: Dict[int, Tuple[int, int, bool]] = {}
+    for addr, instr in listing:
+        if instr.mnemonic != "jmp" or addr not in profile.counts:
             continue
-        if not isinstance(item.operands[0], Label):
-            continue
-        count = profile.count(addr)
-        if count == 0:
-            continue
-        bucket = count if count > 4 else 1
-        out.append((bucket, profile.first_seen.get(addr, 0), addr, idx))
-    out.sort()
-    return [(addr, idx) for _b, _f, addr, idx in out]
+        dest = instr.operands[0]
+        # The jumps lift() makes symbolic: direct, into the text.
+        if isinstance(dest, Imm) and image.in_text(dest.value):
+            jumps[addr] = (
+                profile.counts[addr], profile.first_seen[addr], addr in loops
+            )
+    return NativeRelease(jumps, _begin_candidates(jumps))
+
+
+def prepare_native(image: BinaryImage, inputs: Sequence[int] = ()) -> NativeRelease:
+    """Profile ``image`` on the key input ``inputs`` and rank its begin
+    edges: the part of embedding that every copy shares."""
+    return _prepare(image, inputs, image.disassemble())
+
+
+#: Most releases :func:`embed_native` keeps. A release holds one record
+#: per executed direct jump: 5 to 13, under 3 KiB, for the SPEC-like
+#: kernels.
+_RELEASE_CAP = 16
+
+_ReleaseKey = Tuple[bytes, Tuple[int, ...]]
+
+_releases: "OrderedDict[_ReleaseKey, NativeRelease]" = OrderedDict()
+_releases_lock = threading.Lock()
+
+
+def _release_key(image: BinaryImage, inputs: Sequence[int]) -> _ReleaseKey:
+    """Digest of every image field a release is derived from, plus the
+    key input. Symbols are not among them: the machine never reads
+    them."""
+    h = hashlib.sha256()
+    h.update(b"%d %d %d %d %d " % (
+        len(image.text), image.data_base, image.entry, image.text_base,
+        image.bss_bytes,
+    ))
+    h.update(image.text)
+    h.update(image.data)
+    return h.digest(), tuple(inputs)
+
+
+def clear_native_releases() -> None:
+    """Drop every kept release (the next embed of any image is cold)."""
+    with _releases_lock:
+        _releases.clear()
 
 
 def embed_native(
@@ -158,28 +228,41 @@ def embed_native(
     measure the paper inherits from Linn & Debray [15]. Raises
     :class:`EmbeddingError` when no suitable begin edge or not enough
     slots exist.
+
+    The image's :class:`NativeRelease` is kept, keyed by the image's
+    content and ``inputs``, so only the first embed into an image
+    profiles it; each call lifts ``image`` afresh.
     """
     if watermark < 0 or watermark >= (1 << width):
         raise EmbeddingError(f"watermark does not fit in {width} bits")
     bits = int_to_bits_lsb_first(watermark, width)
-    profile = profile_image(image, inputs)
-    # Static loop membership for the paper's tamper-proofing criterion
-    # ("... and is not part of a loop", Section 4.3).
-    loop_addresses = build_native_cfg(image).loop_instruction_addresses()
-    base_prog = lift(image)
-    candidates = _begin_candidates(base_prog, profile)
-    if not candidates:
+    key = _release_key(image, inputs)
+    with _releases_lock:
+        release = _releases.get(key)
+        if release is not None:
+            _releases.move_to_end(key)
+    if release is None:
+        listing = image.disassemble()
+        release = _prepare(image, inputs, listing)
+        with _releases_lock:
+            _releases[key] = release
+            while len(_releases) > _RELEASE_CAP:
+                _releases.popitem(last=False)
+        base_prog = lift(image, listing)
+    else:
+        base_prog = lift(image)
+    if not release.begins:
         raise EmbeddingError("no executed direct jmp available as begin edge")
 
     last_error: Optional[Exception] = None
     fallback: Optional[NativeEmbedding] = None
-    for begin_addr, _idx in candidates[:8]:
+    for begin_addr in release.begins[:8]:
         try:
             result = _embed_at(
                 image, base_prog.copy(), watermark, width, bits,
-                begin_addr, profile,
+                begin_addr, release,
                 random.Random(rng_seed), tamper_proof, max_tamper_count,
-                inputs, obfuscate_extra, loop_addresses,
+                obfuscate_extra,
             )
         except (EmbeddingError, RewriteError) as exc:
             last_error = exc
@@ -203,15 +286,13 @@ def _embed_at(
     width: int,
     bits: List[int],
     begin_addr: int,
-    profile: Profile,
+    release: NativeRelease,
     rng: random.Random,
     tamper_proof: bool,
     max_tamper_count: int,
-    inputs: Sequence[int],
     obfuscate_extra: int = 0,
-    loop_addresses: Optional[Set[int]] = None,
 ) -> NativeEmbedding:
-    loop_addresses = loop_addresses if loop_addresses is not None else set()
+    jumps = release.jumps
     begin_idx = prog.find(begin_addr)
     begin_jmp = prog.items[begin_idx]
     assert isinstance(begin_jmp, NInstruction) and begin_jmp.mnemonic == "jmp"
@@ -265,7 +346,7 @@ def _embed_at(
     # auto-framing's chain-linkage never absorbs an extra.
     extra_calls: List[Tuple[NInstruction, str]] = []
     if obfuscate_extra > 0:
-        for addr in sorted(prog.index_of_addr):
+        for addr in sorted(jumps):
             if len(extra_calls) >= obfuscate_extra:
                 break
             idx = prog.index_of_addr[addr]
@@ -275,8 +356,6 @@ def _embed_at(
             if item is begin_jmp or not isinstance(item.operands[0], Label):
                 continue
             if item.operands[0].name == end_label:
-                continue
-            if profile.count(addr) == 0:
                 continue
             call = ni("call", Label(ENTRY_LABEL))
             prog.items[idx] = call
@@ -308,21 +387,18 @@ def _embed_at(
     # whose execution counts the max_tamper_count cap already bounds.
     tamper_items: List[Tuple[NInstruction, str]] = []
     if tamper_proof:
-        t0 = profile.first_seen.get(begin_addr, 0)
+        t0 = jumps[begin_addr][1]
         candidates: List[Tuple[bool, int, int]] = []
-        for addr in sorted(prog.index_of_addr):
+        for addr, (count, first, in_loop) in sorted(jumps.items()):
+            if count > max_tamper_count or first <= t0:
+                continue
             idx = prog.index_of_addr[addr]
             item = prog.items[idx]
             if not isinstance(item, NInstruction) or item.mnemonic != "jmp":
                 continue
             if item is begin_jmp or not isinstance(item.operands[0], Label):
                 continue
-            count = profile.count(addr)
-            if count == 0 or count > max_tamper_count:
-                continue
-            if profile.first_seen.get(addr, -1) <= t0:
-                continue
-            candidates.append((addr in loop_addresses, addr, idx))
+            candidates.append((in_loop, addr, idx))
         candidates.sort()  # loop-free (False) first, then by address
         for _in_loop, addr, idx in candidates[:len(calls)]:
             item = prog.items[idx]

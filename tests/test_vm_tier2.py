@@ -12,7 +12,7 @@ blocks run from their first arrival).
 import io
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from repro.bytecode_wm import WatermarkKey, embed
 from repro.core.bitstring import decode_bits
