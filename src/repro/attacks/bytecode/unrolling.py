@@ -20,8 +20,9 @@ two onward runs the original body.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional
 
+from ...core import loops
 from ...vm.instructions import BRANCHING, Instruction
 from ...vm.program import Function, Module
 from ...vm.rewriter import rename_labels
@@ -50,31 +51,6 @@ def _successors(block: Block) -> List[str]:
     ]
 
 
-def _back_edges(blocks: List[Block]) -> List[Tuple[str, str]]:
-    """DFS back edges of the label graph, from the first block."""
-    graph = {_label_of(b): _successors(b) for b in blocks}
-    entry = _label_of(blocks[0])
-    color: Dict[str, int] = {entry: 1}
-    out: List[Tuple[str, str]] = []
-    stack: List[Tuple[str, int]] = [(entry, 0)]
-    while stack:
-        name, child = stack[-1]
-        succs = [s for s in graph.get(name, []) if s in graph]
-        if child < len(succs):
-            stack[-1] = (name, child + 1)
-            succ = succs[child]
-            c = color.get(succ, 0)
-            if c == 1:
-                out.append((name, succ))
-            elif c == 0:
-                color[succ] = 1
-                stack.append((succ, 0))
-        else:
-            color[name] = 2
-            stack.pop()
-    return out
-
-
 def peel_one_loop(module: Module, fn: Function,
                   rng: random.Random) -> bool:
     """Peel one natural loop of ``fn``; returns success.
@@ -92,31 +68,19 @@ def peel_one_loop(module: Module, fn: Function,
     # Work on copies: retargeting entry edges must not leak into the
     # original instructions if verification later rejects the peel.
     blocks = [[instr.copy() for instr in b] for b in normalized]
-    edges = _back_edges(blocks)
+    by_label = {_label_of(b): b for b in blocks}
+    # The label graph; a branch to a label that leads no block has no
+    # edge.
+    graph = {
+        name: [s for s in _successors(b) if s in by_label]
+        for name, b in by_label.items()
+    }
+    edges = loops.back_edges(graph, [_label_of(blocks[0])])
     if not edges:
         return False
     latch, header = rng.choice(sorted(edges))
-
-    # Natural loop body: header + nodes reaching latch avoiding header.
-    preds: Dict[str, List[str]] = {}
-    for b in blocks:
-        for s in _successors(b):
-            preds.setdefault(s, []).append(_label_of(b))
-    body: Set[str] = {header, latch}
-    work = [latch]
-    while work:
-        node = work.pop()
-        if node == header:
-            continue
-        for p in preds.get(node, []):
-            if p not in body:
-                body.add(p)
-                work.append(p)
+    body = loops.natural_loop(loops.predecessors(graph), latch, header)
     if len(body) > _MAX_LOOP_BLOCKS:
-        return False
-
-    by_label = {_label_of(b): b for b in blocks}
-    if any(name not in by_label for name in body):
         return False
 
     mapping = {

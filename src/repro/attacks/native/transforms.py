@@ -74,16 +74,9 @@ def invert_branch_senses(
         ):
             fall = f"inv_{counter}"
             counter += 1
-            replacement = [
-                ni(JCC_INVERSES[item.mnemonic], Label(fall)),
-                ni("jmp", item.operands[0]),
-            ]
-            prog.items[idx:idx + 1] = replacement
-            prog.items.insert(idx + 2, ("label", fall))
-            # Manual index fixups: replaced 1 item with 3.
-            for addr, i in prog.index_of_addr.items():
-                if i > idx:
-                    prog.index_of_addr[addr] = i + 2
+            prog.items[idx] = ni(JCC_INVERSES[item.mnemonic], Label(fall))
+            prog.insert(idx + 1, [ni("jmp", item.operands[0]),
+                                  ("label", fall)])
             idx += 3
         else:
             idx += 1

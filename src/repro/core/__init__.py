@@ -4,7 +4,8 @@ This package contains everything from Sections 2-3 of the paper that
 does not touch a particular code substrate: the trace bit-string
 decoder, the CRT splitting/recombination machinery, the statement
 enumeration, the block cipher, the recognition algorithm, and the
-closed-form success-probability model (Eq. 1).
+closed-form success-probability model (Eq. 1). ``loops`` holds the
+loop analysis that both substrates' CFGs share.
 """
 
 from .bitstring import (

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..core import loops
 from .image import BinaryImage
 from .isa import CONDITIONAL_JUMPS, Imm, NInstruction
 
@@ -59,52 +60,22 @@ class NativeCFG:
             for a, _i in block.instructions:
                 self._containing[a] = start
 
+    def _successors(self) -> Dict[int, List[int]]:
+        return {start: b.successors for start, b in self.blocks.items()}
+
     def back_edges(self) -> List[Tuple[int, int]]:
-        """(source, target) block starts forming DFS back edges."""
-        color: Dict[int, int] = {}
-        out: List[Tuple[int, int]] = []
-        for root in [self.entry] + self.order:
-            if color.get(root, 0) != 0:
-                continue
-            color[root] = 1
-            stack: List[Tuple[int, int]] = [(root, 0)]
-            while stack:
-                name, child = stack[-1]
-                succs = self.blocks[name].successors
-                if child < len(succs):
-                    stack[-1] = (name, child + 1)
-                    succ = succs[child]
-                    c = color.get(succ, 0)
-                    if c == 1:
-                        out.append((name, succ))
-                    elif c == 0:
-                        color[succ] = 1
-                        stack.append((succ, 0))
-                else:
-                    color[name] = 2
-                    stack.pop()
-        return out
+        """(source, target) block starts forming DFS back edges, walking
+        from the entry and then from every block not yet reached."""
+        return loops.back_edges(
+            self._successors(), [self.entry] + self.order
+        )
 
     def loop_blocks(self) -> Set[int]:
         """Blocks participating in some natural loop."""
-        preds: Dict[int, List[int]] = {b: [] for b in self.blocks}
-        for start, block in self.blocks.items():
-            for s in block.successors:
-                if s in preds:
-                    preds[s].append(start)
+        preds = loops.predecessors(self._successors())
         in_loop: Set[int] = set()
-        for source, target in self.back_edges():
-            body = {target, source}
-            work = [source]
-            while work:
-                b = work.pop()
-                if b == target:
-                    continue
-                for p in preds.get(b, []):
-                    if p not in body:
-                        body.add(p)
-                        work.append(p)
-            in_loop |= body
+        for latch, header in self.back_edges():
+            in_loop |= loops.natural_loop(preds, latch, header)
         return in_loop
 
     def dominators(self) -> Dict[int, Set[int]]:
@@ -116,11 +87,7 @@ class NativeCFG:
         watermark region provably executes before. Blocks unreachable
         from the entry get an empty set.
         """
-        preds: Dict[int, List[int]] = {b: [] for b in self.blocks}
-        for start, block in self.blocks.items():
-            for s in block.successors:
-                if s in preds:
-                    preds[s].append(start)
+        preds = loops.predecessors(self._successors())
         # Reachable blocks only.
         reach: Set[int] = set()
         work = [self.entry]

@@ -17,17 +17,17 @@ targets, fall-through address and memory-operand address function
 resolved. The closure performs the instruction and returns the next
 ``eip``.
 
-Instrumentation is bound into that table, not called per instruction.
-A profiled run counts executions in a twin of the run loop, and a
-:class:`CallRecord` wraps only the handlers it watches (calls, returns
-and one entry address) — the "tracer tool that uses hardware
-single-stepping" of Section 4.2.3 at the cost of a plain run. A
-``step_hook`` callback, which observes every instruction with full
-machine state before it executes, is bound the same way: it wraps each
-handler as it is bound, outside any :class:`CallRecord` wrapper, so it
-composes with a recorded or a profiled run and a run without one pays
-nothing for it. It is for tests and debugging; no library code uses
-it.
+Instrumentation is bound into that table, not called per instruction,
+and every run goes through the one run loop. A :class:`CallRecord`
+wraps only the handlers it watches (calls, returns and one entry
+address) — the "tracer tool that uses hardware single-stepping" of
+Section 4.2.3 at the cost of a plain run. A ``step_hook`` callback,
+which observes every instruction with full machine state before it
+executes, wraps each handler as it is bound, outside any
+:class:`CallRecord` wrapper; it is for tests and debugging, and no
+library code uses it. A profiled run wraps each handler, outermost, in
+a counter of its executions. Each instrument composes with the others,
+and a run without one pays nothing for it.
 
 Time is measured in executed instructions (see DESIGN.md).
 """
@@ -113,6 +113,10 @@ class Machine:
         self._input_pos = 0
         self._calls: Optional[CallRecord] = None
         self._step_hook: Optional[StepHook] = None
+        #: (counts, first_seen, steps before the run) of a profiled run
+        self._profile: Optional[
+            Tuple[Dict[int, int], Dict[int, int], int]
+        ] = None
         self.regs[4] = STACK_TOP - 64  # esp
 
     # -- memory -----------------------------------------------------------
@@ -170,20 +174,20 @@ class Machine:
         (``eip`` is where faults are reported); after a run that ends,
         faulting or not, ``steps`` counts the instructions that began,
         plus one if the budget ran out. ``calls`` records the run's
-        calls and returns; ``profile`` selects the profiled loop, which
-        fills its ``counts`` and ``first_seen``. ``step_hook`` is called
-        with ``(machine, eip, instruction)`` before each instruction.
+        calls and returns; the run fills ``profile``'s ``counts`` and
+        ``first_seen``. ``step_hook`` is called with ``(machine, eip,
+        instruction)`` before each instruction.
         """
         self._inputs = inputs
         self._input_pos = 0
         self._calls = calls
         self._step_hook = step_hook
         self.push(EXIT_ADDRESS)
+        self._profile = None if profile is None else (
+            profile.counts, profile.first_seen, self.steps
+        )
         try:
-            if profile is None:
-                self._loop()
-            else:
-                self._loop_profiled(profile.counts, profile.first_seen)
+            self._loop()
         except _Halt:
             pass
         finally:
@@ -191,7 +195,7 @@ class Machine:
                 calls.began = min(self.steps, self.max_steps)
         return NRunResult(self.output, self.steps)
 
-    # Each loop keeps its handler table, eip -> (handler, decoded
+    # The loop keeps its handler table, eip -> (handler, decoded
     # instruction), filled on first execution. Writes to text fault, so
     # text cannot change under the run and no entry goes stale. The
     # table is local to the run: handlers refer to the machine, so a
@@ -219,37 +223,6 @@ class Machine:
         finally:
             self.steps = steps
 
-    def _loop_profiled(
-        self, counts: Dict[int, int], first_seen: Dict[int, int]
-    ) -> None:
-        """The run loop, counting each address's executions and noting
-        the sequence number (0 for this run's first step) of its first."""
-        table: Dict[int, Tuple[Handler, NInstruction]] = {}
-        max_steps = self.max_steps
-        steps = start = self.steps
-        eip = self.eip
-        try:
-            while eip != EXIT_ADDRESS:
-                self.eip = eip
-                entry = table.get(eip)
-                if entry is None:
-                    entry = table[eip] = self._bind(eip)
-                    steps += 1
-                    if steps > max_steps:
-                        raise MachineFault("instruction budget exceeded", eip)
-                    first_seen[eip] = steps - 1 - start
-                    counts[eip] = 1
-                else:
-                    steps += 1
-                    if steps > max_steps:
-                        raise MachineFault("instruction budget exceeded", eip)
-                    counts[eip] += 1
-                self.steps = steps
-                eip = entry[0]()
-            self.eip = eip
-        finally:
-            self.steps = steps
-
     def _bind(self, eip: int) -> Tuple[Handler, NInstruction]:
         """Decode the instruction at ``eip`` into its table entry."""
         image = self.image
@@ -265,6 +238,8 @@ class Machine:
             handler = self._calls.wrap(self, instr, eip, nxt, handler)
         if self._step_hook is not None:
             handler = _hooked(self, self._step_hook, instr, eip, handler)
+        if self._profile is not None:
+            handler = _counted(self, *self._profile, eip, handler)
         return handler, instr
 
 
@@ -272,10 +247,32 @@ def _hooked(
     m: Machine, hook: StepHook, instr: NInstruction, eip: int,
     handler: Handler,
 ) -> Handler:
-    """``handler``, calling ``hook`` first. The run loops call a handler
+    """``handler``, calling ``hook`` first. The run loop calls a handler
     once ``eip`` and ``steps`` name its instruction."""
     def h():
         hook(m, eip, instr)
+        return handler()
+    return h
+
+
+def _counted(
+    m: Machine, counts: Dict[int, int], first_seen: Dict[int, int],
+    start: int, eip: int, handler: Handler,
+) -> Handler:
+    """``handler``, counting its executions in ``counts`` and noting the
+    sequence number (0 for the run's first step) of its first in
+    ``first_seen``. A step the budget cuts never calls it, so it is
+    counted nowhere."""
+    seen = False
+
+    def h():
+        nonlocal seen
+        if seen:
+            counts[eip] += 1
+        else:
+            seen = True
+            first_seen[eip] = m.steps - 1 - start
+            counts[eip] = 1
         return handler()
     return h
 

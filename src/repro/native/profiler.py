@@ -43,7 +43,7 @@ def profile_image(
     max_steps: Optional[int] = None,
 ) -> Profile:
     """Run the binary on training inputs, collecting the profile in the
-    machine's profiled run loop."""
+    machine's handler table."""
     profile = Profile()
     machine = Machine(image) if max_steps is None else Machine(image, max_steps)
     result = machine.run(inputs, profile=profile)

@@ -64,11 +64,11 @@ class LiftedProgram:
             dict(self.index_of_addr),
         )
 
-    def insert(self, index: int, instructions: List[NInstruction]) -> None:
-        """Insert instructions before item ``index``; invalidates no
-        labels (they are symbolic) but shifts later indices."""
-        self.items[index:index] = instructions
-        shift = len(instructions)
+    def insert(self, index: int, items: List[TextItem]) -> None:
+        """Insert items before item ``index``; invalidates no labels
+        (they are symbolic) but shifts later indices."""
+        self.items[index:index] = items
+        shift = len(items)
         for addr, idx in self.index_of_addr.items():
             if idx >= index:
                 self.index_of_addr[addr] = idx + shift
@@ -124,29 +124,53 @@ def lift(
     )
 
 
-def lower(prog: LiftedProgram) -> BinaryImage:
+@dataclass
+class TextLayout:
+    """Where :func:`lower` places a lifted program's items."""
+
+    #: layout address of each item (a label's is the next instruction's)
+    addresses: List[int]
+    #: label -> address
+    labels: Dict[str, int]
+    #: first address past the text
+    end: int
+
+
+def layout(prog: LiftedProgram) -> TextLayout:
+    """Lay the items out from the text base, in order."""
+    labels: Dict[str, int] = {}
+    addresses: List[int] = []
+    addr = prog.image.text_base
+    for item in prog.items:
+        addresses.append(addr)
+        if isinstance(item, tuple):
+            name = item[1]
+            if name in labels:
+                raise RewriteError(f"duplicate label {name!r}")
+            labels[name] = addr
+        else:
+            addr += item.length
+    return TextLayout(addresses, labels, addr)
+
+
+def lower(
+    prog: LiftedProgram, placed: Optional[TextLayout] = None
+) -> BinaryImage:
     """Re-layout and re-encode; data section stays put.
 
+    ``placed`` is ``layout(prog)`` when the caller already has it.
     Raises :class:`RewriteError` if the rewritten text would collide
     with the (immovable) data section.
     """
     image = prog.image
-    symbols: Dict[str, int] = {}
-    item_addr: List[int] = []  # layout address of each item
-    addr = image.text_base
-    for item in prog.items:
-        item_addr.append(addr)
-        if isinstance(item, tuple):
-            name = item[1]
-            if name in symbols:
-                raise RewriteError(f"duplicate label {name!r}")
-            symbols[name] = addr
-        else:
-            addr += item.length
-    if addr > image.data_base:
+    if placed is None:
+        placed = layout(prog)
+    symbols = placed.labels
+    item_addr = placed.addresses
+    if placed.end > image.data_base:
         raise RewriteError(
-            f"rewritten text ({addr - image.text_base} bytes) overflows "
-            f"into the data section"
+            f"rewritten text ({placed.end - image.text_base} bytes) "
+            f"overflows into the data section"
         )
     if prog.entry_label not in symbols:
         raise RewriteError(f"entry label {prog.entry_label!r} lost")

@@ -52,6 +52,7 @@ from ..native.rewriter import (
     LiftedProgram,
     RewriteError,
     TextItem,
+    layout,
     lift,
     lower,
 )
@@ -86,20 +87,6 @@ class NativeEmbedding:
     @property
     def size_increase(self) -> int:
         return self.image.total_size() - self.original_size
-
-
-def _item_addresses(prog: LiftedProgram) -> Tuple[Dict[int, int], Dict[str, int]]:
-    """(id(item) -> address, label -> address) matching lower()'s layout."""
-    instr_addr: Dict[int, int] = {}
-    label_addr: Dict[str, int] = {}
-    addr = prog.image.text_base
-    for item in prog.items:
-        if isinstance(item, tuple):
-            label_addr[item[1]] = addr
-        else:
-            instr_addr[id(item)] = addr
-            addr += item.length
-    return instr_addr, label_addr
 
 
 def _slot_positions(items: List[TextItem]) -> List[int]:
@@ -408,7 +395,8 @@ def _embed_at(
             tamper_items.append((indirect, target_label))
 
     # Phase B: first layout, compute addresses and the perfect hash.
-    instr_addr, label_addr = _item_addresses(prog)
+    placed = layout(prog)
+    instr_addr = dict(zip(map(id, prog.items), placed.addresses))
     call_addrs = [instr_addr[id(c)] for c in calls]
     extra_addrs = [instr_addr[id(c)] for c, _t in extra_calls]
     keys = [a + CALL_LENGTH for a in call_addrs + extra_addrs]
@@ -417,7 +405,7 @@ def _embed_at(
         raise EmbeddingError(
             "perfect hash geometry diverged from reserved layout"
         )
-    end_addr = label_addr[end_label]
+    end_addr = placed.labels[end_label]
     slots = [ph.evaluate(k) for k in keys]
 
     # Phase C: re-emit with final parameters; lengths are unchanged.
@@ -433,10 +421,11 @@ def _embed_at(
         indirect.operands = (Mem(disp=rec_addr),)
         tamper_slots.append((slots[j], target_label, rec_addr))
 
-    final = lower(prog)
+    placed = layout(prog)
+    final = lower(prog, placed)
     # Sanity: layout must not have moved between phases.
-    instr_addr2, label_addr2 = _item_addresses(prog)
-    if [instr_addr2[id(c)] for c in calls] != call_addrs:
+    instr_addr = dict(zip(map(id, prog.items), placed.addresses))
+    if [instr_addr[id(c)] for c in calls] != call_addrs:
         raise EmbeddingError("layout shifted between phases")
 
     # Phase D: write the tables into the extended data section.
@@ -453,13 +442,13 @@ def _embed_at(
     # Re-resolve targets against the final layout (identical to the
     # first: lengths did not change).
     final_targets = (
-        call_addrs[1:] + [label_addr2[end_label]]
-        + [label_addr2[t] for _c, t in extra_calls]
+        call_addrs[1:] + [placed.labels[end_label]]
+        + [placed.labels[t] for _c, t in extra_calls]
     )
     for k, t, s in zip(keys, final_targets, slots):
         put(t_base + 4 * s, k ^ t)
     for slot, target_label, rec_addr in tamper_slots:
-        correct = label_addr2[target_label]
+        correct = placed.labels[target_label]
         patch = rng.randrange(1, 1 << 32)
         while patch == correct:
             patch = rng.randrange(1, 1 << 32)
@@ -475,7 +464,7 @@ def _embed_at(
         width=width,
         begin=call_addrs[0],
         end=end_addr,
-        bf_entry=label_addr2[ENTRY_LABEL],
+        bf_entry=placed.labels[ENTRY_LABEL],
         call_addresses=call_addrs,
         tamper_jumps=[rec for _s, _t, rec in tamper_slots],
         obfuscated_calls=extra_addrs,

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..core import loops
 from .instructions import (
     CONDITIONAL_BRANCHES,
     Instruction,
@@ -58,11 +59,10 @@ class CFG:
         return self.blocks[name].successors
 
     def predecessors(self) -> Dict[str, List[str]]:
-        preds: Dict[str, List[str]] = {name: [] for name in self.blocks}
-        for name, block in self.blocks.items():
-            for succ in block.successors:
-                preds[succ].append(name)
-        return preds
+        return loops.predecessors(self._successors())
+
+    def _successors(self) -> Dict[str, List[str]]:
+        return {name: block.successors for name, block in self.blocks.items()}
 
     def reachable(self) -> Set[str]:
         """Block names reachable from the entry block."""
@@ -77,52 +77,22 @@ class CFG:
         return seen
 
     def back_edges(self) -> List[Tuple[str, str]]:
-        """(source, target) pairs forming loops (DFS back edges).
+        """(source, target) pairs forming loops (DFS back edges from the
+        entry block).
 
         A block that is the target of a back edge (or reaches itself)
         is considered *inside a loop*; the native tamper-proofer uses
         the analogous notion to avoid hot candidates.
         """
-        color: Dict[str, int] = {}
-        out: List[Tuple[str, str]] = []
-        if not self.blocks:
-            return out
-        # Iterative DFS to avoid recursion limits on long CFGs.
-        stack: List[Tuple[str, int]] = [(self.entry, 0)]
-        color[self.entry] = 1
-        while stack:
-            name, child = stack[-1]
-            succs = self.blocks[name].successors
-            if child < len(succs):
-                stack[-1] = (name, child + 1)
-                succ = succs[child]
-                c = color.get(succ, 0)
-                if c == 1:
-                    out.append((name, succ))
-                elif c == 0:
-                    color[succ] = 1
-                    stack.append((succ, 0))
-            else:
-                color[name] = 2
-                stack.pop()
-        return out
+        roots = [self.entry] if self.blocks else []
+        return loops.back_edges(self._successors(), roots)
 
     def loop_blocks(self) -> Set[str]:
         """Blocks that participate in some cycle (natural-loop bodies)."""
         preds = self.predecessors()
         in_loop: Set[str] = set()
-        for source, target in self.back_edges():
-            # Natural loop of back edge source->target: target plus all
-            # blocks reaching source without passing through target.
-            body = {target, source}
-            work = [source]
-            while work:
-                b = work.pop()
-                for p in preds.get(b, []):
-                    if p not in body:
-                        body.add(p)
-                        work.append(p)
-            in_loop |= body
+        for latch, header in self.back_edges():
+            in_loop |= loops.natural_loop(preds, latch, header)
         return in_loop
 
 

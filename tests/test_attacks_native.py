@@ -1,5 +1,8 @@
 """Tests for the five native attacks and the §5.2.2 resilience table."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.attacks.native import (
@@ -14,6 +17,7 @@ from repro.attacks.native import (
 from repro.lang.codegen_native import compile_source_native
 from repro.native import MachineFault, run_image
 from repro.native_wm import embed_native, extract_native
+from tests.test_native_equivalence import MARKS, _image, _tier
 
 HOST_SRC = """
 fn hot(n) {
@@ -83,6 +87,35 @@ class TestAttacksOnUnwatermarkedBinaries:
         for probe in ([3], [11]):
             assert run_image(attacked, probe).output == \
                 run_image(host, probe).output
+
+
+#: sha256 of the image ``invert_branch_senses`` makes of each SPEC-like
+#: kernel with ``random.Random(7)`` at probability 1.0 and 0.5, captured
+#: when the attack shifted ``index_of_addr`` by hand.
+INVERSION_PINS = {
+    ("bzip2", 1.0): "97fa7ec947efeb8fe5cd7572d8978e0603f4b6673470321a462ffbe89f2cddb1",
+    ("bzip2", 0.5): "e309871d12e828bad248ddef00d54b4156b7225ede24ef23b974ed8795df51f0",
+    ("gcc", 1.0): "162bc36992b0fc7dcf963d9a1ecd657cfc9f4601979dbd464f81a946e8569c25",
+    ("gcc", 0.5): "b59020a18b38b6798c4d5036a1bf632b0700ef75261288b9754349cd63350bb2",
+    ("mcf", 1.0): "a1eff22285b7d24987fc7c3e5fea00c5c8a9b0688150f04fa4a1ee9343fcd495",
+    ("mcf", 0.5): "d1c89a21f12722eab8b64643bbb4f4ae448ae3064437572b716f12189ffa65e1",
+    ("vortex", 1.0): "86c1cb20b94a1acfacceb5b0020c6602879dec51f77324e5e4f3cb7b4ca294e7",
+    ("vortex", 0.5): "a547e7284020170564e2e21094e7082e194bb3997984cdfa62c98fe7473756f0",
+    ("vpr", 1.0): "fdb2b23cc962d21071ccc5b2a58d1fc8a4c1de46507bfc2564fddfd2f16aecef",
+    ("vpr", 0.5): "a2a2fb126b286ee2357b5e99e50e307d15369cb1636fe7af115aa6b768393b0a",
+}
+
+
+@pytest.mark.parametrize("name", _tier(sorted(MARKS), ("mcf",)))
+def test_sense_inversion_of_spec_kernels_is_pinned(name):
+    for probability in (1.0, 0.5):
+        img = invert_branch_senses(_image(name), probability,
+                                   random.Random(7))
+        digest = hashlib.sha256(repr((
+            img.text, bytes(img.data), img.data_base, img.entry,
+            img.text_base, sorted(img.symbols.items()), img.bss_bytes,
+        )).encode()).hexdigest()
+        assert digest == INVERSION_PINS[name, probability], probability
 
 
 class TestAttacksOnWatermarkedBinaries:

@@ -11,13 +11,15 @@ the same results from one :class:`CallRecord` of one run; every
 clean and under each native attack, both tracers, both extraction
 entry points, and with the branch function given or discovered.
 
-The budget tests hold the profiled loop and the recording run to the
+The budget tests hold the profiled run and the recording run to the
 plain run's fault: same reason, address, step count and machine state
-as the pinned ``budget_digest`` of ``test_native_equivalence.py``.
+as the pinned ``budget_digest`` of ``test_native_equivalence.py``. A
+profile cut by the budget counts exactly the steps that began.
 
 mcf runs in the fast tier; the other kernels are ``slow``.
 """
 
+import collections
 import functools
 import gc
 import random
@@ -327,12 +329,59 @@ def _budget_digest(name, run):
                    machine.steps, machine.eip, machine.regs, machine.output)
 
 
+#: sha256 of (sorted counts, sorted first_seen) of the train run cut
+#: halfway, captured when a profiled run counted in a twin of the run
+#: loop.
+PINNED_CUT_PROFILE = {
+    "bzip2": "00adcff62505dd592065f6f17d8cd4bd90f4383a13004259ea8175a0d9120ede",
+    "gcc": "f4fda23c583d4788c4ab3e15c6fd1f98db1ac16c1ebb94c468ec9306c56241d3",
+    "mcf": "a95765fe431d64da9a43cc24ea69007a187c300d24c6f5951990d4bd20f14270",
+    "vortex": "1058724cd1dda2e52789edcf42f579b4bee3ad82c347de84ace72a2e90514879",
+    "vpr": "bb3dd5fa35b378bed7ba4037e159a332e2a39a1128e63ff93285e3dbe095e662",
+}
+
+
 @pytest.mark.parametrize("name", KERNELS)
 def test_profiled_loop_faults_like_a_plain_run(name):
+    profile = Profile()
     digest = _budget_digest(
-        name, lambda m: m.run(TRAIN_INPUT, profile=Profile())
+        name, lambda m: m.run(TRAIN_INPUT, profile=profile)
     )
     assert digest == PINNED_BUDGET[name]
+    # The step the budget cut never began, so nothing counts it.
+    budget = run_image(_image(name), TRAIN_INPUT).steps // 2
+    assert sum(profile.counts.values()) == budget
+    assert _digest(sorted(profile.counts.items()),
+                   sorted(profile.first_seen.items())) == (
+        PINNED_CUT_PROFILE[name]
+    )
+
+
+def test_profile_cut_by_the_budget_counts_the_steps_that_began():
+    """At every budget, a profile equals the count of the addresses a
+    ``step_hook`` saw: an address first reached by the cut step is in
+    neither map."""
+    image = assemble_text(EDGE_SRC.format(target="elsewhere"))
+    whole = Machine(image, 10_000)
+    whole.run()
+    fresh_cuts = 0
+    for budget in range(1, whole.steps + 2):
+        began, profile = [], Profile()
+        for kwargs in ({"step_hook": lambda m, a, i: began.append(a)},
+                       {"profile": profile}):
+            machine = Machine(image, budget)
+            try:
+                machine.run((), **kwargs)
+            except MachineFault:
+                pass
+        first_seen = {}
+        for seq, addr in enumerate(began):
+            first_seen.setdefault(addr, seq)
+        assert profile.counts == dict(collections.Counter(began)), budget
+        assert profile.first_seen == first_seen, budget
+        if budget <= whole.steps and machine.eip not in began:
+            fresh_cuts += 1
+    assert fresh_cuts  # some cut steps were their address's first
 
 
 @pytest.mark.parametrize("entry", ["none", "program entry"])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import EmbeddingError
 from repro.lang.codegen_native import compile_source_native
-from repro.native import run_image
+from repro.native import rewriter, run_image
 from repro.native_wm import (
     BranchFunctionSpec,
     branch_function_byte_size,
@@ -17,7 +17,9 @@ from repro.native_wm import (
     extract_native,
     hash_geometry,
     identify_branch_function,
+    prepare_native,
 )
+from repro.native_wm import embedder
 
 HOST_SRC = """
 fn hot(n) {
@@ -159,6 +161,27 @@ class TestEmbedNative:
         assert embedded.size_increase > 0
         assert embedded.image.total_size() == \
             host_image.total_size() + embedded.size_increase
+
+    def test_each_attempt_lays_out_twice_and_checks_the_shift(
+        self, host_image, monkeypatch
+    ):
+        """Phase B's layout and the one ``lower`` encodes with are the
+        only two; a call that moved between them fails the attempt."""
+        layouts, layout = [], rewriter.layout
+
+        def shifted(prog):
+            placed = layout(prog)
+            layouts.append(placed)
+            if len(layouts) % 2 == 0:
+                placed.addresses = [a + 1 for a in placed.addresses]
+            return placed
+
+        monkeypatch.setattr(embedder, "layout", shifted)
+        monkeypatch.setattr(rewriter, "layout", shifted)
+        with pytest.raises(EmbeddingError, match="layout shifted"):
+            embed_native(host_image, 0xBEE, 12, KEY_INPUT)
+        attempts = min(8, len(prepare_native(host_image, KEY_INPUT).begins))
+        assert len(layouts) == 2 * attempts
 
     @pytest.mark.parametrize("wm,width", [
         (0, 8), (0xFF, 8), (0x5A5A, 16), (0xC0FFEE, 24),

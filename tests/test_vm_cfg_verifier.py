@@ -57,6 +57,26 @@ class TestCFG:
         assert "even" in loops
         assert "exit" not in loops
 
+    def test_self_loop_is_its_own_natural_loop(self):
+        """A one-block loop's body walk stops at its header: the block
+        that enters the loop is not inside it."""
+        module = assemble("""
+.entry main
+.func main params=0 locals=1
+    const 3
+    store 0
+spin:
+    iinc 0 -1
+    load 0
+    ifne spin
+    const 0
+    ret
+.end
+""")
+        cfg = build_cfg(module.functions["main"])
+        assert cfg.back_edges() == [("spin", "spin")]
+        assert cfg.loop_blocks() == {"spin"}
+
     def test_straightline_single_block_no_loops(self):
         fn = Function("f", 0, 0, [ins("const", 1), ins("print"),
                                   ins("const", 0), ins("ret")])
