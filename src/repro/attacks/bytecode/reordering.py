@@ -13,7 +13,7 @@ only locally and the redundant pieces absorb it.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ...vm.cfg import build_cfg
 from ...vm.instructions import (
@@ -35,21 +35,10 @@ def _normalized_blocks(fn: Function) -> List[List[Instruction]]:
     (except the entry stub, which stays first).
     """
     cfg = build_cfg(fn)
-    label_of: Dict[str, str] = {}
-    counter = 0
-    new_code: List[List[Instruction]] = []
     # First pass: give every block a leading label.
-    block_labels: Dict[str, str] = {}
-    for name in cfg.order:
-        if name.startswith("@"):
-            while True:
-                candidate = f"blk_{counter}"
-                counter += 1
-                if candidate not in fn.labels():
-                    break
-            block_labels[name] = candidate
-        else:
-            block_labels[name] = name
+    unnamed = [name for name in cfg.order if name.startswith("@")]
+    block_labels = {name: name for name in cfg.order}
+    block_labels.update(zip(unnamed, fn.fresh_labels(len(unnamed), "blk")))
 
     blocks: List[List[Instruction]] = []
     for pos, name in enumerate(cfg.order):

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..native.assembler import DataBlock, SymMem, TextItem, build_image
+from ..native.assembler import DataBlock, build_image
 from ..native.image import BinaryImage
-from ..native.isa import Imm, Label, Mem, NInstruction, Reg, ni
+from ..native.isa import Imm, Label, Mem, NInstruction, Reg, SymMem, ni
+from ..native.rewriter import TextItem
 from . import ast_nodes as A
 from .analysis import FnInfo, ProgramInfo, SemanticError, analyze
 from .parser import parse

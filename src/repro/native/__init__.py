@@ -11,7 +11,7 @@ Public surface:
 * :func:`profile_image` — training-input profiles.
 """
 
-from .assembler import DataBlock, NasmError, SymMem, assemble_text, build_image
+from .assembler import DataBlock, NasmError, assemble_text, build_image
 from .encoding import EncodingError, decode_instruction, encode_instruction
 from .image import (
     BinaryImage,
@@ -28,6 +28,7 @@ from .isa import (
     NInstruction,
     REGISTERS,
     Reg,
+    SymMem,
     ni,
     signed32,
     wrap32,

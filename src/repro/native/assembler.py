@@ -3,12 +3,13 @@
 Two levels:
 
 * :func:`build_image` — the programmatic core used by the wee native
-  code generator and by the watermark rewriter: a list of text items
-  (``("label", name)`` markers and :class:`NInstruction` objects whose
-  operands may be symbolic) plus named data blocks, laid out into a
-  concrete :class:`BinaryImage`. Layout is two-pass: addresses are
-  fixed by the (constant) encoded lengths, then symbolic operands are
-  resolved and everything is encoded.
+  code generator: a list of text items (``("label", name)`` markers
+  and :class:`NInstruction` objects whose operands may be symbolic)
+  plus named data blocks, laid out into a concrete
+  :class:`BinaryImage`. The text is placed and encoded by
+  :func:`repro.native.rewriter.layout` and
+  :func:`repro.native.rewriter.encode`, the path that re-lays out
+  rewritten binaries too.
 * :func:`assemble_text` — a small Intel-flavoured textual syntax for
   tests and examples.
 
@@ -24,9 +25,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence
 
-from .encoding import encode_instruction
 from .image import BinaryImage, TEXT_BASE, default_data_base
 from .isa import (
     INSTRUCTION_FORMS,
@@ -36,23 +36,13 @@ from .isa import (
     NInstruction,
     REG_INDEX,
     Reg,
+    SymMem,
 )
+from .rewriter import RewriteError, TextItem, encode, layout
 
 
 class NasmError(Exception):
     """Assembly or layout failure."""
-
-
-@dataclass(frozen=True)
-class SymMem:
-    """Authored absolute memory operand: ``[symbol]`` or ``[symbol + reg*4]``."""
-
-    symbol: str
-    index: Optional[str] = None
-    offset: int = 0
-
-
-TextItem = Union[Tuple[str, str], NInstruction]
 
 
 @dataclass
@@ -75,22 +65,12 @@ def build_image(
     ``extra_data_space`` reserves additional zeroed bytes after the
     named blocks (the runtime heap).
     """
-    # Pass 1: addresses.
-    symbols: Dict[str, int] = {}
-    addr = text_base
-    for item in text_items:
-        if isinstance(item, tuple):
-            kind, name = item
-            if kind != "label":
-                raise NasmError(f"unknown text item {item!r}")
-            if name in symbols:
-                raise NasmError(f"duplicate label {name!r}")
-            symbols[name] = addr
-        else:
-            addr += item.length
-    text_len = addr - text_base
-
-    data_base = default_data_base(text_len)
+    try:
+        placed = layout(text_items, text_base)
+    except RewriteError as exc:
+        raise NasmError(str(exc)) from None
+    symbols = placed.labels
+    data_base = default_data_base(placed.end - text_base)
     offset = 0
     for block in data_blocks:
         if block.name in symbols:
@@ -106,49 +86,15 @@ def build_image(
 
     if entry not in symbols:
         raise NasmError(f"entry symbol {entry!r} not defined")
-
-    # Pass 2: resolve and encode.
-    text = bytearray()
-    addr = text_base
-    for item in text_items:
-        if isinstance(item, tuple):
-            continue
-        resolved = _resolve(item, symbols)
-        text += encode_instruction(resolved, addr)
-        addr += resolved.length
+    try:
+        text = encode(text_items, placed.addresses, symbols)
+    except RewriteError as exc:
+        raise NasmError(str(exc)) from None
 
     return BinaryImage(
-        bytes(text), data, data_base, symbols[entry], text_base, symbols,
+        text, data, data_base, symbols[entry], text_base, symbols,
         bss_bytes=extra_data_space,
     )
-
-
-def _resolve(instr: NInstruction, symbols: Dict[str, int]) -> NInstruction:
-    sig, _length = INSTRUCTION_FORMS[instr.mnemonic]
-    ops = []
-    for kind, op in zip(sig, instr.operands):
-        if isinstance(op, Label):
-            if op.name not in symbols:
-                raise NasmError(f"undefined symbol {op.name!r}")
-            target = symbols[op.name]
-            if kind in ("rel", "i", "s8"):
-                ops.append(Imm(target))
-            elif kind in ("a", "m", "x"):
-                ops.append(Mem(disp=target))
-            else:
-                raise NasmError(
-                    f"label operand not allowed for {kind!r} in "
-                    f"{instr.mnemonic}"
-                )
-        elif isinstance(op, SymMem):
-            if op.symbol not in symbols:
-                raise NasmError(f"undefined symbol {op.symbol!r}")
-            ops.append(
-                Mem(disp=symbols[op.symbol] + op.offset, index=op.index)
-            )
-        else:
-            ops.append(op)
-    return NInstruction(instr.mnemonic, tuple(ops))
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,16 @@ class Label:
         return self.name
 
 
+@dataclass(frozen=True)
+class SymMem:
+    """Symbolic absolute memory operand, resolved at layout time:
+    ``[symbol + offset]`` or ``[symbol + index*4]``."""
+
+    symbol: str
+    index: Optional[str] = None
+    offset: int = 0
+
+
 #: mnemonic -> (operand signature, encoded byte length)
 #: Signatures: r = register, i = imm32, m = [base+disp32],
 #: a = absolute [addr32], x = [addr32 + idx*4], s8 = imm8 shift count,

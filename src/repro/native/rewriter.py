@@ -8,7 +8,9 @@ or modified to have a given watermark embedded into it."
 
 :func:`lift` disassembles an image into an editable instruction list
 whose intra-text control transfers are symbolic; :func:`lower`
-re-lays-out and re-encodes the edited list. Crucially, **the data
+re-lays-out and re-encodes the edited list with :func:`layout` and
+:func:`encode`, the one path from text items to addresses and bytes
+(the assembler's ``build_image`` takes it too). Crucially, **the data
 section and its base address are preserved verbatim**: a rewriter can
 re-target the relative branches it can *see* in the code, but it has
 no relocation information for code addresses *stored as data* (the
@@ -24,13 +26,23 @@ attack (Section 5.2.2, attack 4) without any relayout at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .encoding import encode_instruction
 from .image import BinaryImage
-from .isa import Imm, Label, NInstruction, RELATIVE_TRANSFERS
+from .isa import (
+    INSTRUCTION_FORMS,
+    Imm,
+    Label,
+    Mem,
+    NInstruction,
+    RELATIVE_TRANSFERS,
+    SymMem,
+)
 
+#: A ``("label", name)`` marker or an instruction whose operands may
+#: be symbolic (:class:`Label`, :class:`SymMem`).
 TextItem = Union[Tuple[str, str], NInstruction]
 
 
@@ -45,15 +57,23 @@ class LiftedProgram:
     items: List[TextItem]
     image: BinaryImage
     entry_label: str
-    #: original address -> index into ``items`` of that instruction
-    index_of_addr: Dict[int, int] = field(default_factory=dict)
+    #: original address of each item, aligned with ``items``; None for
+    #: labels and inserted items. Replacing an item keeps its origin.
+    origins: List[Optional[int]]
 
     def find(self, addr: int) -> int:
         """Item index of the instruction originally at ``addr``."""
         try:
-            return self.index_of_addr[addr]
-        except KeyError:
+            return self.origins.index(addr)
+        except ValueError:
             raise RewriteError(f"no instruction at {addr:#x}") from None
+
+    def address_index(self) -> Dict[int, int]:
+        """Original address -> item index, for every lifted instruction."""
+        return {
+            addr: idx for idx, addr in enumerate(self.origins)
+            if addr is not None
+        }
 
     def copy(self) -> "LiftedProgram":
         """An independently editable copy. The instructions themselves
@@ -61,17 +81,14 @@ class LiftedProgram:
         place."""
         return LiftedProgram(
             list(self.items), self.image, self.entry_label,
-            dict(self.index_of_addr),
+            list(self.origins),
         )
 
     def insert(self, index: int, items: List[TextItem]) -> None:
         """Insert items before item ``index``; invalidates no labels
         (they are symbolic) but shifts later indices."""
         self.items[index:index] = items
-        shift = len(items)
-        for addr, idx in self.index_of_addr.items():
-            if idx >= index:
-                self.index_of_addr[addr] = idx + shift
+        self.origins[index:index] = [None] * len(items)
 
 
 def _target_label(addr: int) -> str:
@@ -105,10 +122,11 @@ def lift(
     targets.add(image.entry)
 
     items: List[TextItem] = []
-    index_of_addr: Dict[int, int] = {}
+    origins: List[Optional[int]] = []
     for addr, instr in listing:
         if addr in targets:
             items.append(("label", _target_label(addr)))
+            origins.append(None)
         edited = instr.copy()
         if edited.mnemonic in RELATIVE_TRANSFERS:
             dest = edited.operands[0]
@@ -116,17 +134,15 @@ def lift(
                 edited = NInstruction(
                     edited.mnemonic, (Label(_target_label(dest.value)),)
                 )
-        index_of_addr[addr] = len(items)
         items.append(edited)
+        origins.append(addr)
 
-    return LiftedProgram(
-        items, image, _target_label(image.entry), index_of_addr
-    )
+    return LiftedProgram(items, image, _target_label(image.entry), origins)
 
 
 @dataclass
 class TextLayout:
-    """Where :func:`lower` places a lifted program's items."""
+    """Where a run of text items is placed."""
 
     #: layout address of each item (a label's is the next instruction's)
     addresses: List[int]
@@ -136,15 +152,17 @@ class TextLayout:
     end: int
 
 
-def layout(prog: LiftedProgram) -> TextLayout:
-    """Lay the items out from the text base, in order."""
+def layout(items: Sequence[TextItem], base: int) -> TextLayout:
+    """Lay the items out from ``base``, in order."""
     labels: Dict[str, int] = {}
     addresses: List[int] = []
-    addr = prog.image.text_base
-    for item in prog.items:
+    addr = base
+    for item in items:
         addresses.append(addr)
         if isinstance(item, tuple):
-            name = item[1]
+            kind, name = item
+            if kind != "label":
+                raise RewriteError(f"unknown text item {item!r}")
             if name in labels:
                 raise RewriteError(f"duplicate label {name!r}")
             labels[name] = addr
@@ -153,20 +171,83 @@ def layout(prog: LiftedProgram) -> TextLayout:
     return TextLayout(addresses, labels, addr)
 
 
+#: Operand types :func:`encode` resolves against the symbol table.
+_SYMBOLIC = frozenset({Label, SymMem})
+#: Forms with an operand a symbol may stand for: all but those whose
+#: operands are registers only.
+_SYMBOLIC_FORMS = frozenset(
+    m for m, (sig, _length) in INSTRUCTION_FORMS.items() if set(sig) - {"r"}
+)
+
+
+def _symbol(symbols: Dict[str, int], name: str) -> int:
+    try:
+        return symbols[name]
+    except KeyError:
+        raise RewriteError(f"undefined symbol {name!r}") from None
+
+
+def _resolve(instr: NInstruction, symbols: Dict[str, int]) -> NInstruction:
+    """``instr`` with each symbolic operand made concrete: a
+    :class:`Label` becomes the symbol's address as an immediate or an
+    absolute memory operand, as the form's signature asks; a
+    :class:`SymMem` becomes an absolute memory operand."""
+    sig = INSTRUCTION_FORMS[instr.mnemonic][0]
+    ops = []
+    for kind, op in zip(sig, instr.operands):
+        if isinstance(op, Label):
+            target = _symbol(symbols, op.name)
+            if kind in ("rel", "i", "s8"):
+                op = Imm(target)
+            elif kind in ("a", "m", "x"):
+                op = Mem(disp=target)
+            else:
+                raise RewriteError(
+                    f"label operand not allowed for {kind!r} in "
+                    f"{instr.mnemonic}"
+                )
+        elif isinstance(op, SymMem):
+            op = Mem(disp=_symbol(symbols, op.symbol) + op.offset,
+                     index=op.index)
+        ops.append(op)
+    return NInstruction(instr.mnemonic, tuple(ops))
+
+
+def encode(
+    items: Sequence[TextItem],
+    addresses: Sequence[int],
+    symbols: Dict[str, int],
+) -> bytes:
+    """Encode laid-out items, resolving symbolic operands through
+    ``symbols``."""
+    text = bytearray()
+    for item, addr in zip(items, addresses):
+        if isinstance(item, tuple):
+            continue
+        if item.mnemonic in _SYMBOLIC_FORMS and not _SYMBOLIC.isdisjoint(
+            map(type, item.operands)
+        ):
+            item = _resolve(item, symbols)
+        try:
+            text += encode_instruction(item, addr)
+        except Exception as exc:
+            raise RewriteError(f"encode failed for {item!r}: {exc}")
+    return bytes(text)
+
+
 def lower(
     prog: LiftedProgram, placed: Optional[TextLayout] = None
 ) -> BinaryImage:
     """Re-layout and re-encode; data section stays put.
 
-    ``placed`` is ``layout(prog)`` when the caller already has it.
-    Raises :class:`RewriteError` if the rewritten text would collide
-    with the (immovable) data section.
+    ``placed`` is ``layout(prog.items, prog.image.text_base)`` when the
+    caller already has it. Raises :class:`RewriteError` if the
+    rewritten text would collide with the (immovable) data section.
     """
     image = prog.image
     if placed is None:
-        placed = layout(prog)
+        placed = layout(prog.items, image.text_base)
     symbols = placed.labels
-    item_addr = placed.addresses
     if placed.end > image.data_base:
         raise RewriteError(
             f"rewritten text ({placed.end - image.text_base} bytes) "
@@ -174,35 +255,20 @@ def lower(
         )
     if prog.entry_label not in symbols:
         raise RewriteError(f"entry label {prog.entry_label!r} lost")
-
-    text = bytearray()
-    for item, addr in zip(prog.items, item_addr):
-        if isinstance(item, tuple):
-            continue
-        resolved = item
-        if item.mnemonic in RELATIVE_TRANSFERS and isinstance(
-            item.operands[0], Label
-        ):
-            name = item.operands[0].name
-            if name not in symbols:
-                raise RewriteError(f"undefined label {name!r}")
-            resolved = NInstruction(item.mnemonic, (Imm(symbols[name]),))
-        try:
-            text += encode_instruction(resolved, addr)
-        except Exception as exc:
-            raise RewriteError(f"encode failed for {resolved!r}: {exc}")
+    text = encode(prog.items, placed.addresses, symbols)
 
     new_symbols = dict(image.symbols)
     # Remap original text symbols through the edit when possible.
+    moved = dict(zip(prog.origins, placed.addresses))
     for name, sym_addr in image.symbols.items():
         if image.in_text(sym_addr):
             label = _target_label(sym_addr)
             if label in symbols:
                 new_symbols[name] = symbols[label]
-            elif sym_addr in prog.index_of_addr:
-                new_symbols[name] = item_addr[prog.index_of_addr[sym_addr]]
+            elif sym_addr in moved:
+                new_symbols[name] = moved[sym_addr]
     return BinaryImage(
-        bytes(text),
+        text,
         bytearray(image.data),
         image.data_base,
         symbols[prog.entry_label],

@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..native.assembler import TextItem
 from ..native.isa import Imm, Label, Mem, Reg, ni
+from ..native.rewriter import TextItem
 
 EAX, ECX, EDX = Reg("eax"), Reg("ecx"), Reg("edx")
 ESP = Reg("esp")

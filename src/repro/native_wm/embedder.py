@@ -290,10 +290,6 @@ def _embed_at(
     items = prog.items
     items[begin_idx] = a0
     calls: List[NInstruction] = [a0]
-    # Original address of each lifted instruction, to rebuild
-    # index_of_addr once the chain is placed.
-    addr_of = {id(items[idx]): addr
-               for addr, idx in prog.index_of_addr.items()}
     # The free slots, ascending. A call inserted at a slot consumes it
     # (its transfer now precedes a call) and shifts every later
     # position by one; no other slot appears or goes.
@@ -306,7 +302,7 @@ def _embed_at(
                 target_idx = slots.pop(pos)
             else:
                 # Extend the text with a dead halt to mint a new slot.
-                items.append(ni("halt"))
+                prog.insert(len(items), [ni("halt")])
                 target_idx = len(items)
         elif pos:
             pos -= 1
@@ -314,18 +310,16 @@ def _embed_at(
         else:
             # Mint a dead slot at the very top of the text: a halt
             # nothing falls into, with the call right after it.
-            items.insert(0, ni("halt"))
+            prog.insert(0, [ni("halt")])
             slots = [s + 1 for s in slots]
             target_idx = 1
         call = ni("call", Label(ENTRY_LABEL))
-        items.insert(target_idx, call)
+        prog.insert(target_idx, [call])
         slots[pos:] = [s + 1 for s in slots[pos:]]
         calls.append(call)
         cur = target_idx
-    prog.index_of_addr = {
-        addr_of[id(item)]: idx for idx, item in enumerate(items)
-        if id(item) in addr_of
-    }
+    # Later edits replace items in place, so these indices hold.
+    index_of_addr = prog.address_index()
 
     # Extra obfuscated transfers: ordinary executed jumps rerouted
     # through the branch function. Same 5-byte size, so this is a
@@ -336,7 +330,7 @@ def _embed_at(
         for addr in sorted(jumps):
             if len(extra_calls) >= obfuscate_extra:
                 break
-            idx = prog.index_of_addr[addr]
+            idx = index_of_addr[addr]
             item = prog.items[idx]
             if not isinstance(item, NInstruction) or item.mnemonic != "jmp":
                 continue
@@ -364,7 +358,7 @@ def _embed_at(
         g_base=g_base, t_base=t_base, lock_base=lock_base, helper_pad=pad
     )
     bf_start = len(prog.items)
-    prog.items.extend(emit_branch_function(spec))
+    prog.insert(bf_start, emit_branch_function(spec))
 
     # Tamper-proofing: convert cold post-begin jumps to indirect jumps.
     # The paper's candidate rule - "infrequently executed portion of
@@ -379,7 +373,7 @@ def _embed_at(
         for addr, (count, first, in_loop) in sorted(jumps.items()):
             if count > max_tamper_count or first <= t0:
                 continue
-            idx = prog.index_of_addr[addr]
+            idx = index_of_addr[addr]
             item = prog.items[idx]
             if not isinstance(item, NInstruction) or item.mnemonic != "jmp":
                 continue
@@ -395,7 +389,7 @@ def _embed_at(
             tamper_items.append((indirect, target_label))
 
     # Phase B: first layout, compute addresses and the perfect hash.
-    placed = layout(prog)
+    placed = layout(prog.items, image.text_base)
     instr_addr = dict(zip(map(id, prog.items), placed.addresses))
     call_addrs = [instr_addr[id(c)] for c in calls]
     extra_addrs = [instr_addr[id(c)] for c, _t in extra_calls]
@@ -421,7 +415,7 @@ def _embed_at(
         indirect.operands = (Mem(disp=rec_addr),)
         tamper_slots.append((slots[j], target_label, rec_addr))
 
-    placed = layout(prog)
+    placed = layout(prog.items, image.text_base)
     final = lower(prog, placed)
     # Sanity: layout must not have moved between phases.
     instr_addr = dict(zip(map(id, prog.items), placed.addresses))

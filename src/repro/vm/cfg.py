@@ -1,18 +1,18 @@
 """Control-flow graphs over WVM functions.
 
-Used by the watermark placement logic (finding insertion sites), by
-several attacks (basic-block reordering, block splitting), and by the
-verifier. Blocks are half-open index ranges over ``Function.code``;
-a block's *name* is the label that leads it, or a synthetic name for
+Used by the watermark placement logic (finding insertion sites) and
+by several attacks (basic-block reordering, block splitting); loop
+analysis runs :mod:`repro.core.loops` over ``{name: block.successors}``.
+Blocks are half-open index ranges over ``Function.code``; a block's
+*name* is the label that leads it, or a synthetic name for
 fall-through leaders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-from ..core import loops
 from .instructions import (
     CONDITIONAL_BRANCHES,
     Instruction,
@@ -57,43 +57,6 @@ class CFG:
 
     def successors(self, name: str) -> List[str]:
         return self.blocks[name].successors
-
-    def predecessors(self) -> Dict[str, List[str]]:
-        return loops.predecessors(self._successors())
-
-    def _successors(self) -> Dict[str, List[str]]:
-        return {name: block.successors for name, block in self.blocks.items()}
-
-    def reachable(self) -> Set[str]:
-        """Block names reachable from the entry block."""
-        seen: Set[str] = set()
-        work = [self.entry]
-        while work:
-            name = work.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            work.extend(self.blocks[name].successors)
-        return seen
-
-    def back_edges(self) -> List[Tuple[str, str]]:
-        """(source, target) pairs forming loops (DFS back edges from the
-        entry block).
-
-        A block that is the target of a back edge (or reaches itself)
-        is considered *inside a loop*; the native tamper-proofer uses
-        the analogous notion to avoid hot candidates.
-        """
-        roots = [self.entry] if self.blocks else []
-        return loops.back_edges(self._successors(), roots)
-
-    def loop_blocks(self) -> Set[str]:
-        """Blocks that participate in some cycle (natural-loop bodies)."""
-        preds = self.predecessors()
-        in_loop: Set[str] = set()
-        for latch, header in self.back_edges():
-            in_loop |= loops.natural_loop(preds, latch, header)
-        return in_loop
 
 
 def build_cfg(fn: Function) -> CFG:

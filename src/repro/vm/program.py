@@ -166,12 +166,13 @@ class Module:
         return m
 
     def validate_structure(self) -> Dict[str, Dict[str, int]]:
-        """Cheap structural checks (full checking lives in the verifier).
+        """Check every operand reference (the verifier adds the stack
+        discipline and the ``const`` rule):
 
         * entry exists and takes no parameters,
         * every label operand refers to an existing label,
         * every call target exists,
-        * local/global indices are in range.
+        * local/global operands are int indices in range.
 
         Returns each function's label map (:meth:`Function.labels`),
         which the verifier reuses instead of scanning again.
@@ -192,25 +193,25 @@ class Module:
                             f"{fn.name}: branch to unknown label {instr.arg!r}"
                         )
                 elif op in _SLOT_OPS:
+                    arg = instr.arg
                     if op == "call":
-                        if instr.arg not in self.functions:
+                        if arg not in self.functions:
                             raise VMFormatError(
-                                f"{fn.name}: call to unknown function "
-                                f"{instr.arg!r}"
+                                f"{fn.name}: call to unknown function {arg!r}"
                             )
-                    elif op == "iinc":
-                        if not 0 <= instr.arg < nlocals:
-                            raise VMFormatError(
-                                f"{fn.name}: iinc slot {instr.arg} out of range"
-                            )
-                    elif op in ("gload", "gstore"):
-                        if not 0 <= instr.arg < self.globals_count:
-                            raise VMFormatError(
-                                f"{fn.name}: global {instr.arg} out of range"
-                            )
-                    elif not 0 <= instr.arg < nlocals:
+                    elif not isinstance(arg, int):
                         raise VMFormatError(
-                            f"{fn.name}: local slot {instr.arg} out of range"
+                            f"{fn.name}: {op} operand {arg!r} is not an index"
+                        )
+                    elif op in ("gload", "gstore"):
+                        if not 0 <= arg < self.globals_count:
+                            raise VMFormatError(
+                                f"{fn.name}: global {arg} out of range"
+                            )
+                    elif not 0 <= arg < nlocals:
+                        kind = "iinc" if op == "iinc" else "local"
+                        raise VMFormatError(
+                            f"{fn.name}: {kind} slot {arg} out of range"
                         )
         return maps
 

@@ -9,7 +9,8 @@ branch-function trick for bytecode). The checks:
 * stack discipline: the operand-stack depth at each instruction is a
   static constant; depths agree at control-flow joins; no underflow;
 * every path ends in ``ret`` or ``halt`` (no falling off the end);
-* local/global slot indices are in range.
+* local/global slot indices are ints in range;
+* ``const`` operands are ints.
 
 The embedder runs the verifier after every insertion, and the attack
 harness runs it after every transformation — a transformed module that
@@ -19,10 +20,11 @@ file would be rejected by the JVM.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .instructions import (
     CONDITIONAL_BRANCHES,
+    Instruction,
     OPCODES,
 )
 from .program import Function, Module, VMFormatError
@@ -33,28 +35,32 @@ class VerificationError(Exception):
 
 
 def verify_module(module: Module) -> None:
-    """Verify every function of ``module``; raise on the first failure."""
+    """Verify every function of ``module``; raise on the first failure.
+
+    :meth:`Module.validate_structure` checks every operand reference
+    (labels, call targets, slot indices); each function then gets one
+    stack-discipline walk.
+    """
     try:
         label_maps = module.validate_structure()
     except VMFormatError as exc:
         raise VerificationError(str(exc)) from exc
     for fn in module.functions.values():
-        verify_function(fn, module, label_maps[fn.name])
+        _verify_function(fn, module, label_maps[fn.name])
 
 
-def verify_function(
-    fn: Function, module: Module, labels: Optional[Dict[str, int]] = None
+def _verify_function(
+    fn: Function, module: Module, labels: Dict[str, int]
 ) -> None:
-    """Abstract-interpret stack depths over the function's code.
+    """Abstract-interpret stack depths over the function's code and
+    check its ``const`` operands.
 
-    ``labels`` is the function's label map when the caller has it
-    already (:meth:`Module.validate_structure` returns them all).
+    ``labels`` is the function's label map; its label and call operands
+    are known to resolve.
     """
     code = fn.code
     if not code:
         raise VerificationError(f"{fn.name}: empty function body")
-    if labels is None:
-        labels = fn.labels()
     depth_at: Dict[int, int] = {}
     work: List[Tuple[int, int]] = [(0, 0)]
 
@@ -83,13 +89,9 @@ def verify_function(
 
             pops, pushes, _size = OPCODES[op]
             if op == "call":
-                callee = module.functions.get(instr.arg)
-                if callee is None:
-                    raise VerificationError(
-                        f"{fn.name}@{pc}: call to unknown function "
-                        f"{instr.arg!r}"
-                    )
-                pops = callee.params
+                pops = module.functions[instr.arg].params
+            elif op == "const":
+                _check_const(fn, pc, instr)
             assert pops is not None
             if depth < pops:
                 raise VerificationError(
@@ -99,52 +101,28 @@ def verify_function(
             depth = depth - pops + pushes
 
             if op in CONDITIONAL_BRANCHES:
-                target = labels.get(instr.arg)
-                if target is None:
-                    raise VerificationError(
-                        f"{fn.name}@{pc}: branch to unknown label "
-                        f"{instr.arg!r}"
-                    )
-                work.append((target, depth))
+                work.append((labels[instr.arg], depth))
                 pc += 1
                 continue
             if op == "goto":
-                target = labels.get(instr.arg)
-                if target is None:
-                    raise VerificationError(
-                        f"{fn.name}@{pc}: goto unknown label {instr.arg!r}"
-                    )
-                pc = target
+                pc = labels[instr.arg]
                 continue
             if op in ("ret", "halt"):
                 break
             pc += 1
 
-    _check_slot_ranges(fn, module)
+    if len(depth_at) < len(code):
+        # Code no path reaches still needs well-formed operands.
+        for pc, instr in enumerate(code):
+            if pc not in depth_at and instr.op == "const":
+                _check_const(fn, pc, instr)
 
 
-def _check_slot_ranges(fn: Function, module: Module) -> None:
-    for pc, instr in enumerate(fn.code):
-        op = instr.op
-        if op in ("load", "store", "iinc"):
-            if not isinstance(instr.arg, int) or not (
-                0 <= instr.arg < fn.locals_count
-            ):
-                raise VerificationError(
-                    f"{fn.name}@{pc}: bad local slot {instr.arg!r}"
-                )
-        elif op in ("gload", "gstore"):
-            if not isinstance(instr.arg, int) or not (
-                0 <= instr.arg < module.globals_count
-            ):
-                raise VerificationError(
-                    f"{fn.name}@{pc}: bad global index {instr.arg!r}"
-                )
-        elif op == "const":
-            if not isinstance(instr.arg, int):
-                raise VerificationError(
-                    f"{fn.name}@{pc}: const operand must be an int"
-                )
+def _check_const(fn: Function, pc: int, instr: Instruction) -> None:
+    if not isinstance(instr.arg, int):
+        raise VerificationError(
+            f"{fn.name}@{pc}: const operand must be an int"
+        )
 
 
 def is_verifiable(module: Module) -> bool:

@@ -17,6 +17,7 @@ from repro.attacks.native import (
 from repro.lang.codegen_native import compile_source_native
 from repro.native import MachineFault, run_image
 from repro.native_wm import embed_native, extract_native
+from repro.workloads.spec import SPEC_PROGRAMS, spec_native
 from tests.test_native_equivalence import MARKS, _image, _tier
 
 HOST_SRC = """
@@ -106,16 +107,68 @@ INVERSION_PINS = {
 }
 
 
+def _image_digest(img):
+    return hashlib.sha256(repr((
+        img.text, bytes(img.data), img.data_base, img.entry,
+        img.text_base, sorted(img.symbols.items()), img.bss_bytes,
+    )).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", _tier(sorted(MARKS), ("mcf",)))
 def test_sense_inversion_of_spec_kernels_is_pinned(name):
     for probability in (1.0, 0.5):
         img = invert_branch_senses(_image(name), probability,
                                    random.Random(7))
-        digest = hashlib.sha256(repr((
-            img.text, bytes(img.data), img.data_base, img.entry,
-            img.text_base, sorted(img.symbols.items()), img.bss_bytes,
-        )).encode()).hexdigest()
-        assert digest == INVERSION_PINS[name, probability], probability
+        assert _image_digest(img) == INVERSION_PINS[name, probability], \
+            probability
+
+
+#: sha256 of the image ``insert_noops`` makes of each SPEC-like kernel
+#: with ``random.Random(7)``: 200 nops anywhere, and 25 with the first at
+#: the top of the text. Captured when ``LiftedProgram`` kept an
+#: address-to-index map that each insertion shifted entry by entry.
+NOOP_PINS = {
+    ("bzip2", 200, False): "ff2a61f06d7d194bd0143a23d269be3ae4287c559ddd0a51b19b70516f04d344",
+    ("bzip2", 25, True): "731057ea33fac2c12fb45ecf39368645f9a92ab7d10a85fcfeec7fcc8dc53114",
+    ("gcc", 200, False): "3c8763b7fdfe21448f6fea20eebe6e4ddb82a1244ae3eb851bcc0f337edf4af8",
+    ("gcc", 25, True): "b5dbe914c40077481e00ee1182251c1d68a8614b3a17e1a98c808b4ad29a336c",
+    ("mcf", 200, False): "0913d96c25755ddfdb11034b09f45f7460a572318ec66b0f53ce9bd7cdea69ba",
+    ("mcf", 25, True): "497d8a9388cae4da5133e78267138c1c940f5d594faffbb65dbadc7d18e3fa27",
+    ("vortex", 200, False): "63664511f8e70a04c16e9a2a556f53db6d4186b8f151119b5d13d2e9b081c423",
+    ("vortex", 25, True): "38d758910ee3a093b315f89409713a3222da19af9ab452460068c669e9462b56",
+    ("vpr", 200, False): "8ca519bfff4f4f8a0fc8c2dba312c06b1f0f5c6bcfa7af9e09280bbe44f39b1a",
+    ("vpr", 25, True): "a07167afcfd68a300fd925e2f5712c0ff8b7a5d8e62df04f6a392c4bd65002d2",
+}
+
+
+@pytest.mark.parametrize("name", _tier(sorted(MARKS), ("mcf",)))
+def test_noop_insertion_of_spec_kernels_is_pinned(name):
+    for count, at_start in ((200, False), (25, True)):
+        img = insert_noops(_image(name), count, random.Random(7),
+                           at_start=at_start)
+        assert _image_digest(img) == NOOP_PINS[name, count, at_start], \
+            (count, at_start)
+
+
+#: sha256 of each SPEC-like kernel's compiled image (``build_image``),
+#: captured when the assembler kept its own layout and encode loops.
+COMPILE_PINS = {
+    "bzip2": "cadef7470ded04890bf21ac6b3790bee387aaca54cc12dce7e282bb970d2d011",
+    "crafty": "629cae8cb42cce2e95d57bc6058c001f38d6730dd9576a4824705a52ae0d3e88",
+    "gap": "21c68cbf5bc3681959df4f4e25744295c3417266599f7dfce10ce01ab909197e",
+    "gcc": "a4dd8b820c1818981cbba45d8b92ae455bca26c7c84d4557d7134c07fcaa9bdc",
+    "gzip": "5f7861e7568cd424dd58aa1467296aac498a4b18ee5aaf795dff38d0a9a40ef3",
+    "mcf": "cda1ffa74e6ef904ea5523389bb76a80aab098722cd07f21ac5e98af5d438e45",
+    "parser": "023448f49b39f072f2f6b4d507475b43a42359b7dd526087657e0cb9c7f851ea",
+    "twolf": "eea9111b0ed07f2cb222a78b8d9388d9f145a91a5333043fae38d144f154b38d",
+    "vortex": "9484a7b2e6a37629d081098d6997d1d387c75d805f80fb5deda2a43fa0c9efb1",
+    "vpr": "d877b9bfc0820dacc151c8372ba2fd162e39dd52a39b94023f7ca5d15dfa333e",
+}
+
+
+@pytest.mark.parametrize("name", SPEC_PROGRAMS)
+def test_compiled_spec_image_is_pinned(name):
+    assert _image_digest(spec_native(name)) == COMPILE_PINS[name]
 
 
 class TestAttacksOnWatermarkedBinaries:

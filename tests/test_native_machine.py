@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.native import (
     BinaryImage,
+    DataBlock,
     EncodingError,
     Imm,
     Label,
@@ -16,10 +17,13 @@ from repro.native import (
     MachineFault,
     Mem,
     NInstruction,
+    NasmError,
     Profile,
     Reg,
+    SymMem,
     TEXT_BASE,
     assemble_text,
+    build_image,
     decode_instruction,
     encode_instruction,
     lift,
@@ -470,6 +474,38 @@ class TestRewriter:
         with pytest.raises(RewriteError, match="overflows"):
             prog.insert(0, [ni("nop")] * (gap + 1))
             lower(prog)
+
+
+class TestBuildImage:
+    def test_symbolic_operands_resolve(self):
+        image = build_image(
+            [("label", "main"), ni("mov_ri", Reg("eax"), Label("cell")),
+             ni("mov_ra", Reg("ecx"), SymMem("cell", offset=4)),
+             ni("jmp", Label("end")), ("label", "end"), ni("halt")],
+            [DataBlock("cell", [7, 9])],
+        )
+        cell = image.symbols["cell"]
+        assert [(i.mnemonic, i.operands)
+                for _a, i in image.disassemble()][:3] == [
+            ("mov_ri", (Reg("eax"), Imm(cell))),
+            ("mov_ra", (Reg("ecx"), Mem(disp=cell + 4))),
+            ("jmp", (Imm(image.symbols["end"]),)),
+        ]
+
+    @pytest.mark.parametrize("items,message", [
+        ([("label", "main"), ("label", "main"), ni("halt")],
+         "duplicate label"),
+        ([("label", "main"), ni("jmp", Label("nowhere"))],
+         "undefined symbol 'nowhere'"),
+        ([("label", "main"), ni("mov_ra", Reg("eax"), SymMem("nowhere"))],
+         "undefined symbol 'nowhere'"),
+        ([("label", "main"), ni("mov_ri", Label("main"), Imm(0))],
+         "label operand not allowed"),
+        ([("label", "start"), ni("halt")], "entry symbol 'main'"),
+    ])
+    def test_layout_and_encode_errors_are_nasm_errors(self, items, message):
+        with pytest.raises(NasmError, match=message):
+            build_image(items)
 
 
 class TestProfiler:

@@ -169,8 +169,8 @@ class TestEmbedNative:
         only two; a call that moved between them fails the attempt."""
         layouts, layout = [], rewriter.layout
 
-        def shifted(prog):
-            placed = layout(prog)
+        def shifted(items, base):
+            placed = layout(items, base)
             layouts.append(placed)
             if len(layouts) % 2 == 0:
                 placed.addresses = [a + 1 for a in placed.addresses]

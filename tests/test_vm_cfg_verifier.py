@@ -2,15 +2,18 @@
 
 import pytest
 
+from repro.core import loops
 from repro.vm import (
     Function,
     Module,
+    VMFormatError,
     VerificationError,
     assemble,
     build_cfg,
     ins,
     is_verifiable,
     label,
+    run_module,
     verify_module,
 )
 
@@ -38,6 +41,23 @@ exit:
 """
 
 
+def _graph(cfg):
+    return {name: block.successors for name, block in cfg.blocks.items()}
+
+
+def _back_edges(cfg):
+    return loops.back_edges(_graph(cfg), [cfg.entry])
+
+
+def _loop_blocks(cfg):
+    """Blocks inside some natural loop of the CFG."""
+    preds = loops.predecessors(_graph(cfg))
+    body = set()
+    for latch, header in _back_edges(cfg):
+        body |= loops.natural_loop(preds, latch, header)
+    return body
+
+
 class TestCFG:
     def test_blocks_and_successors(self):
         module = assemble(LOOPY_SRC)
@@ -52,10 +72,10 @@ class TestCFG:
     def test_loop_detection(self):
         module = assemble(LOOPY_SRC)
         cfg = build_cfg(module.functions["main"])
-        loops = cfg.loop_blocks()
-        assert "head" in loops
-        assert "even" in loops
-        assert "exit" not in loops
+        in_loop = _loop_blocks(cfg)
+        assert "head" in in_loop
+        assert "even" in in_loop
+        assert "exit" not in in_loop
 
     def test_self_loop_is_its_own_natural_loop(self):
         """A one-block loop's body walk stops at its header: the block
@@ -74,15 +94,15 @@ spin:
 .end
 """)
         cfg = build_cfg(module.functions["main"])
-        assert cfg.back_edges() == [("spin", "spin")]
-        assert cfg.loop_blocks() == {"spin"}
+        assert _back_edges(cfg) == [("spin", "spin")]
+        assert _loop_blocks(cfg) == {"spin"}
 
     def test_straightline_single_block_no_loops(self):
         fn = Function("f", 0, 0, [ins("const", 1), ins("print"),
                                   ins("const", 0), ins("ret")])
         cfg = build_cfg(fn)
         assert len(cfg.blocks) == 1
-        assert cfg.back_edges() == []
+        assert _back_edges(cfg) == []
 
     def test_reachability(self):
         src = """
@@ -99,8 +119,16 @@ dead:
 """
         module = assemble(src)
         cfg = build_cfg(module.functions["main"])
-        assert "dead" not in cfg.reachable()
-        assert cfg.entry in cfg.reachable()
+        graph = _graph(cfg)
+        reached, work = set(), [cfg.entry]
+        while work:
+            name = work.pop()
+            if name not in reached:
+                reached.add(name)
+                work.extend(graph[name])
+        assert "dead" in graph
+        assert "dead" not in reached
+        assert cfg.entry in reached
 
     def test_conditional_fallthrough_block_naming(self):
         module = assemble(LOOPY_SRC)
@@ -112,7 +140,7 @@ dead:
     def test_predecessors(self):
         module = assemble(LOOPY_SRC)
         cfg = build_cfg(module.functions["main"])
-        preds = cfg.predecessors()
+        preds = loops.predecessors(_graph(cfg))
         assert set(preds["head"]) >= {"@0", "even"}
 
 
@@ -204,6 +232,28 @@ class TestVerifier:
     def test_const_operand_type_checked(self):
         m = self._module_with_main(
             [ins("const", "oops"), ins("pop"), ins("const", 0), ins("ret")]
+        )
+        with pytest.raises(VerificationError, match="const operand"):
+            verify_module(m)
+
+    @pytest.mark.parametrize("code", [
+        [ins("const", 1), ins("store", "x"), ins("const", 0), ins("ret")],
+        [ins("gload", "g"), ins("pop"), ins("const", 0), ins("ret")],
+    ], ids=["store", "gload"])
+    def test_non_int_slot_operand_fails_closed(self, code):
+        """A slot operand that is not an int is a format error, not a
+        ``TypeError`` from comparing it with the slot count."""
+        m = self._module_with_main(code)
+        m.globals_count = 1
+        assert not is_verifiable(m)
+        with pytest.raises(VerificationError, match="not an index"):
+            verify_module(m)
+        with pytest.raises(VMFormatError, match="not an index"):
+            run_module(m)
+
+    def test_unreachable_const_operand_checked(self):
+        m = self._module_with_main(
+            [ins("const", 0), ins("ret"), ins("const", "oops"), ins("ret")]
         )
         with pytest.raises(VerificationError, match="const operand"):
             verify_module(m)

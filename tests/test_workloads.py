@@ -130,7 +130,7 @@ class TestSpecKernels:
         profile = profile_image(image, TRAIN_INPUT)
         prog = lift(image)
         cold_jmps = 0
-        for addr, idx in prog.index_of_addr.items():
+        for addr, idx in prog.address_index().items():
             item = prog.items[idx]
             if isinstance(item, tuple) or item.mnemonic != "jmp":
                 continue
