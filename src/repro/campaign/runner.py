@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..attacks.bytecode import branch_increase_fraction
-from ..bytecode_wm import WatermarkKey, embed, recognize
+from ..bytecode_wm import WatermarkKey, recognize
 from ..codec import resolve_codec
 from ..faults.retry import RetryPolicy
 from ..obs.journal import read_journal
@@ -43,6 +43,7 @@ from ..obs.spans import hand_off
 from ..pipeline.batch import (
     CopySpec,
     init_pool_worker,
+    mint_copy,
     run_batch,
     worker_bootstrap,
 )
@@ -149,16 +150,7 @@ def _remint(prepared: PreparedProgram, spec: CopySpec) -> Module:
     docstring's reproducibility contract — so this avoids shipping
     modules back across the process pool.
     """
-    return embed(
-        prepared.module,
-        spec.watermark,
-        prepared.key,
-        pieces=prepared.pieces,
-        watermark_bits=prepared.watermark_bits,
-        sites=prepared.sites,
-        rng_salt=f"{spec.watermark}/{spec.seed}",
-        codec=prepared.codec,
-    ).module
+    return mint_copy(prepared, spec).module
 
 
 def _with_codec(

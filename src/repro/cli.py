@@ -36,6 +36,7 @@ Modules travel as WVM assembly text (the `.wasm` extension here means
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -64,13 +65,14 @@ from .bytecode_wm import (
 from .campaign import CampaignConfig, DEFAULT_ATTACKS, run_campaign
 from .campaign.generator import GeneratorError
 from .codec import CodecError
+from .core import WatermarkError
 from .core.planner import plan_redundancy
-from .lang import compile_source
+from .lang import LexError, ParseError, SemanticError, compile_source
 from .lang.codegen_native import compile_source_native
 from .native import MachineFault, format_listing, run_image
-from .native.imagefile import dump_image, load_image
+from .native.imagefile import ImageFormatError, dump_image, load_image
 from .native_wm import embed_native, extract_native_auto, native_recognition_report
-from .pipeline import load_manifest, prepare, run_batch
+from .pipeline import ManifestError, load_manifest, prepare, run_batch
 from .serve import (
     ServerConfig,
     ServiceClient,
@@ -79,7 +81,16 @@ from .serve import (
     open_store,
     serve,
 )
-from .vm import VMError, assemble, disassemble, run_module, verify_module
+from .vm import (
+    AssemblyError,
+    VerificationError,
+    VMError,
+    VMFormatError,
+    assemble,
+    disassemble,
+    run_module,
+    verify_module,
+)
 
 ATTACKS = {
     "noop-insertion": lambda m, r: insert_noops(m, 200, r),
@@ -91,15 +102,35 @@ ATTACKS = {
 }
 
 
-def _parse_inputs(text: Optional[str]) -> List[int]:
-    if not text:
-        return []
-    return [int(tok, 0) for tok in text.split(",") if tok.strip()]
+def _integer(text: str) -> int:
+    """``--watermark`` or one ``--inputs`` value: an integer, ``0x..``
+    accepted."""
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an integer: {text!r}"
+        ) from None
+
+
+def _integers(text: str) -> List[int]:
+    """``--inputs``: comma-separated integers, ``0x..`` accepted."""
+    return [_integer(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _key(args) -> WatermarkKey:
+    return WatermarkKey(secret=args.secret.encode(),
+                        inputs=args.inputs)
 
 
 def _read_module(path: str):
     with open(path) as fp:
         return assemble(fp.read())
+
+
+def _read_image(path: str):
+    with open(path) as fp:
+        return load_image(fp)
 
 
 def _write_module(module, path: Optional[str]) -> None:
@@ -123,14 +154,48 @@ def _write_obs_out(path: str, tracer: obs.Tracer) -> None:
         fp.write(obs.get_registry().to_prometheus())
 
 
-def _open_store(path: str, **kwargs):
-    """:func:`open_store`, or ``None`` once the ``StoreError`` is on
-    stderr (the command then exits 2)."""
-    try:
-        return open_store(path, **kwargs)
-    except StoreError as exc:
-        print(str(exc), file=sys.stderr)
-        return None
+@contextlib.contextmanager
+def _telemetry(obs_out: Optional[str], journal: Optional[str] = None):
+    """One command's telemetry session.
+
+    ``--obs-out`` and ``--journal`` arm tracing: the hub's span sink
+    only sees spans while a tracer records, and an empty span stream
+    would leave 'repro obs trace' nothing to render. ``--journal``
+    installs a hub appending to ``DIR/journal.jsonl`` (a daemon reuses
+    it). On every exit the hub journals a metrics snapshot and is
+    closed, ``--obs-out`` is written and tracing is off.
+    """
+    with contextlib.ExitStack() as stack:
+        if obs_out or journal:
+            tracer = obs.enable_tracing()
+            stack.callback(obs.disable_tracing)
+        if obs_out:
+            stack.callback(_write_obs_out, obs_out, tracer)
+        if journal:
+            hub = obs.TelemetryHub(obs.HubConfig(
+                journal_path=os.path.join(journal, "journal.jsonl")
+            ))
+            obs.set_hub(hub)
+            stack.callback(hub.close)
+            stack.callback(obs.set_hub, None)
+            stack.callback(lambda: hub.snapshot_metrics(obs.get_registry()))
+        yield
+
+
+def _release(manifest, store, label: str = ""):
+    """``(prepared, hit)``: the manifest's release, from (and into)
+    ``store`` when one is given, else prepared for this run only."""
+    args = (_read_module(manifest.module_path), manifest.key(),
+            manifest.watermark_bits)
+    kwargs = dict(
+        pieces=manifest.pieces,
+        piece_loss=manifest.piece_loss,
+        target_success=manifest.target_success,
+        codec=manifest.codec,
+    )
+    if store is None:
+        return prepare(*args, **kwargs), False
+    return store.get_or_prepare(*args, label=label, **kwargs)
 
 
 def cmd_compile(args) -> int:
@@ -142,12 +207,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_run(args) -> int:
-    module = _read_module(args.module)
-    try:
-        result = run_module(module, _parse_inputs(args.inputs))
-    except VMError as exc:
-        print(f"program trapped: {exc}", file=sys.stderr)
-        return 2
+    result = run_module(_read_module(args.module), args.inputs)
     for value in result.output:
         print(value)
     print(f"[{result.steps} instructions executed]", file=sys.stderr)
@@ -156,22 +216,16 @@ def cmd_run(args) -> int:
 
 def cmd_embed(args) -> int:
     module = _read_module(args.module)
-    key = WatermarkKey(secret=args.secret.encode(),
-                       inputs=_parse_inputs(args.inputs))
     if args.diversify is not None:
         module = diversify(module, args.diversify)
-    try:
-        result = embed(
-            module,
-            watermark=int(args.watermark, 0),
-            key=key,
-            pieces=args.pieces,
-            watermark_bits=args.bits,
-            codec=args.codec,
-        )
-    except CodecError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    result = embed(
+        module,
+        watermark=args.watermark,
+        key=_key(args),
+        pieces=args.pieces,
+        watermark_bits=args.bits,
+        codec=args.codec,
+    )
     _write_module(result.module, args.output)
     print(
         f"embedded {result.piece_count} pieces "
@@ -182,18 +236,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_recognize(args) -> int:
-    module = _read_module(args.module)
-    key = WatermarkKey(secret=args.secret.encode(),
-                       inputs=_parse_inputs(args.inputs))
-    try:
-        found = recognize(module, key, watermark_bits=args.bits,
-                          codec=args.codec)
-    except CodecError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except VMError as exc:
-        print(f"program trapped during tracing: {exc}", file=sys.stderr)
-        return 2
+    found = recognize(_read_module(args.module), _key(args),
+                      watermark_bits=args.bits, codec=args.codec)
     if args.diagnose:
         report = recognition_report(found, watermark_bits=args.bits)
         print(report.summary(), file=sys.stderr)
@@ -218,72 +262,22 @@ def cmd_batch_embed(args) -> int:
         print("--resume requires --checkpoint", file=sys.stderr)
         return 2
     manifest = load_manifest(args.manifest)
-    module = _read_module(manifest.module_path)
-    key = manifest.key()
-
-    # --journal arms the tracer too: the hub's span sink only sees
-    # spans when one is recording, and an empty span stream would
-    # leave 'repro obs trace' nothing to render.
-    tracer = None
-    if args.obs_out or args.journal:
-        tracer = obs.enable_tracing()
-    hub = None
-    if args.journal:
-        hub = obs.TelemetryHub(obs.HubConfig(
-            journal_path=os.path.join(args.journal, "journal.jsonl")
-        ))
-        obs.set_hub(hub)
-
-    # The shared preparation: from (and into) the artifact store with
-    # --store (optionally sharded into a fabric via --store-shards),
-    # else prepared for this run only.
-    prep_kwargs = dict(
-        pieces=manifest.pieces,
-        piece_loss=manifest.piece_loss,
-        target_success=manifest.target_success,
-        codec=manifest.codec,
-    )
-    cache_hit = False
-    try:
-        if args.store:
-            store = _open_store(
-                args.store, create=True, shards=args.store_shards
-            )
-            if store is None:
-                return 2
-            prepared, cache_hit = store.get_or_prepare(
-                module, key, manifest.watermark_bits, **prep_kwargs
-            )
-        else:
-            prepared = prepare(
-                module, key, manifest.watermark_bits, **prep_kwargs
-            )
-    except VMError as exc:
-        print(f"program trapped during tracing: {exc}", file=sys.stderr)
-        return 2
-
-    report = run_batch(
-        prepared,
-        manifest.copies,
-        workers=args.workers,
-        outdir=args.output,
-        chunksize=args.chunksize,
-        cache_hits=1 if cache_hit else 0,
-        cache_misses=0 if cache_hit else 1,
-        checkpoint=args.checkpoint,
-        resume=args.resume,
-    )
-    report.write(os.path.join(args.output, "report.json"))
-
-    if args.obs_out and tracer is not None:
-        _write_obs_out(args.obs_out, tracer)
-    if hub is not None:
-        hub.snapshot_metrics(obs.get_registry())
-        obs.set_hub(None)
-        hub.close()
-    if tracer is not None:
-        obs.disable_tracing()
-
+    with _telemetry(args.obs_out, args.journal):
+        store = (open_store(args.store, create=True, shards=args.store_shards)
+                 if args.store else None)
+        prepared, hit = _release(manifest, store)
+        report = run_batch(
+            prepared,
+            manifest.copies,
+            workers=args.workers,
+            outdir=args.output,
+            chunksize=args.chunksize,
+            cache_hits=int(hit),
+            cache_misses=int(not hit),
+            checkpoint=args.checkpoint,
+            resume=args.resume,
+        )
+        report.write(os.path.join(args.output, "report.json"))
     print(report.summary(), file=sys.stderr)
     return 0 if report.all_ok else 1
 
@@ -381,21 +375,16 @@ def cmd_obs_trace(args) -> int:
 
 
 def cmd_fleet_status(args) -> int:
-    client = ServiceClient(args.url, timeout=args.timeout)
-    try:
-        body = client.healthz()
-    except (OSError, ServiceError) as exc:
-        print(f"front-end unreachable: {exc}", file=sys.stderr)
-        return 2
+    body = ServiceClient(args.url, timeout=args.timeout).healthz()
     fleet = body.get("fleet")
     if not isinstance(fleet, dict):
         print(f"{args.url} is not a fleet front-end "
               "(no 'fleet' stats in /healthz)", file=sys.stderr)
         return 2
+    workers = fleet.get("workers") or {}
     if args.json:
         print(json.dumps(fleet, indent=2, sort_keys=True))
     else:
-        workers = fleet.get("workers") or {}
         in_flight = fleet.get("in_flight") or {}
         print(f"front-end {args.url}: {body.get('status', '?')}")
         for name in sorted(set(workers) | set(in_flight)):
@@ -409,7 +398,6 @@ def cmd_fleet_status(args) -> int:
               f"brownouts {fleet.get('brownouts', 0)}  "
               f"ejections {fleet.get('ejections', 0)}  "
               f"readmissions {fleet.get('readmissions', 0)}")
-    workers = fleet.get("workers") or {}
     return 1 if any(s == "ejected" for s in workers.values()) else 0
 
 
@@ -421,13 +409,7 @@ def cmd_fleet_rebalance(args) -> int:
     payload = {"action": args.action}
     if args.shard:
         payload["shard"] = args.shard
-    try:
-        status, doc, _ = client.request_ex(
-            "POST", "/v1/store/rebalance", payload
-        )
-    except (OSError, ServiceError) as exc:
-        print(f"front-end unreachable: {exc}", file=sys.stderr)
-        return 2
+    status, doc, _ = client.request_ex("POST", "/v1/store/rebalance", payload)
     if status != 200:
         print(f"rebalance failed ({status}): "
               f"{doc.get('error', doc)}", file=sys.stderr)
@@ -466,25 +448,17 @@ def cmd_campaign(args) -> int:
     except (KeyError, ValueError, CodecError) as exc:
         print(f"bad campaign configuration: {exc}", file=sys.stderr)
         return 2
-    tracer = obs.enable_tracing() if args.obs_out else None
     os.makedirs(args.output, exist_ok=True)
-    try:
+    with _telemetry(args.obs_out):
         report = run_campaign(
             config,
             progress=lambda msg: print(msg, file=sys.stderr),
         )
-    except GeneratorError as exc:
-        print(f"workload generation failed the oracle: {exc}",
-              file=sys.stderr)
-        return 2
-    report.write(os.path.join(args.output, "report.json"))
-    # The outcome view is deterministic in the seed: byte-identical
-    # across reruns, so CI can diff it and cells can be replayed.
-    with open(os.path.join(args.output, "outcomes.json"), "w") as fp:
-        fp.write(report.outcomes_json())
-    if args.obs_out and tracer is not None:
-        _write_obs_out(args.obs_out, tracer)
-        obs.disable_tracing()
+        report.write(os.path.join(args.output, "report.json"))
+        # The outcome view is deterministic in the seed: byte-identical
+        # across reruns, so CI can diff it and cells can be replayed.
+        with open(os.path.join(args.output, "outcomes.json"), "w") as fp:
+            fp.write(report.outcomes_json())
     print(report.summary(), file=sys.stderr)
     return 0
 
@@ -501,50 +475,22 @@ def cmd_serve(args) -> int:
             executor=args.executor,
             self_check=not args.no_self_check,
             drain_timeout=args.drain_timeout,
-            journal_dir=args.journal,
             slo_spec=args.slo,
             fleet=args.fleet,
             fleet_max_pending=args.fleet_max_pending,
         )
+        with _telemetry(args.obs_out, args.journal):
+            serve(config)
     except ValueError as exc:
-        print(f"bad serve configuration: {exc}", file=sys.stderr)
-        return 2
-    # The journal records spans, so --journal arms the tracer too —
-    # otherwise 'repro obs trace' would find an empty span stream.
-    tracer = None
-    if args.obs_out or args.journal:
-        tracer = obs.enable_tracing()
-    try:
-        serve(config)
-    except (StoreError, OSError, ValueError) as exc:
         print(f"cannot serve: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if args.obs_out and tracer is not None:
-            _write_obs_out(args.obs_out, tracer)
-        if tracer is not None:
-            obs.disable_tracing()
     return 0
 
 
 def cmd_artifact_prepare(args) -> int:
     manifest = load_manifest(args.manifest)
-    module = _read_module(manifest.module_path)
     store = open_store(args.store, create=True, shards=args.shards)
-    try:
-        prepared, hit = store.get_or_prepare(
-            module,
-            manifest.key(),
-            manifest.watermark_bits,
-            pieces=manifest.pieces,
-            piece_loss=manifest.piece_loss,
-            target_success=manifest.target_success,
-            label=args.label,
-            codec=manifest.codec,
-        )
-    except VMError as exc:
-        print(f"program trapped during tracing: {exc}", file=sys.stderr)
-        return 2
+    prepared, hit = _release(manifest, store, args.label)
     record = store.record(prepared.fingerprint())
     state = "already stored" if hit else "prepared and stored"
     print(
@@ -558,9 +504,7 @@ def cmd_artifact_prepare(args) -> int:
 
 
 def cmd_artifact_list(args) -> int:
-    store = _open_store(args.store)
-    if store is None:
-        return 2
+    store = open_store(args.store)
     records = store.records()
     if args.json:
         print(json.dumps([r.to_dict() for r in records], indent=2))
@@ -576,23 +520,15 @@ def cmd_artifact_list(args) -> int:
 
 
 def cmd_artifact_evict(args) -> int:
-    store = _open_store(args.store)
-    if store is None:
-        return 2
-    try:
-        digest = store.resolve(args.digest)
-    except StoreError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    store = open_store(args.store)
+    digest = store.resolve(args.digest)
     store.evict(digest)
     print(f"evicted {digest}", file=sys.stderr)
     return 0
 
 
 def cmd_artifact_quarantine_list(args) -> int:
-    store = _open_store(args.store)
-    if store is None:
-        return 2
+    store = open_store(args.store)
     records = store.quarantined()
     if args.json:
         print(json.dumps([r.to_dict() for r in records], indent=2))
@@ -605,9 +541,7 @@ def cmd_artifact_quarantine_list(args) -> int:
 
 
 def cmd_artifact_verify(args) -> int:
-    store = _open_store(args.store)
-    if store is None:
-        return 2
+    store = open_store(args.store)
     problems = store.verify()
     for problem in problems:
         print(problem, file=sys.stderr)
@@ -628,13 +562,8 @@ def cmd_ncompile(args) -> int:
 
 
 def cmd_nrun(args) -> int:
-    with open(args.image) as fp:
-        image = load_image(fp)
-    try:
-        result = run_image(image, _parse_inputs(args.inputs))
-    except MachineFault as exc:
-        print(f"program faulted: {exc}", file=sys.stderr)
-        return 2
+    image = _read_image(args.image)
+    result = run_image(image, args.inputs)
     for value in result.output:
         print(value)
     print(f"[{result.steps} instructions executed]", file=sys.stderr)
@@ -642,13 +571,12 @@ def cmd_nrun(args) -> int:
 
 
 def cmd_nembed(args) -> int:
-    with open(args.image) as fp:
-        image = load_image(fp)
+    image = _read_image(args.image)
     emb = embed_native(
         image,
-        watermark=int(args.watermark, 0),
+        watermark=args.watermark,
         width=args.bits,
-        inputs=_parse_inputs(args.inputs),
+        inputs=args.inputs,
         obfuscate_extra=args.obfuscate_extra,
     )
     with open(args.output, "w") as fp:
@@ -663,10 +591,9 @@ def cmd_nembed(args) -> int:
 
 
 def cmd_nextract(args) -> int:
-    with open(args.image) as fp:
-        image = load_image(fp)
+    image = _read_image(args.image)
     result = extract_native_auto(
-        image, _parse_inputs(args.inputs),
+        image, args.inputs,
         width=args.bits, tracer=args.tracer,
     )
     if args.diagnose:
@@ -680,19 +607,14 @@ def cmd_nextract(args) -> int:
 
 
 def cmd_ndis(args) -> int:
-    with open(args.image) as fp:
-        image = load_image(fp)
+    image = _read_image(args.image)
     print(format_listing(image, max_instructions=args.max))
     return 0
 
 
 def cmd_plan(args) -> int:
-    try:
-        plan = plan_redundancy(args.bits, args.loss, args.target,
-                               codec=args.codec)
-    except CodecError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    plan = plan_redundancy(args.bits, args.loss, args.target,
+                           codec=args.codec)
     print(f"watermark bits:      {plan.watermark_bits}")
     print(f"codec:               {plan.codec}")
     print(f"moduli:              {plan.moduli_count} "
@@ -710,6 +632,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Options several commands share, each declared once in a parent.
+    key = argparse.ArgumentParser(add_help=False)
+    key.add_argument("--bits", type=int, required=True,
+                     help="fingerprint width in bits")
+    key.add_argument("--secret", required=True, help="cipher secret")
+    key.add_argument("--inputs", type=_integers, default="",
+                     help="secret input sequence, comma-separated")
+    key.add_argument("--codec", default=None, metavar="SPEC",
+                     help="redundancy codec: gcrt (default), rs[-N], "
+                          "hybrid[-N]; recognize with the embed's")
+    store = argparse.ArgumentParser(add_help=False)
+    store.add_argument("--store", required=True, metavar="DIR",
+                       help="artifact store directory, plain or sharded "
+                            "(see 'repro artifact')")
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true",
+                         help="print a JSON document instead of text")
+    journal = argparse.ArgumentParser(add_help=False)
+    journal.add_argument("--journal", required=True, metavar="PATH",
+                         help="journal file or the directory holding "
+                              "journal.jsonl")
+    obs_out = argparse.ArgumentParser(add_help=False)
+    obs_out.add_argument("--obs-out", default=None, metavar="FILE",
+                         help="when the command ends, write spans + metrics "
+                              "as JSON lines to FILE (plus Prometheus text "
+                              "to FILE's .prom sibling)")
+    telemetry = argparse.ArgumentParser(add_help=False, parents=[obs_out])
+    telemetry.add_argument("--journal", default=None, metavar="DIR",
+                           help="append telemetry events and spans to "
+                                "DIR/journal.jsonl for 'repro obs'")
+
     p = sub.add_parser("compile", help="compile wee source to WVM assembly")
     p.add_argument("source")
     p.add_argument("-o", "--output", default=None)
@@ -717,36 +670,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="execute a WVM module")
     p.add_argument("module")
-    p.add_argument("--inputs", default="", help="comma-separated integers")
+    p.add_argument("--inputs", type=_integers, default="",
+                   help="comma-separated integers")
     p.set_defaults(fn=cmd_run)
 
-    p = sub.add_parser("embed", help="embed a watermark")
+    p = sub.add_parser("embed", help="embed a watermark", parents=[key])
     p.add_argument("module")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--watermark", required=True,
+    p.add_argument("--watermark", type=_integer, required=True,
                    help="integer (0x.. accepted)")
-    p.add_argument("--bits", type=int, required=True,
-                   help="fingerprint width in bits")
-    p.add_argument("--secret", required=True, help="cipher secret")
-    p.add_argument("--inputs", default="",
-                   help="secret input sequence, comma-separated")
     p.add_argument("--pieces", type=int, default=None)
-    p.add_argument("--codec", default=None, metavar="SPEC",
-                   help="redundancy codec: gcrt (default), rs[-N], "
-                        "hybrid[-N]")
     p.add_argument("--diversify", type=int, default=None, metavar="SEED",
                    help="pre-watermark diversification seed "
                         "(collusion defense)")
     p.set_defaults(fn=cmd_embed)
 
-    p = sub.add_parser("recognize", help="recover a watermark")
+    p = sub.add_parser("recognize", help="recover a watermark",
+                       parents=[key])
     p.add_argument("module")
-    p.add_argument("--bits", type=int, required=True)
-    p.add_argument("--secret", required=True)
-    p.add_argument("--inputs", default="")
-    p.add_argument("--codec", default=None, metavar="SPEC",
-                   help="codec the mark was embedded with "
-                        "(must match --codec at embed time)")
     p.add_argument("--diagnose", action="store_true",
                    help="print the window/voting/CRT funnel to stderr")
     p.set_defaults(fn=cmd_recognize)
@@ -754,6 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "batch-embed",
         help="fingerprint many copies in parallel from a manifest",
+        parents=[telemetry],
     )
     p.add_argument("manifest", help="JSON batch manifest (see docs/)")
     p.add_argument("-o", "--output", required=True,
@@ -769,24 +711,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store-shards", type=int, default=None, metavar="N",
                    help="when creating --store, lay it out as a sharded "
                         "fabric of N shard stores (see docs/scaling.md)")
-    p.add_argument("--obs-out", default=None, metavar="FILE",
-                   help="write spans + metrics as JSON lines to FILE "
-                        "(plus Prometheus text to FILE's .prom sibling)")
     p.add_argument("--checkpoint", default=None, metavar="FILE",
                    help="journal each completed copy to FILE (JSON lines) "
                         "as it lands")
     p.add_argument("--resume", action="store_true",
                    help="skip copies the --checkpoint journal already "
                         "shows as verified (crash recovery)")
-    p.add_argument("--journal", default=None, metavar="DIR",
-                   help="append telemetry events (copy outcomes, retries, "
-                        "faults) to DIR/journal.jsonl for 'repro obs'")
     p.set_defaults(fn=cmd_batch_embed)
 
     p = sub.add_parser(
         "campaign",
         help="sweep generated workloads x attacks x widths and report "
              "per-cell recovery",
+        parents=[obs_out],
     )
     p.add_argument("-o", "--output", required=True,
                    help="output directory for report.json + outcomes.json")
@@ -818,9 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="journal batches and finished cells under DIR")
     p.add_argument("--resume", action="store_true",
                    help="replay cells already in the --checkpoint journal")
-    p.add_argument("--obs-out", default=None, metavar="FILE",
-                   help="write spans + metrics as JSON lines to FILE "
-                        "(plus Prometheus text to FILE's .prom sibling)")
     p.set_defaults(fn=cmd_campaign)
 
     p = sub.add_parser("attack", help="apply a distortive transformation")
@@ -837,16 +771,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nrun", help="execute an N32 image")
     p.add_argument("image")
-    p.add_argument("--inputs", default="")
+    p.add_argument("--inputs", type=_integers, default="")
     p.set_defaults(fn=cmd_nrun)
 
     p = sub.add_parser("nembed",
                        help="embed a branch-function watermark (native)")
     p.add_argument("image")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--watermark", required=True)
+    p.add_argument("--watermark", type=_integer, required=True)
     p.add_argument("--bits", type=int, required=True)
-    p.add_argument("--inputs", default="",
+    p.add_argument("--inputs", type=_integers, default="",
                    help="secret input sequence (profiling + tracing)")
     p.add_argument("--obfuscate-extra", type=int, default=0)
     p.set_defaults(fn=cmd_nembed)
@@ -855,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="extract a native watermark (auto-framed)")
     p.add_argument("image")
     p.add_argument("--bits", type=int, default=None)
-    p.add_argument("--inputs", default="")
+    p.add_argument("--inputs", type=_integers, default="")
     p.add_argument("--tracer", choices=("simple", "smart"), default="smart")
     p.add_argument("--diagnose", action="store_true",
                    help="print branch-function/chain diagnostics to stderr")
@@ -878,9 +812,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="run the fingerprinting HTTP daemon over an artifact store",
+        parents=[store, telemetry],
     )
-    p.add_argument("--store", required=True, metavar="DIR",
-                   help="artifact store directory (see 'repro artifact')")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8765,
                    help="listening port; 0 picks an ephemeral port")
@@ -901,12 +834,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="graceful-shutdown budget for in-flight jobs "
                         "(default 10; also the Retry-After a draining "
                         "daemon advertises)")
-    p.add_argument("--obs-out", default=None, metavar="FILE",
-                   help="on shutdown, write spans + metrics as JSON "
-                        "lines to FILE (plus FILE's .prom sibling)")
-    p.add_argument("--journal", default=None, metavar="DIR",
-                   help="append the telemetry journal to DIR/journal.jsonl "
-                        "(events, spans; read back with 'repro obs')")
     p.add_argument("--slo", default=None, metavar="FILE",
                    help="JSON SLO spec evaluated at /v1/obs/slo and "
                         "/healthz (default: built-in objectives)")
@@ -928,9 +855,9 @@ def build_parser() -> argparse.ArgumentParser:
     a = asub.add_parser(
         "prepare",
         help="prepare a release from a batch manifest and store it",
+        parents=[store],
     )
     a.add_argument("manifest", help="JSON batch manifest (copies ignored)")
-    a.add_argument("--store", required=True, metavar="DIR")
     a.add_argument("--shards", type=int, default=None, metavar="N",
                    help="when creating --store, lay it out as a sharded "
                         "fabric of N shard stores")
@@ -938,31 +865,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="free-form release label kept in the manifest")
     a.set_defaults(fn=cmd_artifact_prepare)
 
-    a = asub.add_parser("list", help="list stored artifacts")
-    a.add_argument("--store", required=True, metavar="DIR")
-    a.add_argument("--json", action="store_true",
-                   help="emit the records as a JSON array")
+    a = asub.add_parser("list", help="list stored artifacts",
+                        parents=[store, as_json])
     a.set_defaults(fn=cmd_artifact_list)
 
-    a = asub.add_parser("evict", help="remove an artifact from the store")
+    a = asub.add_parser("evict", help="remove an artifact from the store",
+                        parents=[store])
     a.add_argument("digest", help="artifact digest (unique prefix ok)")
-    a.add_argument("--store", required=True, metavar="DIR")
     a.set_defaults(fn=cmd_artifact_evict)
 
     a = asub.add_parser(
         "verify",
         help="integrity-check every blob against the manifest",
+        parents=[store],
     )
-    a.add_argument("--store", required=True, metavar="DIR")
     a.set_defaults(fn=cmd_artifact_verify)
 
     a = asub.add_parser(
         "quarantine-list",
         help="list blobs moved aside after failing integrity checks",
+        parents=[store, as_json],
     )
-    a.add_argument("--store", required=True, metavar="DIR")
-    a.add_argument("--json", action="store_true",
-                   help="emit the records as a JSON array")
     a.set_defaults(fn=cmd_artifact_quarantine_list)
 
     p = sub.add_parser(
@@ -971,10 +894,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     osub = p.add_subparsers(dest="obs_command", required=True)
 
-    o = osub.add_parser("tail", help="print the newest journal events")
-    o.add_argument("--journal", required=True, metavar="PATH",
-                   help="journal file or the directory holding "
-                        "journal.jsonl")
+    o = osub.add_parser("tail", help="print the newest journal events",
+                        parents=[journal])
     o.add_argument("--limit", type=int, default=20,
                    help="events to print (default 20)")
     o.add_argument("--kind", default=None,
@@ -988,15 +909,15 @@ def build_parser() -> argparse.ArgumentParser:
     o = osub.add_parser(
         "summary",
         help="count journal records by kind; time spent per span name",
+        parents=[journal],
     )
-    o.add_argument("--journal", required=True, metavar="PATH")
     o.set_defaults(fn=cmd_obs_summary)
 
     o = osub.add_parser(
         "slo",
         help="judge SLO objectives over the journal (exit 1 on breach)",
+        parents=[journal],
     )
-    o.add_argument("--journal", required=True, metavar="PATH")
     o.add_argument("--spec", default=None, metavar="FILE",
                    help="JSON SLO spec (default: built-in objectives)")
     o.add_argument("--window", type=float, default=None, metavar="SECONDS",
@@ -1004,10 +925,10 @@ def build_parser() -> argparse.ArgumentParser:
     o.set_defaults(fn=cmd_obs_slo)
 
     o = osub.add_parser("trace",
-                        help="render one trace's span tree from the journal")
+                        help="render one trace's span tree from the journal",
+                        parents=[journal])
     o.add_argument("trace_id",
                    help="trace id (a unique prefix is enough)")
-    o.add_argument("--journal", required=True, metavar="PATH")
     o.set_defaults(fn=cmd_obs_trace)
 
     p = sub.add_parser(
@@ -1020,18 +941,18 @@ def build_parser() -> argparse.ArgumentParser:
         "status",
         help="worker health states + dispatcher counters from /healthz "
              "(exit 1 if any worker is ejected, 2 if not a fleet)",
+        parents=[as_json],
     )
     f.add_argument("--url", required=True, metavar="URL",
                    help="front-end base URL, e.g. http://127.0.0.1:8765")
     f.add_argument("--timeout", type=float, default=10.0, metavar="SECONDS")
-    f.add_argument("--json", action="store_true",
-                   help="print the raw fleet stats document")
     f.set_defaults(fn=cmd_fleet_status)
 
     f = fsub.add_parser(
         "rebalance",
         help="add or remove a fabric shard behind a live front-end "
              "(admission pauses for the duration of the move)",
+        parents=[as_json],
     )
     f.add_argument("action", choices=["add-shard", "remove-shard"])
     f.add_argument("--url", required=True, metavar="URL")
@@ -1039,16 +960,40 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shard name (required for remove-shard; "
                         "add-shard auto-names when omitted)")
     f.add_argument("--timeout", type=float, default=60.0, metavar="SECONDS")
-    f.add_argument("--json", action="store_true",
-                   help="print the full rebalance report document")
     f.set_defaults(fn=cmd_fleet_rebalance)
 
     return parser
 
 
+#: The library's refusals of bad input or an unusable environment.
+#: :func:`main` turns each into one stderr line and exit 2, so a
+#: refusal never reads as exit 1 ("no watermark recovered").
+_REFUSALS = (
+    VMError, MachineFault, WatermarkError, StoreError, GeneratorError,
+    ServiceError, OSError, ManifestError, AssemblyError, VMFormatError,
+    VerificationError, ImageFormatError, LexError, ParseError,
+    SemanticError,
+)
+
+#: What a refusal's line starts with, by type; the rest print as raised.
+_REFUSAL_PREFIXES = (
+    (VMError, "program trapped: "),
+    (MachineFault, "program faulted: "),
+    (GeneratorError, "workload generation failed the oracle: "),
+    ((ServiceError, ConnectionError), "front-end unreachable: "),
+)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _REFUSALS as exc:
+        prefix = next(
+            (p for kind, p in _REFUSAL_PREFIXES if isinstance(exc, kind)), ""
+        )
+        print(f"{prefix}{exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, TextIO, Tuple
 
 from .. import faults, obs
-from ..bytecode_wm.embedder import embed
+from ..bytecode_wm.embedder import EmbeddingResult, embed
 from ..bytecode_wm.recognizer import recognize, recognize_with_report
 from ..faults.injector import FaultPlan
 from ..faults.retry import RetryPolicy
@@ -81,6 +81,24 @@ class CopySpec:
             raise ValueError(f"{self.copy_id}: watermark must be non-negative")
 
 
+def mint_copy(
+    prepared: PreparedProgram, spec: CopySpec, codec: Optional[str] = None
+) -> EmbeddingResult:
+    """Embed ``spec``'s mark into the release: the one embed call
+    behind every minted copy. Deterministic in (watermark, seed), so
+    the campaign re-derives a batch's copies with it."""
+    return embed(
+        prepared.module,
+        spec.watermark,
+        prepared.key,
+        pieces=prepared.pieces,
+        watermark_bits=prepared.watermark_bits,
+        sites=prepared.sites,
+        rng_salt=f"{spec.watermark}/{spec.seed}",
+        codec=codec or prepared.codec,
+    )
+
+
 def embed_copy(
     prepared: PreparedProgram,
     spec: CopySpec,
@@ -106,16 +124,7 @@ def embed_copy(
         with obs.span("copy", copy_id=spec.copy_id,
                       watermark=spec.watermark) as copy_span:
             with obs.span("copy.embed"):
-                result = embed(
-                    prepared.module,
-                    spec.watermark,
-                    prepared.key,
-                    pieces=prepared.pieces,
-                    watermark_bits=prepared.watermark_bits,
-                    sites=prepared.sites,
-                    rng_salt=f"{spec.watermark}/{spec.seed}",
-                    codec=active_codec,
-                )
+                result = mint_copy(prepared, spec, active_codec)
             recognized = None
             check_ok = output_ok = False
             if self_check:

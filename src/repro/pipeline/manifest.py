@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..bytecode_wm.keys import WatermarkKey
 from ..codec import CodecError, resolve_codec
-from .batch import CopySpec
+from .batch import CopySpec, sequential_specs
 
 
 class ManifestError(ValueError):
@@ -62,19 +62,21 @@ class BatchManifest:
         return WatermarkKey(secret=self.secret, inputs=list(self.inputs))
 
 
-def _parse_watermark(value: Any, where: str) -> int:
-    if isinstance(value, bool):
-        raise ManifestError(f"{where}: watermark must be an integer")
-    if isinstance(value, int):
+def parse_watermark(value: Any, where: str = "") -> int:
+    """A watermark field of a manifest or request: an integer, or a
+    string ``int(text, 0)`` reads (``"0x3E9"``). ``where`` names the
+    field in the error."""
+    prefix = f"{where}: " if where else ""
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
         try:
             return int(value, 0)
         except ValueError:
             raise ManifestError(
-                f"{where}: cannot parse watermark {value!r}"
+                f"{prefix}cannot parse watermark {value!r}"
             ) from None
-    raise ManifestError(f"{where}: watermark must be an integer")
+    raise ManifestError(f"{prefix}watermark must be an integer")
 
 
 def _parse_copies(doc: Any, bits: int) -> List[CopySpec]:
@@ -85,12 +87,7 @@ def _parse_copies(doc: Any, bits: int) -> List[CopySpec]:
         start = doc.get("start_watermark", 1)
         if not isinstance(start, int) or start < 0:
             raise ManifestError("copies.start_watermark must be >= 0")
-        prefix = doc.get("id_prefix", "copy")
-        width = max(4, len(str(start + count - 1)))
-        specs = [
-            CopySpec(f"{prefix}-{start + i:0{width}d}", start + i, seed=i)
-            for i in range(count)
-        ]
+        specs = sequential_specs(count, start, doc.get("id_prefix", "copy"))
     elif isinstance(doc, list):
         if not doc:
             raise ManifestError("copies list is empty")
@@ -108,7 +105,7 @@ def _parse_copies(doc: Any, bits: int) -> List[CopySpec]:
                 specs.append(
                     CopySpec(
                         copy_id=str(entry["id"]),
-                        watermark=_parse_watermark(entry["watermark"], where),
+                        watermark=parse_watermark(entry["watermark"], where),
                         seed=seed,
                     )
                 )

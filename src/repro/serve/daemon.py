@@ -49,6 +49,7 @@ from ..obs.metrics import DEFAULT_LATENCY_BUCKETS, Counter, Gauge, Histogram
 from ..obs.slo import SLOEngine, load_objectives
 from ..obs.spans import render_span_tree
 from ..pipeline.batch import CopySpec
+from ..pipeline.manifest import parse_watermark
 from .client import ServiceError
 from .dispatch import (
     DispatchError,
@@ -233,20 +234,6 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
                    query=query)
 
 
-def _parse_watermark_field(value: Any) -> int:
-    """Accept the manifest's watermark shapes: int or '0x..' string."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise BadRequest(400, "watermark must be an integer or 0x string")
-    if isinstance(value, str):
-        try:
-            value = int(value, 0)
-        except ValueError:
-            raise BadRequest(
-                400, f"cannot parse watermark {value!r}"
-            ) from None
-    return value
-
-
 def _parse_codec_field(doc: Dict[str, Any]) -> Optional[str]:
     """Validate an optional per-request ``codec`` override.
 
@@ -361,6 +348,11 @@ class WatermarkService:
             "repro_obs_journal_bytes",
             "Active telemetry journal segment size",
         )
+        # Before the hub: a bad SLO spec must not leave one installed.
+        self.slo = SLOEngine(
+            load_objectives(config.slo_spec)
+            if config.slo_spec else None
+        )
         # The telemetry hub: reuse an ambient one (a test or an
         # embedding app may have installed its own journal), else
         # install one — journal-backed when the config names a
@@ -377,10 +369,6 @@ class WatermarkService:
             hub = TelemetryHub(HubConfig(journal_path=journal_path))
             obs.set_hub(hub)
         self.hub: TelemetryHub = hub
-        self.slo = SLOEngine(
-            load_objectives(config.slo_spec)
-            if config.slo_spec else None
-        )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -753,14 +741,14 @@ class WatermarkService:
             raise BadRequest(400, "'copy_id' (string) is required")
         if "watermark" not in doc:
             raise BadRequest(400, "'watermark' is required")
-        watermark = _parse_watermark_field(doc["watermark"])
         seed = doc.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise BadRequest(400, "'seed' must be an integer")
         self_check = doc.get("self_check", self.config.self_check)
         if not isinstance(self_check, bool):
             raise BadRequest(400, "'self_check' must be a boolean")
-        try:
+        try:  # the manifest's watermark shapes: int or '0x..' string
+            watermark = parse_watermark(doc["watermark"])
             CopySpec(copy_id=copy_id, watermark=watermark, seed=seed)
         except ValueError as exc:
             raise BadRequest(400, str(exc)) from None

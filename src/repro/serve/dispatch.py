@@ -272,11 +272,7 @@ class LocalDispatcher:
             )
             for route in _LOCAL_ROUTES
         }
-        registry = get_registry()
-        self._requests = registry.counter(
-            "repro_http_requests_total", "HTTP requests served"
-        )
-        self._retries = registry.counter(
+        self._retries = get_registry().counter(
             "repro_http_worker_retries_total",
             "Jobs retried after a worker death",
         )
@@ -310,11 +306,9 @@ class LocalDispatcher:
                 job._fail(ValueError(f"no local handler for route {job.route!r}"))
                 return job.future
             if len(self._live) >= self.capacity:
-                self._requests.inc(route="rejected", method="-", status="429")
                 job._fail(DispatchError(429, "queue full, retry shortly", 1.0))
                 return job.future
             if not breaker.allow():
-                self._requests.inc(route=job.route, method="-", status="503")
                 job._fail(DispatchError(
                     503, f"circuit open for {job.route} after repeated "
                     "worker failures", breaker.retry_after(),

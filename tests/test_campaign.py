@@ -25,9 +25,12 @@ from repro.campaign import (
     generate_program,
     run_campaign,
 )
+from repro.bytecode_wm import WatermarkKey
 from repro.campaign import runner
 from repro.cli import main as cli_main
-from repro.vm import run_module
+from repro.pipeline import CopySpec, prepare, run_batch
+from repro.vm import disassemble, run_module
+from repro.workloads.simple import gcd_module
 
 # One small matrix shared by the runner tests: 1 workload, 2 copies,
 # 2 single-level attacks -> 2 cells, a few seconds end to end.
@@ -157,6 +160,18 @@ def test_pooled_cells_leave_the_parent_no_remints(monkeypatch):
     # Forked workers count into their own copies of the list.
     assert parent_remints == []
     assert pooled.outcomes_json() == serial.outcomes_json()
+
+
+@pytest.mark.parametrize("codec", ["gcrt", "rs-8"])
+def test_remint_is_the_batch_copy(codec):
+    """The campaign attacks re-minted copies, so each must be the very
+    module ``run_batch`` emitted for its spec."""
+    key = WatermarkKey(secret=b"campaign", inputs=[25, 10])
+    prepared = prepare(gcd_module(), key, 16, codec=codec)
+    spec = CopySpec("c0", 0x1234, seed=3)
+    copy = run_batch(prepared, [spec]).copies[0]
+    assert copy.ok
+    assert disassemble(runner._remint(prepared, spec)) == copy.text
 
 
 def test_campaign_resumes_from_cell_journal(tmp_path):

@@ -154,10 +154,14 @@ class TestInjectedBackpressure:
         assert info.value.status == 429
         assert slow_result["doc"]["verified"]
         requests = get_registry().counter("repro_http_requests_total")
-        assert requests.value(route="rejected", method="-", status="429") == 1
+        assert requests.value(
+            route="/v1/embed", method="POST", status="429"
+        ) == 1
         assert requests.value(
             route="/v1/embed", method="POST", status="200"
         ) == 1
+        # Two requests, counted once each.
+        assert sum(s["value"] for s in requests.samples()) == 2
 
     def test_delay_fault_drives_real_504(self, store_root, digest):
         plan = FaultPlan(rules=[

@@ -274,7 +274,8 @@ class TestBackpressure:
             assert first["status"] == 200
 
             _, text, _ = request(server, "GET", "/metrics")
-            assert 'route="rejected"' in text
+            assert ('repro_http_requests_total{method="POST",'
+                    'route="/v1/embed",status="429"} 1') in text
 
     def test_slow_job_gives_504(self, store_root, digest, monkeypatch):
         def slow_embed(*args):
