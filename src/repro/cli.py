@@ -45,7 +45,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from . import obs
-from .obs.journal import read_events, read_journal, read_spans
+from .obs.journal import newest, read_events, read_journal, read_spans
 from .obs.slo import SLOEngine, default_objectives, load_objectives
 from .attacks.bytecode import (
     insert_branches,
@@ -287,7 +287,7 @@ def cmd_obs_tail(args) -> int:
     matched = [
         e for e in events if e.matches(args.kind, args.name, args.route)
     ]
-    for event in matched[-max(0, args.limit):]:
+    for event in newest(matched, args.limit):
         print(json.dumps(event.to_dict(), sort_keys=True))
     return 0
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
 
 
 @dataclass
@@ -47,14 +47,21 @@ class RetryPolicy:
         """May another attempt follow attempt number ``attempt``?"""
         return attempt < self.max_attempts
 
-    def delay(self, attempt: int) -> float:
-        """Seconds to wait after failed attempt number ``attempt`` (1-based)."""
+    def delay(
+        self, attempt: int, retry_after: Optional[float] = None
+    ) -> float:
+        """Seconds to wait after failed attempt number ``attempt`` (1-based).
+
+        A server's ``retry_after`` (seconds) wins over a shorter
+        private backoff; the jitter draw happens either way, so a
+        seeded schedule does not depend on which answers named one.
+        """
         if attempt < 1:
             raise ValueError("attempts count from 1")
         raw = min(self.max_delay, self.base_delay * (2.0 ** (attempt - 1)))
-        if self.jitter == 0.0:
-            return raw
-        return raw * (1.0 - self.jitter * self._rng.random())
+        if self.jitter != 0.0:
+            raw *= 1.0 - self.jitter * self._rng.random()
+        return raw if retry_after is None else max(raw, retry_after)
 
     def schedule(self) -> List[float]:
         """Every backoff delay the policy would produce, in order.

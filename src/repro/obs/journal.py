@@ -53,7 +53,9 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
+    TypeVar,
 )
 
 from .metrics import MetricsRegistry
@@ -66,6 +68,7 @@ __all__ = [
     "emit",
     "get_hub",
     "journal_segments",
+    "newest",
     "read_events",
     "read_journal",
     "read_spans",
@@ -89,6 +92,14 @@ KNOWN_KINDS: Tuple[str, ...] = (
     "fleet.worker",   # a worker health state change: state, previous
     "store.rebalance",  # an online shard add/remove: action, moved
 )
+
+
+_T = TypeVar("_T")
+
+
+def newest(items: Sequence[_T], limit: int) -> List[_T]:
+    """The last ``limit`` items, oldest-first; none when ``limit <= 0``."""
+    return list(items[-limit:]) if limit > 0 else []
 
 
 @dataclass
@@ -270,13 +281,14 @@ class TelemetryHub:
         """The newest matching events, oldest-first, at most ``limit``."""
         with self._lock:
             events = list(self._events)
-        matched = [e for e in events if e.matches(kind, name, route)]
-        return matched[-max(0, limit):]
+        return newest(
+            [e for e in events if e.matches(kind, name, route)], limit
+        )
 
     def recent_spans(self, limit: int = 200) -> List[Span]:
         with self._lock:
             spans = list(self._spans)
-        return spans[-max(0, limit):]
+        return newest(spans, limit)
 
     def recent_traces(
         self, limit: int = 10
@@ -291,8 +303,7 @@ class TelemetryHub:
         grouped: Dict[str, List[Span]] = {}
         for span in spans:  # ring order == arrival order
             grouped.setdefault(span.trace_id, []).append(span)
-        traces = list(grouped.items())
-        return traces[-max(0, limit):]
+        return newest(list(grouped.items()), limit)
 
     @property
     def emitted(self) -> int:

@@ -14,33 +14,18 @@ must flip the gate to failing.
 Objective kinds
 ---------------
 
-``latency_p95``
-    p95 of ``http.request`` event durations (optionally filtered to
-    one route) must be **at most** ``target`` seconds. The burn rate
-    is the fraction of requests over target divided by a 5% allowance
-    — burn 1.0 means the tail budget is exactly spent.
-``error_rate``
-    The fraction of ``http.request`` events with status >= 500 must
-    be **at most** ``target``. Burn is observed rate over target.
-``recovery_rate``
-    The fraction of ``recognize`` events with ``complete=true`` must
-    be **at least** ``target``. Burn is observed miss rate over the
-    allowed miss rate.
-``retry_budget``
-    The summed ``count`` of ``batch.retry`` events in the window must
-    be **at most** ``target``. Burn is spend over budget.
-``dispatch_p95``
-    p95 of ``fleet.dispatch`` send durations (optionally filtered to
-    one route) must be **at most** ``target`` seconds — the fleet
-    dispatcher's tail, measured from hand-off to a worker until its
-    response, requeues included as separate samples. Same 5% tail
-    allowance as ``latency_p95``.
-``fleet_error_rate``
-    The fraction of *terminal* ``fleet.dispatch`` outcomes that are
-    not ``ok`` must be **at most** ``target``. Intermediate outcomes
-    (``requeued``, ``superseded`` — the self-healing machinery doing
-    its job) are excluded: only what the caller actually saw counts
-    against the budget. Burn is observed rate over target.
+Each kind is one row of :data:`_KINDS`: p95 of ``seconds`` on HTTP
+requests (``latency_p95``) or fleet sends (``dispatch_p95``); the
+fraction of HTTP requests with status >= 500 (``error_rate``) or of
+*terminal* fleet dispatches not ``ok`` (``fleet_error_rate``;
+``requeued`` and ``superseded`` sends are the self-healing machinery
+at work and do not count); the fraction of complete recognitions
+(``recovery_rate``, at least the target); and the summed ``count`` of
+batch retries (``retry_budget``). The burn rate is spend over
+allowance: samples over a p95 target against a 5% tail allowance, a
+rate against its target, a miss rate against ``1 - target``. Only the
+HTTP and fleet kinds filter by ``route``; a route on another kind is a
+spec error.
 
 An objective with no events in its window reports ``no data`` and
 counts as met — absence of traffic is not an outage — but carries
@@ -56,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .journal import Event
 
@@ -70,13 +55,72 @@ __all__ = [
     "percentile",
 ]
 
-#: Valid objective kinds; anything else is a spec error.
-OBJECTIVE_KINDS = ("latency_p95", "error_rate", "recovery_rate",
-                   "retry_budget", "dispatch_p95", "fleet_error_rate")
-
 #: Tail allowance for latency objectives: up to this fraction of
 #: requests may exceed the p95 target before the burn rate passes 1.
 _LATENCY_ALLOWANCE = 0.05
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """How one objective kind reads the journal and judges it.
+
+    ``shape`` is one of ``p95`` (p95 of ``seconds`` at most the
+    target), ``bad`` (fraction of ``hit`` events at most the target),
+    ``good`` (fraction of ``hit`` events at least the target) or
+    ``sum`` (summed ``count`` at most the target), over the ``reads``
+    events that ``keep`` (``None``: all of them) accepts. ``detail`` is
+    formatted with ``value``, ``target``, ``samples`` and ``hits`` (the
+    ``hit`` events, or for ``p95`` the samples over target).
+    """
+
+    reads: str
+    shape: str
+    detail: str
+    unit_target: bool = False
+    by_route: bool = False
+    keep: Optional[Callable[[Event], bool]] = None
+    hit: Callable[[Event], bool] = lambda e: False
+
+
+_KINDS: Dict[str, _Kind] = {
+    "latency_p95": _Kind(
+        "http.request", "p95",
+        "p95 {value:.3f}s vs {target:g}s over {samples} request(s)",
+        by_route=True,
+    ),
+    "error_rate": _Kind(
+        "http.request", "bad",
+        "{hits}/{samples} request(s) failed "
+        "({value:.1%} vs {target:.1%} budget)",
+        unit_target=True, by_route=True,
+        hit=lambda e: int(e.attrs.get("status", 0)) >= 500,
+    ),
+    "recovery_rate": _Kind(
+        "recognize", "good",
+        "{hits}/{samples} recognition(s) complete "
+        "({value:.1%} vs {target:.1%} floor)",
+        unit_target=True,
+        hit=lambda e: bool(e.attrs.get("complete")),
+    ),
+    "retry_budget": _Kind(
+        "batch.retry", "sum",
+        "{value:g} retried cop(ies) vs budget {target:g}",
+    ),
+    "dispatch_p95": _Kind(
+        "fleet.dispatch", "p95",
+        "dispatch p95 {value:.3f}s vs {target:g}s over {samples} send(s)",
+        by_route=True,
+    ),
+    "fleet_error_rate": _Kind(
+        "fleet.dispatch", "bad",
+        "{hits}/{samples} terminal dispatch(es) failed "
+        "({value:.1%} vs {target:.1%} budget)",
+        unit_target=True, by_route=True,
+        keep=lambda e: str(e.attrs.get("outcome"))
+        not in ("requeued", "superseded"),
+        hit=lambda e: str(e.attrs.get("outcome")) != "ok",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -93,18 +137,21 @@ class Objective:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("objective needs a name")
-        if self.kind not in OBJECTIVE_KINDS:
+        kind = _KINDS.get(self.kind)
+        if kind is None:
             raise ValueError(
                 f"unknown objective kind {self.kind!r} "
-                f"(have: {', '.join(OBJECTIVE_KINDS)})"
+                f"(have: {', '.join(_KINDS)})"
             )
         if self.window_seconds <= 0:
             raise ValueError("window_seconds must be positive")
-        if self.kind in ("error_rate", "recovery_rate", "fleet_error_rate"):
+        if kind.unit_target:
             if not 0.0 <= self.target <= 1.0:
                 raise ValueError(f"{self.kind} target must be in [0, 1]")
         elif self.target <= 0:
             raise ValueError(f"{self.kind} target must be positive")
+        if self.route is not None and not kind.by_route:
+            raise ValueError(f"{self.kind} takes no route")
 
     def to_dict(self) -> Dict[str, Any]:
         doc: Dict[str, Any] = {
@@ -162,170 +209,58 @@ def percentile(values: Sequence[float], q: float) -> float:
     return ordered[rank - 1]
 
 
-def _http_events(
-    events: Sequence[Event], route: Optional[str]
-) -> List[Event]:
-    return [
+def _burn(observed: float, allowed: float) -> float:
+    """Observed over allowed; with no allowance, any spend is ``inf``."""
+    if allowed > 0:
+        return observed / allowed
+    return 0.0 if observed == 0 else math.inf
+
+
+def _judge(
+    objective: Objective, events: Sequence[Event], cutoff: float
+) -> SLOStatus:
+    """Judge one objective over the events at or after ``cutoff``."""
+    kind = _KINDS[objective.kind]
+    route, target = objective.route, objective.target
+    reads, keep = kind.reads, kind.keep
+    kept = [
         e for e in events
-        if e.kind == "http.request"
+        if e.kind == reads and e.unix >= cutoff
+        and (keep is None or keep(e))
         and (route is None or str(e.attrs.get("route", e.name)) == route)
     ]
-
-
-def _no_data(objective: Objective) -> SLOStatus:
-    return SLOStatus(
-        objective=objective, met=True, value=None, samples=0,
-        burn_rate=0.0, detail="no data in window",
-    )
-
-
-def _evaluate_one(
-    objective: Objective, events: Sequence[Event]
-) -> SLOStatus:
-    if objective.kind == "latency_p95":
-        hits = _http_events(events, objective.route)
-        values = [
-            float(e.attrs["seconds"]) for e in hits
+    samples: Sequence[Any] = kept
+    if kind.shape == "p95":
+        samples = [
+            float(e.attrs["seconds"]) for e in kept
             if isinstance(e.attrs.get("seconds"), (int, float))
         ]
-        if not values:
-            return _no_data(objective)
-        p95 = percentile(values, 0.95)
-        over = sum(1 for v in values if v > objective.target)
-        burn = (over / len(values)) / _LATENCY_ALLOWANCE
+    if not samples:
         return SLOStatus(
-            objective=objective,
-            met=p95 <= objective.target,
-            value=p95,
-            samples=len(values),
-            burn_rate=burn,
-            detail=(
-                f"p95 {p95:.3f}s vs {objective.target:g}s over "
-                f"{len(values)} request(s)"
-            ),
+            objective=objective, met=True, value=None, samples=0,
+            burn_rate=0.0, detail="no data in window",
         )
-
-    if objective.kind == "error_rate":
-        hits = _http_events(events, objective.route)
-        if not hits:
-            return _no_data(objective)
-        bad = sum(
-            1 for e in hits if int(e.attrs.get("status", 0)) >= 500
-        )
-        rate = bad / len(hits)
-        burn = rate / objective.target if objective.target > 0 else (
-            0.0 if bad == 0 else math.inf
-        )
-        return SLOStatus(
-            objective=objective,
-            met=rate <= objective.target,
-            value=rate,
-            samples=len(hits),
-            burn_rate=burn,
-            detail=(
-                f"{bad}/{len(hits)} request(s) failed "
-                f"({rate:.1%} vs {objective.target:.1%} budget)"
-            ),
-        )
-
-    if objective.kind == "recovery_rate":
-        hits = [e for e in events if e.kind == "recognize"]
-        if not hits:
-            return _no_data(objective)
-        recovered = sum(1 for e in hits if bool(e.attrs.get("complete")))
-        rate = recovered / len(hits)
-        allowed_miss = 1.0 - objective.target
-        miss = 1.0 - rate
-        burn = miss / allowed_miss if allowed_miss > 0 else (
-            0.0 if miss == 0 else math.inf
-        )
-        return SLOStatus(
-            objective=objective,
-            met=rate >= objective.target,
-            value=rate,
-            samples=len(hits),
-            burn_rate=burn,
-            detail=(
-                f"{recovered}/{len(hits)} recognition(s) complete "
-                f"({rate:.1%} vs {objective.target:.1%} floor)"
-            ),
-        )
-
-    if objective.kind == "dispatch_p95":
-        hits = [
-            e for e in events
-            if e.kind == "fleet.dispatch"
-            and (
-                objective.route is None
-                or str(e.attrs.get("route")) == objective.route
-            )
-        ]
-        values = [
-            float(e.attrs["seconds"]) for e in hits
-            if isinstance(e.attrs.get("seconds"), (int, float))
-        ]
-        if not values:
-            return _no_data(objective)
-        p95 = percentile(values, 0.95)
-        over = sum(1 for v in values if v > objective.target)
-        burn = (over / len(values)) / _LATENCY_ALLOWANCE
-        return SLOStatus(
-            objective=objective,
-            met=p95 <= objective.target,
-            value=p95,
-            samples=len(values),
-            burn_rate=burn,
-            detail=(
-                f"dispatch p95 {p95:.3f}s vs {objective.target:g}s over "
-                f"{len(values)} send(s)"
-            ),
-        )
-
-    if objective.kind == "fleet_error_rate":
-        terminal = [
-            e for e in events
-            if e.kind == "fleet.dispatch"
-            and str(e.attrs.get("outcome")) not in ("requeued", "superseded")
-            and (
-                objective.route is None
-                or str(e.attrs.get("route")) == objective.route
-            )
-        ]
-        if not terminal:
-            return _no_data(objective)
-        bad = sum(
-            1 for e in terminal if str(e.attrs.get("outcome")) != "ok"
-        )
-        rate = bad / len(terminal)
-        burn = rate / objective.target if objective.target > 0 else (
-            0.0 if bad == 0 else math.inf
-        )
-        return SLOStatus(
-            objective=objective,
-            met=rate <= objective.target,
-            value=rate,
-            samples=len(terminal),
-            burn_rate=burn,
-            detail=(
-                f"{bad}/{len(terminal)} terminal dispatch(es) failed "
-                f"({rate:.1%} vs {objective.target:.1%} budget)"
-            ),
-        )
-
-    # retry_budget
-    hits = [e for e in events if e.kind == "batch.retry"]
-    spent = float(sum(float(e.attrs.get("count", 1)) for e in hits))
-    if not hits:
-        return _no_data(objective)
+    n = len(samples)
+    hits = 0
+    if kind.shape == "p95":
+        value = percentile(samples, 0.95)
+        hits = sum(1 for v in samples if v > target)
+        met, burn = value <= target, _burn(hits / n, _LATENCY_ALLOWANCE)
+    elif kind.shape == "sum":
+        value = float(sum(float(e.attrs.get("count", 1)) for e in kept))
+        met, burn = value <= target, _burn(value, target)
+    else:
+        hits = sum(map(kind.hit, kept))
+        value = hits / n
+        if kind.shape == "bad":
+            met, burn = value <= target, _burn(value, target)
+        else:
+            met, burn = value >= target, _burn(1.0 - value, 1.0 - target)
     return SLOStatus(
-        objective=objective,
-        met=spent <= objective.target,
-        value=spent,
-        samples=len(hits),
-        burn_rate=spent / objective.target,
-        detail=(
-            f"{spent:g} retried cop(ies) vs budget "
-            f"{objective.target:g}"
+        objective=objective, met=met, value=value, samples=n,
+        burn_rate=burn,
+        detail=kind.detail.format(
+            value=value, target=target, hits=hits, samples=n
         ),
     )
 
@@ -342,12 +277,10 @@ def evaluate_objectives(
     """
     if now is None:
         now = max((e.unix for e in events), default=0.0)
-    statuses: List[SLOStatus] = []
-    for objective in objectives:
-        cutoff = now - objective.window_seconds
-        window = [e for e in events if e.unix >= cutoff]
-        statuses.append(_evaluate_one(objective, window))
-    return statuses
+    return [
+        _judge(objective, events, now - objective.window_seconds)
+        for objective in objectives
+    ]
 
 
 def default_objectives() -> List[Objective]:

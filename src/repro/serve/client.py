@@ -37,6 +37,10 @@ __all__ = ["ServiceClient", "ServiceError"]
 #: Statuses worth retrying: the server explicitly said "later".
 _RETRYABLE_STATUSES = frozenset({429, 503})
 
+#: Statuses whose body is the answer to a path; any other is an error.
+#: A 422 from ``/v1/recognize`` is an incomplete recovery, a result.
+_RESULT_STATUSES: Dict[str, Tuple[int, ...]] = {"/v1/recognize": (200, 422)}
+
 
 class ServiceError(Exception):
     """The daemon answered with an error status (after any retries).
@@ -157,20 +161,20 @@ class ServiceClient:
             if status in _RETRYABLE_STATUSES and self.retry.retries_left(
                 attempt
             ):
-                delay = self.retry.delay(attempt)
-                if retry_after is not None:
-                    delay = max(delay, retry_after)
-                self._sleep(delay)
+                self._sleep(self.retry.delay(attempt, retry_after))
                 continue
             return status, _parse_json(payload), retry_after
+
+    def _call(
+        self, method: str, path: str, doc: Optional[Dict[str, Any]] = None
+    ) -> Dict[str, Any]:
+        """:meth:`request_ex`, answered by :func:`answer`."""
+        return answer(path, *self.request_ex(method, path, doc))
 
     # -- typed endpoints ---------------------------------------------------
 
     def healthz(self) -> Dict[str, Any]:
-        status, doc = self.request("GET", "/healthz")
-        if status != 200:
-            raise ServiceError(status, str(doc.get("error", "unhealthy")), doc)
-        return doc
+        return self._call("GET", "/healthz")
 
     def metrics(self) -> str:
         status, headers, payload = self._once("GET", "/metrics", None)
@@ -179,10 +183,7 @@ class ServiceClient:
         return payload.decode()
 
     def artifacts(self) -> Dict[str, Any]:
-        status, doc = self.request("GET", "/v1/artifacts")
-        if status != 200:
-            raise ServiceError(status, str(doc.get("error", "")), doc)
-        return doc
+        return self._call("GET", "/v1/artifacts")
 
     def obs_events(
         self,
@@ -204,24 +205,15 @@ class ServiceClient:
         path = "/v1/obs/events"
         if params:
             path += "?" + urllib.parse.urlencode(params)
-        status, doc = self.request("GET", path)
-        if status != 200:
-            raise ServiceError(status, str(doc.get("error", "")), doc)
-        return doc
+        return self._call("GET", path)
 
     def obs_spans(self) -> Dict[str, Any]:
         """Recent trace trees (``GET /v1/obs/spans``)."""
-        status, doc = self.request("GET", "/v1/obs/spans")
-        if status != 200:
-            raise ServiceError(status, str(doc.get("error", "")), doc)
-        return doc
+        return self._call("GET", "/v1/obs/spans")
 
     def obs_slo(self) -> Dict[str, Any]:
         """The SLO engine's verdict (``GET /v1/obs/slo``)."""
-        status, doc = self.request("GET", "/v1/obs/slo")
-        if status != 200:
-            raise ServiceError(status, str(doc.get("error", "")), doc)
-        return doc
+        return self._call("GET", "/v1/obs/slo")
 
     def embed(
         self,
@@ -248,13 +240,7 @@ class ServiceClient:
             doc["self_check"] = self_check
         if codec is not None:
             doc["codec"] = codec
-        status, out, retry_after = self.request_ex("POST", "/v1/embed", doc)
-        if status != 200:
-            raise ServiceError(
-                status, str(out.get("error", "")), out,
-                retry_after=retry_after,
-            )
-        return out
+        return self._call("POST", "/v1/embed", doc)
 
     def recognize(
         self,
@@ -268,15 +254,22 @@ class ServiceClient:
         doc: Dict[str, Any] = {"artifact": artifact, "module": module_text}
         if codec is not None:
             doc["codec"] = codec
-        status, out, retry_after = self.request_ex(
-            "POST", "/v1/recognize", doc
+        return self._call("POST", "/v1/recognize", doc)
+
+
+def answer(
+    path: str, status: int, doc: Dict[str, Any],
+    retry_after: Optional[float] = None,
+) -> Dict[str, Any]:
+    """The document of an answer to ``path``, or the
+    :class:`ServiceError` it is: any status outside the path's result
+    statuses (``200``, and ``422`` for ``/v1/recognize``) raises, with
+    the answer's ``Retry-After``."""
+    if status not in _RESULT_STATUSES.get(path, (200,)):
+        raise ServiceError(
+            status, str(doc.get("error", "")), doc, retry_after=retry_after
         )
-        if status not in (200, 422):
-            raise ServiceError(
-                status, str(out.get("error", "")), out,
-                retry_after=retry_after,
-            )
-        return out
+    return doc
 
 
 def _parse_json(payload: bytes) -> Dict[str, Any]:

@@ -121,15 +121,16 @@ class Request:
     query: Dict[str, str] = field(default_factory=dict)
 
     def int_param(self, name: str, default: int) -> int:
+        """A non-negative integer query parameter (400 otherwise)."""
         value = self.query.get(name)
         if value is None:
             return default
-        try:
-            return int(value)
-        except ValueError:
+        if not value.isdecimal():
             raise BadRequest(
-                400, f"query parameter {name!r} must be an integer"
-            ) from None
+                400, f"query parameter {name!r} must be a non-negative "
+                "integer"
+            )
+        return int(value)
 
     def json(self) -> Dict[str, Any]:
         try:
@@ -323,6 +324,18 @@ class WatermarkService:
         self._server: Optional[asyncio.AbstractServer] = None
         self._draining = False
         self._rebalancing = False
+        #: One handler per routed path; every handler takes the request.
+        self._handlers = {
+            "/healthz": self._handle_healthz,
+            "/metrics": self._handle_metrics,
+            "/v1/artifacts": self._handle_artifacts,
+            "/v1/obs/events": self._handle_obs_events,
+            "/v1/obs/spans": self._handle_obs_spans,
+            "/v1/obs/slo": self._handle_obs_slo,
+            "/v1/embed": self._handle_embed,
+            "/v1/recognize": self._handle_recognize,
+            "/v1/store/rebalance": self._handle_rebalance,
+        }
         registry = obs.get_registry()
         self._requests: Counter = registry.counter(
             "repro_http_requests_total", "HTTP requests served"
@@ -458,8 +471,10 @@ class WatermarkService:
             else:
                 if request is None:
                     return
-                known = {path for _, path in ROUTES}
-                route = request.path if request.path in known else "unmatched"
+                route = (
+                    request.path if request.path in self._handlers
+                    else "unmatched"
+                )
                 with obs.span(
                     "http.request", method=request.method, path=request.path
                 ) as sp:
@@ -492,32 +507,15 @@ class WatermarkService:
                 pass
 
     async def _dispatch(self, request: Request) -> Response:
-        known_paths = {path for _, path in ROUTES}
-        if request.path not in known_paths:
+        handler = self._handlers.get(request.path)
+        if handler is None:
             return error_response(404, f"no route {request.path!r}")
         if (request.method, request.path) not in ROUTES:
             return error_response(
                 405, f"{request.method} not supported on {request.path}"
             )
         try:
-            if request.path == "/healthz":
-                response = self._handle_healthz()
-            elif request.path == "/metrics":
-                response = self._handle_metrics()
-            elif request.path == "/v1/artifacts":
-                response = self._handle_artifacts()
-            elif request.path == "/v1/obs/events":
-                response = self._handle_obs_events(request)
-            elif request.path == "/v1/obs/spans":
-                response = self._handle_obs_spans(request)
-            elif request.path == "/v1/obs/slo":
-                response = self._handle_obs_slo()
-            elif request.path == "/v1/embed":
-                response = await self._handle_embed(request)
-            elif request.path == "/v1/store/rebalance":
-                response = await self._handle_rebalance(request)
-            else:
-                response = await self._handle_recognize(request)
+            response = await handler(request)
         except DispatchError as exc:  # BadRequest is one too
             headers = None
             if exc.retry_after is not None:
@@ -546,7 +544,7 @@ class WatermarkService:
         assert self.dispatcher is not None, "service not started"
         return self.dispatcher.stats()
 
-    def _handle_healthz(self) -> Response:
+    async def _handle_healthz(self, request: Request) -> Response:
         slo = self.slo.report(self.hub.tail(limit=self.hub.config.ring_events))
         stats = self._dispatch_stats()
         body: Dict[str, Any] = {
@@ -578,14 +576,14 @@ class WatermarkService:
         self._queue_gauge.set(max(0, inflight - self.config.workers))
         self._journal_gauge.set(self.hub.journal_bytes())
 
-    def _handle_metrics(self) -> Response:
+    async def _handle_metrics(self, request: Request) -> Response:
         self._sample_gauges()
         text = obs.get_registry().to_prometheus()
         return Response(
             200, text.encode(), content_type=_PROMETHEUS_CONTENT_TYPE
         )
 
-    def _handle_obs_events(self, request: Request) -> Response:
+    async def _handle_obs_events(self, request: Request) -> Response:
         limit = request.int_param("limit", 100)
         events = self.hub.tail(
             limit=limit,
@@ -602,7 +600,7 @@ class WatermarkService:
             },
         )
 
-    def _handle_obs_spans(self, request: Request) -> Response:
+    async def _handle_obs_spans(self, request: Request) -> Response:
         limit = request.int_param("limit", 10)
         traces = []
         for trace_id, spans in self.hub.recent_traces(limit=limit):
@@ -613,13 +611,13 @@ class WatermarkService:
             })
         return json_response(200, {"traces": traces})
 
-    def _handle_obs_slo(self) -> Response:
+    async def _handle_obs_slo(self, request: Request) -> Response:
         report = self.slo.report(
             self.hub.tail(limit=self.hub.config.ring_events)
         )
         return json_response(200, report)
 
-    def _handle_artifacts(self) -> Response:
+    async def _handle_artifacts(self, request: Request) -> Response:
         self.store.refresh()
         return json_response(
             200,

@@ -79,7 +79,7 @@ from ..pipeline.batch import (
 )
 from ..pipeline.metrics import CopyResult
 from .circuit import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from .client import ServiceClient, ServiceError
+from .client import _RETRYABLE_STATUSES, ServiceClient, ServiceError, answer
 from .store import StoreError
 
 __all__ = [
@@ -1132,28 +1132,17 @@ class FleetDispatcher:
         started = time.monotonic()
         try:
             faults.check("fleet.send", worker=worker, route=job.route)
-            status, doc, retry_after = self._clients[worker].request_ex(
+            doc = answer(job.route, *self._clients[worker].request_ex(
                 "POST", job.route, job.payload
-            )
+            ))
+        except ServiceError as exc:
+            if exc.status in _RETRYABLE_STATUSES:
+                self._after_send(job, worker, started, token, error=exc)
+            else:
+                self._after_send(job, worker, started, token, fatal=exc)
+            return
         except (OSError, faults.FaultError) as exc:
-            self._after_send(job, worker, started, token, error=exc,
-                            retry_after=None)
-            return
-        if status in (429, 503):
-            exc = ServiceError(
-                status, str(doc.get("error", "worker saturated")), doc,
-                retry_after=retry_after,
-            )
-            self._after_send(job, worker, started, token, error=exc,
-                            retry_after=retry_after)
-            return
-        if status not in (200, 422):
-            self._after_send(
-                job, worker, started, token, fatal=ServiceError(
-                    status, str(doc.get("error", "")), doc,
-                    retry_after=retry_after,
-                ),
-            )
+            self._after_send(job, worker, started, token, error=exc)
             return
         self._after_send(job, worker, started, token, result=doc)
 
@@ -1166,7 +1155,6 @@ class FleetDispatcher:
         result: Optional[Dict[str, Any]] = None,
         error: Optional[BaseException] = None,
         fatal: Optional[BaseException] = None,
-        retry_after: Optional[float] = None,
     ) -> None:
         seconds = time.monotonic() - started
         registry = get_registry()
@@ -1179,12 +1167,13 @@ class FleetDispatcher:
             if not superseded:
                 del self._assigned[worker][id(job)]
                 if error is not None and self.retry.retries_left(job.attempts):
-                    delay = self.retry.delay(job.attempts)
-                    if retry_after is not None:
-                        # The worker named its price (503 Retry-After
-                        # from an open circuit); honor it over private
-                        # backoff.
-                        delay = max(delay, retry_after)
+                    # A worker that named its price (503 Retry-After
+                    # from an open circuit) is honored over backoff.
+                    delay = self.retry.delay(
+                        job.attempts,
+                        error.retry_after
+                        if isinstance(error, ServiceError) else None,
+                    )
                     self._requeues += 1
                     requeued = True
                     heapq.heappush(
@@ -1266,13 +1255,7 @@ class FleetDispatcher:
         it is about to 503 real jobs anyway, so stop routing to it
         now instead of flapping through its drain window.
         """
-        status, doc, _ = self._probe_clients[spec.name].request_ex(
-            "GET", "/healthz"
-        )
-        if status != 200:
-            raise ServiceError(
-                status, str(doc.get("error", "unhealthy")), doc
-            )
+        doc = self._probe_clients[spec.name].healthz()
         reported = doc.get("status", "ok")
         if reported != "ok":
             raise ServiceError(503, f"worker reports {reported!r}", doc)
