@@ -4,9 +4,10 @@
 Runs the interpreter micro-benchmarks (fast engine vs the seed
 reference engine, interleaved in the same process), reference-scan vs
 packed window counting over one recognition's trace bits, scalar vs
-batched window decryption over one recognition's windows, a plain N32
-run vs a native extraction of marked bzip2, a cold vs a warm native
-embed of bzip2, plus, with ``--figures``, the ``benchmarks/test_*``
+batched window decryption over one recognition's windows, a profiled
+vs a plain N32 run of marked bzip2, a plain N32 run vs a native
+extraction of marked bzip2, a cold vs a warm native embed of bzip2,
+plus, with ``--figures``, the ``benchmarks/test_*``
 figure reproductions under pytest-benchmark, and writes a
 schema-versioned ``BENCH_<date>.json`` report with per-benchmark
 median, IQR and steps/sec.
@@ -20,8 +21,9 @@ fresh timing against a committed absolute number would flake
 constantly. Every gated metric is therefore a **ratio measured inside
 one process with the two sides interleaved** — fast-engine throughput
 over reference-engine throughput, scanned over packed window counting
-time, scalar over batched decryption time, plain-run over extraction
-time, cold over warm native embedding time — which cancels the
+time, scalar over batched decryption time, profiled over plain N32 run
+time, plain-run over extraction time, cold over warm native embedding
+time — which cancels the
 machine out. Raw seconds and steps/sec are still recorded (they are
 what humans read) but never gated.
 
@@ -40,8 +42,9 @@ tier-2 block cache), when the bits it decodes in its run loop differ
 from the reference decode, when a warm untraced run's steps or output
 differ from the reference's, when the packed window counts differ
 from the reference scan's, when a batched window decryption differs
-from the scalar cipher's, when the native extraction misses its mark,
-or when a warm native embed's image differs from a cold one's.
+from the scalar cipher's, when a plain N32 run's output or steps differ
+from a profiled run's, when the native extraction misses its mark, or
+when a warm native embed's image differs from a cold one's.
 """
 
 from __future__ import annotations
@@ -77,6 +80,7 @@ from repro.core.bitstring import (  # noqa: E402
 )
 from repro.core.cipher import BlockCipher  # noqa: E402
 from repro.native.machine import run_image  # noqa: E402
+from repro.native.profiler import profile_image  # noqa: E402
 from repro.native_wm import (  # noqa: E402
     clear_native_releases,
     embed_native,
@@ -316,13 +320,48 @@ def _decrypt_batch_pair(repeats: int, results: Dict[str, dict]) -> bool:
     )
 
 
+def _native_run_pair(repeats: int, results: Dict[str, dict]) -> bool:
+    """A profiled vs a plain run of marked bzip2.
+
+    A profiled run counts every step through its wrapped handlers, so
+    it runs wholly in tier 1; a plain run runs hot straight-line text
+    as generated Python (``repro.native.tier2``). The ratio therefore
+    measures tier 2: about 1.1 before it. Returns whether every plain
+    run's output and steps equalled the profiled run's.
+    """
+    mark, width = 0x00000000FFFFFFFF, 64
+    emb = embed_native(
+        spec_native("bzip2"), mark, width, SPEC_TRAIN_INPUT, rng_seed=15
+    )
+
+    def profiled() -> Tuple[List[int], int]:
+        profile = profile_image(emb.image, SPEC_TRAIN_INPUT)
+        return profile.output, profile.total_steps
+
+    def plain() -> Tuple[List[int], int]:
+        result = run_image(emb.image, SPEC_TRAIN_INPUT)
+        return result.output, result.steps
+
+    return _interleaved_pair(
+        "native.run",
+        ("profile", "run"),
+        profiled,
+        plain,
+        repeats,
+        results,
+        kernel="bzip2",
+    )
+
+
 def _native_extract_pair(repeats: int, results: Dict[str, dict]) -> bool:
     """A plain run of marked bzip2 vs an extraction of its mark.
 
     Extraction records one run's calls and returns through its handler
-    table, so the ratio reads about 1; two runs, or a per-instruction
-    hook, would halve it. Returns whether every extraction recovered
-    the mark.
+    table, and a :class:`CallRecord` leaves only calls, returns and
+    the instructions around its entry to tier 1, so both sides run hot
+    text in tier 2 and the ratio reads about 1; two runs, or a
+    per-instruction hook, would halve it. Returns whether every
+    extraction recovered the mark.
     """
     mark, width = 0x00000000FFFFFFFF, 64
     emb = embed_native(
@@ -468,6 +507,8 @@ def run_benchmarks(repeats: int, figures: bool) -> dict:
     windows_exact = _window_multiset_pair(repeats, results)
     print("== window decryption ==", flush=True)
     decrypt_exact = _decrypt_batch_pair(repeats, results)
+    print("== native runs ==", flush=True)
+    run_exact = _native_run_pair(repeats, results)
     print("== native extraction ==", flush=True)
     extract_exact = _native_extract_pair(repeats, results)
     print("== native releases ==", flush=True)
@@ -489,6 +530,7 @@ def run_benchmarks(repeats: int, figures: bool) -> dict:
             "untraced_exact": untraced_exact,
             "window_multiset_exact": windows_exact,
             "decrypt_batch_exact": decrypt_exact,
+            "native_run_exact": run_exact,
             "native_extract_exact": extract_exact,
             "native_release_exact": release_exact,
             "fault_hooks": fault_hooks,
@@ -523,6 +565,8 @@ def print_report(report: dict) -> None:
     print(f"packed window counts equal the reference scan: {windows}")
     exact = report["checks"]["decrypt_batch_exact"]
     print(f"batched window decryption equals the scalar cipher: {exact}")
+    ran = report["checks"]["native_run_exact"]
+    print(f"plain N32 runs match profiled ones: {ran}")
     extracted = report["checks"]["native_extract_exact"]
     print(f"native extraction recovers marked bzip2's mark: {extracted}")
     release = report["checks"]["native_release_exact"]
@@ -558,6 +602,8 @@ def compare_to_baseline(
         failures.append(
             "batched window decryption differs from the scalar cipher"
         )
+    if not report["checks"]["native_run_exact"]:
+        failures.append("a plain N32 run differs from a profiled one")
     if not report["checks"]["native_extract_exact"]:
         failures.append("native extraction missed marked bzip2's mark")
     if not report["checks"]["native_release_exact"]:

@@ -10,24 +10,34 @@ Faithful to the properties Section 4 uses:
   SIGSEGV/SIGILL. The attack harness equates a faulting program with
   a broken one.
 
-Execution dispatches through a per-address handler table: the first
-time an address executes in a run, its instruction is decoded once and
-bound into a closure with its register codes, immediates, branch
-targets, fall-through address and memory-operand address function
-resolved. The closure performs the instruction and returns the next
-``eip``.
+Execution dispatches through a per-run table from address to entry.
+An entry is a tier-1 handler or a tier-2 stretch. The first time an
+address executes in a run as a tier-1 step, its instruction is decoded
+once and bound into a closure with its register codes, immediates,
+branch targets, fall-through address and memory-operand address
+function resolved. The closure performs the instruction and returns
+the next ``eip``. Once a straight-line stretch of text turns hot in a
+run, or is already in the process-wide cache, its entry is one
+generated Python function for the whole stretch
+(:mod:`repro.native.tier2`), which needs no tier-1 binding at all.
+Every observable is the same in both tiers: output, ``steps``,
+registers, flags, memory, and a fault's reason, address and step.
 
-Instrumentation is bound into that table, not called per instruction,
+Instrumentation is bound into the table, not called per instruction,
 and every run goes through the one run loop. A :class:`CallRecord`
 wraps only the handlers it watches (calls, returns and one entry
-address) — the "tracer tool that uses hardware single-stepping" of
-Section 4.2.3 at the cost of a plain run. A ``step_hook`` callback,
-which observes every instruction with full machine state before it
-executes, wraps each handler as it is bound, outside any
+address, with every instruction that can transfer there) — the "tracer
+tool that uses hardware single-stepping" of Section 4.2.3 at about the
+cost of a plain run. A watched instruction never joins a stretch, so
+the rest of the program still runs in tier 2. A ``step_hook``
+callback, which observes every instruction with full machine state
+before it executes, wraps each handler as it is bound, outside any
 :class:`CallRecord` wrapper; it is for tests and debugging, and no
 library code uses it. A profiled run wraps each handler, outermost, in
-a counter of its executions. Each instrument composes with the others,
-and a run without one pays nothing for it.
+a counter of its executions. A hooked or profiled run sees every
+instruction, so it runs wholly in tier 1; a run with a no-op hook is
+tier 2's oracle. Each instrument composes with the others, and a run
+without one pays nothing for it.
 
 Time is measured in executed instructions (see DESIGN.md).
 """
@@ -40,6 +50,7 @@ from typing import (
     TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
 )
 
+from . import tier2
 from .encoding import EncodingError
 from .image import BinaryImage, STACK_SIZE, STACK_TOP
 from .isa import Mem, NInstruction, REG_INDEX, wrap32
@@ -97,7 +108,9 @@ class Machine:
         self.image = image
         self.max_steps = max_steps
         self.regs: List[int] = [0] * 8
-        self.flags_val = 0
+        #: The flags value, in a one-cell list the handlers and tier 2
+        #: share (see :attr:`flags_val`).
+        self._fl = [0]
         self.eip = image.entry
         self.output: List[int] = []
         self.steps = 0
@@ -118,6 +131,16 @@ class Machine:
             Tuple[Dict[int, int], Dict[int, int], int]
         ] = None
         self.regs[4] = STACK_TOP - 64  # esp
+
+    @property
+    def flags_val(self) -> int:
+        """The last flag-setting result, unwrapped: jumps compare it
+        with 0."""
+        return self._fl[0]
+
+    @flags_val.setter
+    def flags_val(self, value: int) -> None:
+        self._fl[0] = value
 
     # -- memory -----------------------------------------------------------
 
@@ -195,26 +218,61 @@ class Machine:
                 calls.began = min(self.steps, self.max_steps)
         return NRunResult(self.output, self.steps)
 
-    # The loop keeps its handler table, eip -> (handler, decoded
-    # instruction), filled on first execution. Writes to text fault, so
-    # text cannot change under the run and no entry goes stale. The
-    # table is local to the run: handlers refer to the machine, so a
-    # table kept on it would form a cycle that only the garbage
-    # collector frees, and one kept per image would live as long as the
-    # image does.
+    # The loop keeps its table, eip -> (run, steps): a tier-1 handler
+    # (one step, called with no arguments) or a tier-2 stretch (called
+    # with the machine's state), filled on arrival. Writes to text
+    # fault, so text cannot change under the run and no entry goes
+    # stale. The table is local to the run: handlers refer to the
+    # machine, so a table kept on it would form a cycle that only the
+    # garbage collector frees, and one kept per image would live as
+    # long as the image does.
 
     def _loop(self) -> None:
-        table: Dict[int, Tuple[Handler, NInstruction]] = {}
+        table: Dict[int, tuple] = {}
+        tier1: Dict[int, Tuple[Handler, int]] = {}
+        stretches = None
+        if self._step_hook is None and self._profile is None:
+            stretches = tier2.Stretches(self.image, self._calls)
+        regs, fl, data, stack = self.regs, self._fl, self._data, self._stack
+        dbase = self._data_base
+        dend = dbase + self._data_last
         max_steps = self.max_steps
         steps = self.steps
         eip = self.eip
         try:
             while eip != EXIT_ADDRESS:
-                self.eip = eip
                 entry = table.get(eip)
                 if entry is None:
-                    entry = table[eip] = self._bind(eip)
+                    self.eip = eip
+                    found = stretches.arrive(eip) if stretches else False
+                    if found:
+                        entry = table[eip] = found
+                    else:
+                        entry = tier1.get(eip) or tier1.setdefault(
+                            eip, self._bind(eip)
+                        )
+                        if found is False:
+                            table[eip] = entry
+                n = entry[1]
+                if n != 1:
+                    if steps + n <= max_steps:
+                        try:
+                            eip = entry[0](
+                                eip, regs, fl, data, dbase, dend, stack
+                            )
+                            steps += n
+                            continue
+                        except tier2.Bail as bail:
+                            k, eip = bail.args
+                            steps += k
+                    # The step stays in tier 1: it faults, or its
+                    # stretch could cross the budget.
+                    self.eip = eip
+                    entry = tier1.get(eip) or tier1.setdefault(
+                        eip, self._bind(eip)
+                    )
                 steps += 1
+                self.eip = eip
                 if steps > max_steps:
                     raise MachineFault("instruction budget exceeded", eip)
                 self.steps = steps
@@ -223,8 +281,8 @@ class Machine:
         finally:
             self.steps = steps
 
-    def _bind(self, eip: int) -> Tuple[Handler, NInstruction]:
-        """Decode the instruction at ``eip`` into its table entry."""
+    def _bind(self, eip: int) -> Tuple[Handler, int]:
+        """Decode the instruction at ``eip`` into its tier-1 entry."""
         image = self.image
         if not image.in_text(eip):
             raise MachineFault(f"eip outside text: {eip:#x}", eip)
@@ -240,7 +298,7 @@ class Machine:
             handler = _hooked(self, self._step_hook, instr, eip, handler)
         if self._profile is not None:
             handler = _counted(self, *self._profile, eip, handler)
-        return handler, instr
+        return handler, 1
 
 
 def _hooked(
@@ -421,20 +479,24 @@ def _b_pushi(m, instr, eip, nxt):
 
 
 def _b_pushf(m, instr, eip, nxt):
+    fl = m._fl
+
     def h():
-        flags = m.flags_val
+        flags = fl[0]
         m.push((1 if flags == 0 else 0) | ((1 if flags < 0 else 0) << 1))
         return nxt
     return h
 
 
 def _b_popf(m, instr, eip, nxt):
+    fl = m._fl
+
     def h():
         packed = m.pop()
         if packed & 1:
-            m.flags_val = 0
+            fl[0] = 0
         else:
-            m.flags_val = -1 if packed & 2 else 1
+            fl[0] = -1 if packed & 2 else 1
         return nxt
     return h
 
@@ -457,7 +519,7 @@ def _alu_parts(instr):
 
 
 def _b_alu_rr(m, instr, eip, nxt):
-    regs = m.regs
+    regs, fl = m.regs, m._fl
     d, s = (op.code for op in instr.operands)
     fn, compare = _alu_parts(instr)
 
@@ -465,13 +527,13 @@ def _b_alu_rr(m, instr, eip, nxt):
         r = fn((regs[d] ^ _SIGN) - _SIGN, (regs[s] ^ _SIGN) - _SIGN)
         if not compare:
             regs[d] = r & _MASK
-        m.flags_val = r
+        fl[0] = r
         return nxt
     return h
 
 
 def _b_alu_ri(m, instr, eip, nxt):
-    regs = m.regs
+    regs, fl = m.regs, m._fl
     d = instr.operands[0].code
     b = ((instr.operands[1].value & _MASK) ^ _SIGN) - _SIGN
     fn, compare = _alu_parts(instr)
@@ -480,14 +542,14 @@ def _b_alu_ri(m, instr, eip, nxt):
         r = fn((regs[d] ^ _SIGN) - _SIGN, b)
         if not compare:
             regs[d] = r & _MASK
-        m.flags_val = r
+        fl[0] = r
         return nxt
     return h
 
 
 def _b_alu_mr(m, instr, eip, nxt):
     """add_mr, sub_mr, xor_mr: [address] op= register."""
-    regs, read, write = m.regs, m.read32, m.write32
+    regs, fl, read, write = m.regs, m._fl, m.read32, m.write32
     ea, s = _address(m.regs, instr.operands[0]), instr.operands[1].code
     fn, _compare = _alu_parts(instr)
 
@@ -495,14 +557,14 @@ def _b_alu_mr(m, instr, eip, nxt):
         addr = ea()
         r = fn((read(addr) ^ _SIGN) - _SIGN, (regs[s] ^ _SIGN) - _SIGN)
         write(addr, r)
-        m.flags_val = r
+        fl[0] = r
         return nxt
     return h
 
 
 def _b_alu_rm(m, instr, eip, nxt):
     """add_rm, xor_rm, cmp_rm: register op= [address]."""
-    regs, read = m.regs, m.read32
+    regs, fl, read = m.regs, m._fl, m.read32
     d, ea = instr.operands[0].code, _address(m.regs, instr.operands[1])
     fn, compare = _alu_parts(instr)
 
@@ -510,18 +572,18 @@ def _b_alu_rm(m, instr, eip, nxt):
         r = fn((regs[d] ^ _SIGN) - _SIGN, (read(ea()) ^ _SIGN) - _SIGN)
         if not compare:
             regs[d] = r & _MASK
-        m.flags_val = r
+        fl[0] = r
         return nxt
     return h
 
 
 def _b_cmp_mi(m, instr, eip, nxt):
-    read = m.read32
+    fl, read = m._fl, m.read32
     ea = _address(m.regs, instr.operands[0])
     b = ((instr.operands[1].value & _MASK) ^ _SIGN) - _SIGN
 
     def h():
-        m.flags_val = ((read(ea()) ^ _SIGN) - _SIGN) - b
+        fl[0] = ((read(ea()) ^ _SIGN) - _SIGN) - b
         return nxt
     return h
 
@@ -542,49 +604,49 @@ def _shift_amount(regs: List[int], instr: NInstruction) -> Callable[[], int]:
 
 
 def _b_shl(m, instr, eip, nxt):
-    regs = m.regs
+    regs, fl = m.regs, m._fl
     d, amount = instr.operands[0].code, _shift_amount(m.regs, instr)
 
     def h():
         r = (regs[d] << amount()) & _MASK
         regs[d] = r
-        m.flags_val = (r ^ _SIGN) - _SIGN
+        fl[0] = (r ^ _SIGN) - _SIGN
         return nxt
     return h
 
 
 def _b_shr(m, instr, eip, nxt):
-    regs = m.regs
+    regs, fl = m.regs, m._fl
     d, amount = instr.operands[0].code, _shift_amount(m.regs, instr)
 
     def h():
         r = regs[d] >> amount()
         regs[d] = r
-        m.flags_val = r
+        fl[0] = r
         return nxt
     return h
 
 
 def _b_sar(m, instr, eip, nxt):
-    regs = m.regs
+    regs, fl = m.regs, m._fl
     d, amount = instr.operands[0].code, _shift_amount(m.regs, instr)
 
     def h():
         r = ((regs[d] ^ _SIGN) - _SIGN) >> amount()
         regs[d] = r & _MASK
-        m.flags_val = r
+        fl[0] = r
         return nxt
     return h
 
 
 def _b_neg(m, instr, eip, nxt):
-    regs = m.regs
+    regs, fl = m.regs, m._fl
     d = instr.operands[0].code
 
     def h():
         r = -((regs[d] ^ _SIGN) - _SIGN)
         regs[d] = r & _MASK
-        m.flags_val = r
+        fl[0] = r
         return nxt
     return h
 
@@ -600,26 +662,26 @@ def _b_not(m, instr, eip, nxt):
 
 
 def _b_imul_rr(m, instr, eip, nxt):
-    regs = m.regs
+    regs, fl = m.regs, m._fl
     d, s = (op.code for op in instr.operands)
 
     def h():
         r = (((regs[d] ^ _SIGN) - _SIGN) * ((regs[s] ^ _SIGN) - _SIGN)) & _MASK
         regs[d] = r
-        m.flags_val = (r ^ _SIGN) - _SIGN
+        fl[0] = (r ^ _SIGN) - _SIGN
         return nxt
     return h
 
 
 def _b_imul_rri(m, instr, eip, nxt):
-    regs = m.regs
+    regs, fl = m.regs, m._fl
     d, s = instr.operands[0].code, instr.operands[1].code
     k = ((instr.operands[2].value & _MASK) ^ _SIGN) - _SIGN
 
     def h():
         r = (((regs[s] ^ _SIGN) - _SIGN) * k) & _MASK
         regs[d] = r
-        m.flags_val = (r ^ _SIGN) - _SIGN
+        fl[0] = (r ^ _SIGN) - _SIGN
         return nxt
     return h
 
@@ -692,19 +754,19 @@ def _b_ret(m, instr, eip, nxt):
     return h
 
 
-#: Conditional jumps: (machine, target, fall-through) -> handler.
+#: Conditional jumps: (flags cell, target, fall-through) -> handler.
 _JCC: Dict[str, Callable[..., Handler]] = {
-    "je": lambda m, t, nxt: lambda: t if m.flags_val == 0 else nxt,
-    "jne": lambda m, t, nxt: lambda: t if m.flags_val != 0 else nxt,
-    "jl": lambda m, t, nxt: lambda: t if m.flags_val < 0 else nxt,
-    "jle": lambda m, t, nxt: lambda: t if m.flags_val <= 0 else nxt,
-    "jg": lambda m, t, nxt: lambda: t if m.flags_val > 0 else nxt,
-    "jge": lambda m, t, nxt: lambda: t if m.flags_val >= 0 else nxt,
+    "je": lambda fl, t, nxt: lambda: t if fl[0] == 0 else nxt,
+    "jne": lambda fl, t, nxt: lambda: t if fl[0] != 0 else nxt,
+    "jl": lambda fl, t, nxt: lambda: t if fl[0] < 0 else nxt,
+    "jle": lambda fl, t, nxt: lambda: t if fl[0] <= 0 else nxt,
+    "jg": lambda fl, t, nxt: lambda: t if fl[0] > 0 else nxt,
+    "jge": lambda fl, t, nxt: lambda: t if fl[0] >= 0 else nxt,
 }
 
 
 def _b_jcc(m, instr, eip, nxt):
-    return _JCC[instr.mnemonic](m, instr.operands[0].value & _MASK, nxt)
+    return _JCC[instr.mnemonic](m._fl, instr.operands[0].value & _MASK, nxt)
 
 
 def _b_sys_out(m, instr, eip, nxt):
@@ -770,6 +832,8 @@ CALL, CALL_A, RET, ENTRY = "call", "call_a", "ret", "entry"
 #: Transfers whose next eip is computed at run time.
 _INDIRECT = frozenset({"ret", "jmp_r", "jmp_a", "call_a"})
 _DIRECT = frozenset({"jmp", "call", *_JCC})
+#: Instructions every CallRecord watches.
+_CALLS = frozenset({"call", "call_a", "ret"})
 
 
 class CallRecord:
@@ -828,6 +892,22 @@ class CallRecord:
         """Did the step after this ``RET`` event begin?"""
         return ret[4] < self.began
 
+    def watches(self, instr: NInstruction, eip: int, nxt: int) -> bool:
+        """Does :meth:`wrap` wrap this instruction? A watched one runs
+        in tier 1 only."""
+        return (instr.mnemonic in _CALLS or eip == self.entry
+                or self._to_entry(instr, nxt))
+
+    def _to_entry(self, instr: NInstruction, nxt: int) -> bool:
+        """Can ``instr`` transfer control to ``entry``?"""
+        entry = self.entry
+        if entry is None:
+            return False
+        mn = instr.mnemonic
+        return mn in _INDIRECT or nxt == entry or (
+            mn in _DIRECT and instr.operands[0].value == entry
+        )
+
     def wrap(
         self, m: Machine, instr: NInstruction, eip: int, nxt: int,
         handler: Handler,
@@ -838,14 +918,9 @@ class CallRecord:
             handler = self._on_call(m, mn, eip, nxt, handler)
         elif mn == "ret":
             handler = self._on_ret(m, eip, handler)
-        entry = self.entry
-        if entry is None:
-            return handler
-        if mn in _INDIRECT or nxt == entry or (
-            mn in _DIRECT and instr.operands[0].value == entry
-        ):
-            handler = self._on_transfer(eip, entry, handler)
-        if eip == entry:
+        if self._to_entry(instr, nxt):
+            handler = self._on_transfer(eip, self.entry, handler)
+        if eip == self.entry:
             handler = self._on_entry(m, eip, handler)
         return handler
 

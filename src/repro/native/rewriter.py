@@ -26,7 +26,7 @@ attack (Section 5.2.2, attack 4) without any relayout at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .encoding import encode_instruction
@@ -60,6 +60,10 @@ class LiftedProgram:
     #: original address of each item, aligned with ``items``; None for
     #: labels and inserted items. Replacing an item keeps its origin.
     origins: List[Optional[int]]
+    #: text symbol address -> index of its item when lifted, for the
+    #: symbols with no label. Edits only insert and replace items, so
+    #: the item is at that index or later.
+    anchors: Dict[int, int] = field(default_factory=dict)
 
     def find(self, addr: int) -> int:
         """Item index of the instruction originally at ``addr``."""
@@ -67,6 +71,14 @@ class LiftedProgram:
             return self.origins.index(addr)
         except ValueError:
             raise RewriteError(f"no instruction at {addr:#x}") from None
+
+    def anchored(self, addr: int) -> Optional[int]:
+        """Item index of the instruction originally at ``addr``, found
+        from its anchor; None if no item has that origin."""
+        try:
+            return self.origins.index(addr, self.anchors.get(addr, 0))
+        except ValueError:
+            return None
 
     def address_index(self) -> Dict[int, int]:
         """Original address -> item index, for every lifted instruction."""
@@ -81,7 +93,7 @@ class LiftedProgram:
         place."""
         return LiftedProgram(
             list(self.items), self.image, self.entry_label,
-            list(self.origins),
+            list(self.origins), self.anchors,
         )
 
     def insert(self, index: int, items: List[TextItem]) -> None:
@@ -120,13 +132,21 @@ def lift(
                     )
                 targets.add(dest.value)
     targets.add(image.entry)
+    unlabelled = {
+        addr for addr in image.symbols.values() if image.in_text(addr)
+    } - targets
+    marked = targets | unlabelled
 
     items: List[TextItem] = []
     origins: List[Optional[int]] = []
+    anchors: Dict[int, int] = {}
     for addr, instr in listing:
-        if addr in targets:
-            items.append(("label", _target_label(addr)))
-            origins.append(None)
+        if addr in marked:
+            if addr in targets:
+                items.append(("label", _target_label(addr)))
+                origins.append(None)
+            else:
+                anchors[addr] = len(items)
         edited = instr.copy()
         if edited.mnemonic in RELATIVE_TRANSFERS:
             dest = edited.operands[0]
@@ -137,7 +157,9 @@ def lift(
         items.append(edited)
         origins.append(addr)
 
-    return LiftedProgram(items, image, _target_label(image.entry), origins)
+    return LiftedProgram(
+        items, image, _target_label(image.entry), origins, anchors
+    )
 
 
 @dataclass
@@ -259,14 +281,15 @@ def lower(
 
     new_symbols = dict(image.symbols)
     # Remap original text symbols through the edit when possible.
-    moved = dict(zip(prog.origins, placed.addresses))
     for name, sym_addr in image.symbols.items():
         if image.in_text(sym_addr):
             label = _target_label(sym_addr)
             if label in symbols:
                 new_symbols[name] = symbols[label]
-            elif sym_addr in moved:
-                new_symbols[name] = moved[sym_addr]
+            else:
+                index = prog.anchored(sym_addr)
+                if index is not None:
+                    new_symbols[name] = placed.addresses[index]
     return BinaryImage(
         text,
         bytearray(image.data),
