@@ -44,7 +44,8 @@ differ from the reference's, when the packed window counts differ
 from the reference scan's, when a batched window decryption differs
 from the scalar cipher's, when a plain N32 run's output or steps differ
 from a profiled run's, when the native extraction misses its mark, or
-when a warm native embed's image differs from a cold one's.
+when a warm native embed's image differs from a cold one's (also
+into an image of equal content whose symbols are renamed).
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from __future__ import annotations
 import argparse
 import datetime as _dt
 import io
+import itertools
 import json
 import operator
 import os
@@ -79,6 +81,7 @@ from repro.core.bitstring import (  # noqa: E402
     window_multiset,
 )
 from repro.core.cipher import BlockCipher  # noqa: E402
+from repro.native.image import BinaryImage  # noqa: E402
 from repro.native.machine import run_image  # noqa: E402
 from repro.native.profiler import profile_image  # noqa: E402
 from repro.native_wm import (  # noqa: E402
@@ -385,27 +388,35 @@ def _native_release_pair(repeats: int, results: Dict[str, dict]) -> bool:
     """A cold vs a warm ``embed_native`` of bzip2.
 
     The cold side clears the kept releases first, so it profiles,
-    analyses loops and ranks begin edges; the warm side reuses that
-    release and only lifts, places the chain and lowers. Returns whether
-    every warm image was byte-identical to the cold one.
+    analyses loops, ranks begin edges and lifts the text; the warm side
+    reuses that release, makes its program from the kept lifted text
+    without decoding the image, places the chain and lowers. Every
+    other warm embed goes into an image of equal content whose symbols
+    are renamed, so the warm side must anchor the caller's own symbols.
+    Returns whether every warm image's text, data and symbol addresses
+    were identical to the cold one's.
     """
     image = spec_native("bzip2")
+    renamed = image.copy()
+    renamed.symbols = {f"renamed_{n}": a for n, a in image.symbols.items()}
+    targets = itertools.cycle((image, renamed))
 
-    def embed() -> Tuple[bytes, bytes]:
+    def embed(target: BinaryImage) -> Tuple[bytes, bytes, List[int]]:
         emb = embed_native(
-            image, 0x00000000FFFFFFFF, 64, SPEC_TRAIN_INPUT, rng_seed=15
+            target, 0x00000000FFFFFFFF, 64, SPEC_TRAIN_INPUT, rng_seed=15
         )
-        return emb.image.text, bytes(emb.image.data)
+        out = emb.image
+        return out.text, bytes(out.data), sorted(out.symbols.values())
 
-    def cold() -> Tuple[bytes, bytes]:
+    def cold() -> Tuple[bytes, bytes, List[int]]:
         clear_native_releases()
-        return embed()
+        return embed(image)
 
     return _interleaved_pair(
         "native.embed.release",
         ("cold", "warm"),
         cold,
-        embed,
+        lambda: embed(next(targets)),
         repeats,
         results,
         kernel="bzip2",
@@ -570,7 +581,10 @@ def print_report(report: dict) -> None:
     extracted = report["checks"]["native_extract_exact"]
     print(f"native extraction recovers marked bzip2's mark: {extracted}")
     release = report["checks"]["native_release_exact"]
-    print(f"warm native embeds equal cold ones byte for byte: {release}")
+    print(
+        "warm native embeds (also into a renamed-symbol image) equal cold"
+        f" ones byte for byte: {release}"
+    )
     hooks = report["checks"].get("fault_hooks")
     if hooks:
         print(

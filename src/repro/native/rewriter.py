@@ -7,7 +7,9 @@ which can then either be instrumented to obtain execution profiles,
 or modified to have a given watermark embedded into it."
 
 :func:`lift` disassembles an image into an editable instruction list
-whose intra-text control transfers are symbolic; :func:`lower`
+whose intra-text control transfers are symbolic; its symbol-free half,
+:func:`lift_text`, can be kept and made into a program for any image
+with the same text without decoding it again. :func:`lower`
 re-lays-out and re-encodes the edited list with :func:`layout` and
 :func:`encode`, the one path from text items to addresses and bytes
 (the assembler's ``build_image`` takes it too). Crucially, **the data
@@ -26,6 +28,7 @@ attack (Section 5.2.2, attack 4) without any relayout at all.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -52,7 +55,14 @@ class RewriteError(Exception):
 
 @dataclass
 class LiftedProgram:
-    """Editable form of a binary's text section."""
+    """Editable form of a binary's text section.
+
+    Items are never edited in place: an edit replaces or inserts items.
+    :func:`lift_text` interns its instructions, so one instruction
+    object stands at every position that holds an equal instruction,
+    and a kept :class:`LiftedText` shares its objects with every
+    program made from it.
+    """
 
     items: List[TextItem]
     image: BinaryImage
@@ -87,15 +97,6 @@ class LiftedProgram:
             if addr is not None
         }
 
-    def copy(self) -> "LiftedProgram":
-        """An independently editable copy. The instructions themselves
-        are shared: edits replace or insert items, never change one in
-        place."""
-        return LiftedProgram(
-            list(self.items), self.image, self.entry_label,
-            list(self.origins), self.anchors,
-        )
-
     def insert(self, index: int, items: List[TextItem]) -> None:
         """Insert items before item ``index``; invalidates no labels
         (they are symbolic) but shifts later indices."""
@@ -107,14 +108,47 @@ def _target_label(addr: int) -> str:
     return f"La_{addr:08x}"
 
 
-def lift(
+@dataclass(frozen=True)
+class LiftedText:
+    """The lifted text of an image, before any edit.
+
+    It reads only the image's text, text base and entry, never its
+    symbols or data, so it serves every image with that text:
+    :meth:`program` makes an editable :class:`LiftedProgram` for one.
+    """
+
+    items: Tuple[TextItem, ...]
+    #: original address of each item; None for labels
+    origins: Tuple[Optional[int], ...]
+    #: the origin of each item, or for a label its target's: ascending
+    keys: Tuple[int, ...]
+    entry_label: str
+
+    def program(self, image: BinaryImage) -> LiftedProgram:
+        """An editable program of ``image``, whose text this is; its
+        anchors come from ``image``'s own symbols."""
+        anchors: Dict[int, int] = {}
+        for addr in set(image.symbols.values()):
+            if image.in_text(addr):
+                # A label's item comes first among equal keys, and a
+                # labelled symbol needs no anchor.
+                index = bisect.bisect_left(self.keys, addr)
+                if index < len(self.keys) and self.origins[index] == addr:
+                    anchors[addr] = index
+        return LiftedProgram(
+            list(self.items), image, self.entry_label, list(self.origins),
+            anchors,
+        )
+
+
+def lift_text(
     image: BinaryImage,
     listing: Optional[Sequence[Tuple[int, NInstruction]]] = None,
-) -> LiftedProgram:
-    """Disassemble into symbolic, editable form.
+) -> LiftedText:
+    """Disassemble into symbolic form, interning equal instructions.
 
     ``listing`` is ``image.disassemble()`` when the caller already has
-    it; its instructions are copied, never edited.
+    it; its instructions are taken over, never edited.
     """
     if listing is None:
         listing = image.disassemble()
@@ -132,34 +166,42 @@ def lift(
                     )
                 targets.add(dest.value)
     targets.add(image.entry)
-    unlabelled = {
-        addr for addr in image.symbols.values() if image.in_text(addr)
-    } - targets
-    marked = targets | unlabelled
 
     items: List[TextItem] = []
     origins: List[Optional[int]] = []
-    anchors: Dict[int, int] = {}
+    keys: List[int] = []
+    interned: Dict[Tuple[str, tuple], NInstruction] = {}
     for addr, instr in listing:
-        if addr in marked:
-            if addr in targets:
-                items.append(("label", _target_label(addr)))
-                origins.append(None)
-            else:
-                anchors[addr] = len(items)
-        edited = instr.copy()
-        if edited.mnemonic in RELATIVE_TRANSFERS:
-            dest = edited.operands[0]
+        if addr in targets:
+            items.append(("label", _target_label(addr)))
+            origins.append(None)
+            keys.append(addr)
+        ops = instr.operands
+        if instr.mnemonic in RELATIVE_TRANSFERS:
+            dest = ops[0]
             if isinstance(dest, Imm) and image.in_text(dest.value):
-                edited = NInstruction(
-                    edited.mnemonic, (Label(_target_label(dest.value)),)
-                )
-        items.append(edited)
+                ops = (Label(_target_label(dest.value)),)
+        key = (instr.mnemonic, ops)
+        shared = interned.get(key)
+        if shared is None:
+            if ops is not instr.operands:
+                instr = NInstruction(instr.mnemonic, ops)
+            shared = interned[key] = instr
+        items.append(shared)
         origins.append(addr)
+        keys.append(addr)
 
-    return LiftedProgram(
-        items, image, _target_label(image.entry), origins, anchors
+    return LiftedText(
+        tuple(items), tuple(origins), tuple(keys), _target_label(image.entry)
     )
+
+
+def lift(
+    image: BinaryImage,
+    listing: Optional[Sequence[Tuple[int, NInstruction]]] = None,
+) -> LiftedProgram:
+    """Disassemble into symbolic, editable form (see :func:`lift_text`)."""
+    return lift_text(image, listing).program(image)
 
 
 @dataclass
@@ -241,19 +283,31 @@ def encode(
     symbols: Dict[str, int],
 ) -> bytes:
     """Encode laid-out items, resolving symbolic operands through
-    ``symbols``."""
+    ``symbols``.
+
+    An instruction that is neither a relative transfer nor symbolic
+    encodes the same at every address, so each such object is encoded
+    once per call, however many items it stands for.
+    """
     text = bytearray()
+    fixed: Dict[NInstruction, bytes] = {}
     for item, addr in zip(items, addresses):
         if isinstance(item, tuple):
             continue
-        if item.mnemonic in _SYMBOLIC_FORMS and not _SYMBOLIC.isdisjoint(
-            map(type, item.operands)
-        ):
-            item = _resolve(item, symbols)
-        try:
-            text += encode_instruction(item, addr)
-        except Exception as exc:
-            raise RewriteError(f"encode failed for {item!r}: {exc}")
+        code = fixed.get(item)
+        if code is None:
+            instr = item
+            if item.mnemonic in _SYMBOLIC_FORMS and not _SYMBOLIC.isdisjoint(
+                map(type, item.operands)
+            ):
+                instr = _resolve(item, symbols)
+            try:
+                code = encode_instruction(instr, addr)
+            except Exception as exc:
+                raise RewriteError(f"encode failed for {instr!r}: {exc}")
+            if instr is item and item.mnemonic not in RELATIVE_TRANSFERS:
+                fixed[item] = code
+        text += code
     return bytes(text)
 
 

@@ -50,10 +50,11 @@ from ..native.cfg import build_native_cfg
 from ..native.profiler import profile_image
 from ..native.rewriter import (
     LiftedProgram,
+    LiftedText,
     RewriteError,
     TextItem,
     layout,
-    lift,
+    lift_text,
     lower,
 )
 from .branch_function import (
@@ -107,12 +108,14 @@ def _slot_positions(items: List[TextItem]) -> List[int]:
 
 @dataclass(frozen=True)
 class NativeRelease:
-    """What embedding reads of one image's profile on one key input.
+    """What embedding reads of one image on one key input.
 
     Built once per (image, key input) by :func:`prepare_native`: the
-    profile run, the loop analysis and the begin-edge ranking. Every
-    copy embedded from it lifts the caller's image afresh, so it keeps
-    no reference to an image or to a lifted program.
+    profile run, the loop analysis, the begin-edge ranking and the
+    lifted text. Every copy embedded from it makes its program from
+    that text and the caller's image, so no copy decodes the image and
+    the release keeps no reference to one. Equal releases have equal
+    profiles; their texts are compared item by item, not by ``==``.
     """
 
     #: executed direct jumps: address -> (execution count, sequence
@@ -120,6 +123,8 @@ class NativeRelease:
     jumps: Dict[int, Tuple[int, int, bool]]
     #: begin-edge candidates, best first
     begins: Tuple[int, ...]
+    #: the image's text lifted once, its equal instructions interned
+    text: LiftedText = field(compare=False, repr=False)
 
 
 def _begin_candidates(jumps: Dict[int, Tuple[int, int, bool]]) -> Tuple[int, ...]:
@@ -151,23 +156,26 @@ def _prepare(
         if instr.mnemonic != "jmp" or addr not in profile.counts:
             continue
         dest = instr.operands[0]
-        # The jumps lift() makes symbolic: direct, into the text.
+        # The jumps lift_text() makes symbolic: direct, into the text.
         if isinstance(dest, Imm) and image.in_text(dest.value):
             jumps[addr] = (
                 profile.counts[addr], profile.first_seen[addr], addr in loops
             )
-    return NativeRelease(jumps, _begin_candidates(jumps))
+    return NativeRelease(
+        jumps, _begin_candidates(jumps), lift_text(image, listing)
+    )
 
 
 def prepare_native(image: BinaryImage, inputs: Sequence[int] = ()) -> NativeRelease:
-    """Profile ``image`` on the key input ``inputs`` and rank its begin
-    edges: the part of embedding that every copy shares."""
+    """Profile ``image`` on the key input ``inputs``, rank its begin
+    edges and lift its text: the part of embedding that every copy
+    shares."""
     return _prepare(image, inputs, image.disassemble())
 
 
-#: Most releases :func:`embed_native` keeps. A release holds one record
-#: per executed direct jump: 5 to 13, under 3 KiB, for the SPEC-like
-#: kernels.
+#: Most releases :func:`embed_native` keeps. A release of a SPEC-like
+#: kernel holds about 1 MB, nearly all of it its lifted text: 13.3k to
+#: 13.6k items, but only 907 to 921 distinct instruction objects.
 _RELEASE_CAP = 16
 
 _ReleaseKey = Tuple[bytes, Tuple[int, ...]]
@@ -218,7 +226,9 @@ def embed_native(
 
     The image's :class:`NativeRelease` is kept, keyed by the image's
     content and ``inputs``, so only the first embed into an image
-    profiles it; each call lifts ``image`` afresh.
+    profiles and decodes it; each begin attempt makes its program from
+    the release's lifted text, anchoring the text symbols of ``image``
+    itself (the key leaves symbols out).
     """
     if watermark < 0 or watermark >= (1 << width):
         raise EmbeddingError(f"watermark does not fit in {width} bits")
@@ -229,15 +239,11 @@ def embed_native(
         if release is not None:
             _releases.move_to_end(key)
     if release is None:
-        listing = image.disassemble()
-        release = _prepare(image, inputs, listing)
+        release = _prepare(image, inputs, image.disassemble())
         with _releases_lock:
             _releases[key] = release
             while len(_releases) > _RELEASE_CAP:
                 _releases.popitem(last=False)
-        base_prog = lift(image, listing)
-    else:
-        base_prog = lift(image)
     if not release.begins:
         raise EmbeddingError("no executed direct jmp available as begin edge")
 
@@ -246,7 +252,7 @@ def embed_native(
     for begin_addr in release.begins[:8]:
         try:
             result = _embed_at(
-                image, base_prog.copy(), watermark, width, bits,
+                image, release.text.program(image), watermark, width, bits,
                 begin_addr, release,
                 random.Random(rng_seed), tamper_proof, max_tamper_count,
                 obfuscate_extra,
@@ -318,7 +324,7 @@ def _embed_at(
         slots[pos:] = [s + 1 for s in slots[pos:]]
         calls.append(call)
         cur = target_idx
-    # Later edits replace items in place, so these indices hold.
+    # Later edits only replace items, so these indices hold.
     index_of_addr = prog.address_index()
 
     # Extra obfuscated transfers: ordinary executed jumps rerouted
@@ -334,7 +340,7 @@ def _embed_at(
             item = prog.items[idx]
             if not isinstance(item, NInstruction) or item.mnemonic != "jmp":
                 continue
-            if item is begin_jmp or not isinstance(item.operands[0], Label):
+            if not isinstance(item.operands[0], Label):
                 continue
             if item.operands[0].name == end_label:
                 continue
@@ -366,7 +372,7 @@ def _embed_at(
     # preference: loop-free candidates first, then (for tight kernels
     # that keep every cold jump inside some loop) cold in-loop ones,
     # whose execution counts the max_tamper_count cap already bounds.
-    tamper_items: List[Tuple[NInstruction, str]] = []
+    tamper_items: List[Tuple[int, str]] = []
     if tamper_proof:
         t0 = jumps[begin_addr][1]
         candidates: List[Tuple[bool, int, int]] = []
@@ -377,16 +383,16 @@ def _embed_at(
             item = prog.items[idx]
             if not isinstance(item, NInstruction) or item.mnemonic != "jmp":
                 continue
-            if item is begin_jmp or not isinstance(item.operands[0], Label):
+            if not isinstance(item.operands[0], Label):
                 continue
             candidates.append((in_loop, addr, idx))
         candidates.sort()  # loop-free (False) first, then by address
         for _in_loop, addr, idx in candidates[:len(calls)]:
             item = prog.items[idx]
             target_label = item.operands[0].name
-            indirect = ni("jmp_a", Mem(disp=0))  # rec address filled later
-            prog.items[idx] = indirect
-            tamper_items.append((indirect, target_label))
+            # The record's address is known in phase C.
+            prog.items[idx] = ni("jmp_a", Mem(disp=0))
+            tamper_items.append((idx, target_label))
 
     # Phase B: first layout, compute addresses and the perfect hash.
     placed = layout(prog.items, image.text_base)
@@ -410,9 +416,9 @@ def _embed_at(
     )
     prog.items[bf_start:] = emit_branch_function(spec)
     tamper_slots: List[Tuple[int, str, int]] = []
-    for j, (indirect, target_label) in enumerate(tamper_items):
+    for j, (idx, target_label) in enumerate(tamper_items):
         rec_addr = lock_base + slots[j] * 8
-        indirect.operands = (Mem(disp=rec_addr),)
+        prog.items[idx] = ni("jmp_a", Mem(disp=rec_addr))
         tamper_slots.append((slots[j], target_label, rec_addr))
 
     placed = layout(prog.items, image.text_base)

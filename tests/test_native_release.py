@@ -1,10 +1,12 @@
 """Native releases: the per-(image, key input) half of ``embed_native``.
 
-``embed_native`` keeps the profile, loop analysis and begin-edge
-ranking of each image it embeds into, keyed by the image's content and
-the key input. A warm embed must equal a cold one byte for byte, any
-change to the image's content or the key input must miss, the memo must
-stay within its bound, and it must keep no caller's image alive.
+``embed_native`` keeps the profile, loop analysis, begin-edge ranking
+and lifted text of each image it embeds into, keyed by the image's
+content and the key input. A warm embed must equal a cold one byte for
+byte, also into an image whose text symbols differ, any change to the
+image's content or the key input must miss, no embed may edit the kept
+text, the memo must stay within its bound, and it must keep no
+caller's image alive.
 """
 
 import gc
@@ -16,6 +18,7 @@ import pytest
 
 from repro.lang.codegen_native import compile_source_native
 from repro.native_wm import clear_native_releases, embed_native, prepare_native
+from repro.native.rewriter import lift_text
 from repro.native_wm import embedder
 from repro.workloads.spec import TRAIN_INPUT, spec_native
 
@@ -80,6 +83,15 @@ def _embed(image, pair, inputs=TRAIN_INPUT, **kwargs):
     return embed_native(image, mark, WIDTH, inputs, rng_seed=rng_seed, **kwargs)
 
 
+def _text_facts(text):
+    """A lifted text by value: each item's mnemonic and operands."""
+    items = [
+        item if isinstance(item, tuple) else (item.mnemonic, item.operands)
+        for item in text.items
+    ]
+    return items, text.origins, text.entry_label
+
+
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_warm_embed_equals_cold(kernel, profiles):
     # Each pair is embedded cold, then warm from the release that the
@@ -97,8 +109,61 @@ def test_prepare_native_matches_the_kept_release():
     image = compile_source_native(HOST_SRC)
     _embed(image, PAIRS[0], [50])
     (kept,) = embedder._releases.values()
-    assert prepare_native(image, [50]) == kept
+    prepared = prepare_native(image, [50])
+    assert prepared == kept
+    # The lifted text is left out of ``==``: its instructions compare
+    # by identity.
+    assert _text_facts(prepared.text) == _text_facts(kept.text)
     assert kept.begins and set(kept.begins) == set(kept.jumps)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_embeds_leave_the_kept_text_unedited(kernel):
+    image = spec_native(kernel)
+    # Extras route lockdown candidates through the branch function, so
+    # one embed has extras and the other has the tamper-proofing jumps.
+    assert _embed(image, PAIRS[0], obfuscate_extra=4).obfuscated_calls
+    assert _embed(image, PAIRS[1], tamper_proof=True).tamper_jumps
+    (kept,) = embedder._releases.values()
+    assert _text_facts(kept.text) == _text_facts(lift_text(image))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_kept_text_interns_its_instructions(kernel):
+    # What keeps a release near 1 MB: the text's equal instructions
+    # are one object each.
+    items = prepare_native(spec_native(kernel), TRAIN_INPUT).text.items
+    distinct = {id(item) for item in items if not isinstance(item, tuple)}
+    assert 5 * len(distinct) <= len(items)
+
+
+def _resymbolled(image):
+    """An image with ``image``'s content but other text symbols: each
+    renamed and moved to the next instruction (labelled or not), plus
+    one inside an instruction."""
+    copy = image.copy()
+    starts = [addr for addr, _instr in image.disassemble()]
+    after = dict(zip(starts, starts[1:]))
+    copy.symbols = {
+        f"moved_{name}": after.get(addr, addr) if image.in_text(addr) else addr
+        for name, addr in image.symbols.items()
+    }
+    copy.symbols["inside"] = starts[3] + 1
+    return copy
+
+
+def test_warm_embed_anchors_the_callers_own_symbols(profiles):
+    image = spec_native("mcf")
+    others = [_resymbolled(image), _resymbolled(_resymbolled(image))]
+    _embed(image, PAIRS[0])
+    warm = [_facts(_embed(other, PAIRS[1])) for other in others]
+    assert len(profiles) == 1
+    cold = []
+    for other in others:
+        clear_native_releases()
+        cold.append(_facts(_embed(other, PAIRS[1])))
+    assert warm == cold
+    assert warm[0][4] != warm[1][4]  # the symbol tables differ
 
 
 def test_changed_data_byte_misses(profiles):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.errors import EmbeddingError
 from repro.lang.codegen_native import compile_source_native
 from repro.native import rewriter, run_image
+from repro.native.isa import Imm, Label, NInstruction, Reg, SymMem, ni
 from repro.native_wm import (
     BranchFunctionSpec,
     branch_function_byte_size,
@@ -193,6 +194,49 @@ class TestEmbedNative:
         res = extract_native(emb.image, width, emb.begin, emb.end,
                              KEY_INPUT, tracer="smart")
         assert res.watermark == wm
+
+
+class TestEncode:
+    def test_repeated_objects_encode_like_separate_ones(self, monkeypatch):
+        """``encode`` encodes a fixed instruction object once per call,
+        and a relative transfer or a symbolic one at each address."""
+        shared = [
+            ni("push", Reg("ebp")),
+            ni("mov_ri", Reg("eax"), Imm(7)),
+            ni("call", Imm(0x1000)),        # relative, outside the text
+            ni("jmp", Imm(0x1000)),
+            ni("jmp", Label("top")),
+            ni("mov_ra", Reg("ecx"), SymMem("g", offset=4)),
+            ni("mov_rx", Reg("edx"), SymMem("tab", index="eax")),
+        ]
+        rng = random.Random(3)
+        items = [("label", "top")] + [rng.choice(shared) for _ in range(60)]
+        placed = rewriter.layout(items, 0x08048000)
+        symbols = {**placed.labels, "g": 0x08050000, "tab": 0x08051000}
+        separate = [
+            NInstruction(i.mnemonic, i.operands) if i in shared else i
+            for i in items
+        ]
+        encoded = []
+        encode_instruction = rewriter.encode_instruction
+
+        def counting(instr, address):
+            encoded.append(instr)
+            return encode_instruction(instr, address)
+
+        monkeypatch.setattr(rewriter, "encode_instruction", counting)
+        got = rewriter.encode(items, placed.addresses, symbols)
+        # push and mov_ri are encoded once each, the rest at each item.
+        assert min(items.count(i) for i in shared) > 1
+        assert len(encoded) == 2 + sum(items.count(i) for i in shared[2:])
+        assert got == rewriter.encode(separate, placed.addresses, symbols)
+        # The relative call's bytes differ by address: memoizing it
+        # would have been wrong.
+        calls = [
+            got[a - 0x08048000:a - 0x08048000 + 5]
+            for item, a in zip(items, placed.addresses) if item is shared[2]
+        ]
+        assert len(set(calls)) == len(calls) > 1
 
 
 class TestExtraction:
