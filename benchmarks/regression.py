@@ -4,9 +4,10 @@
 Runs the interpreter micro-benchmarks (fast engine vs the seed
 reference engine, interleaved in the same process), reference-scan vs
 packed window counting over one recognition's trace bits, scalar vs
-batched window decryption over one recognition's windows, a profiled
-vs a plain N32 run of marked bzip2, a plain N32 run vs a native
-extraction of marked bzip2, a cold vs a warm native embed of bzip2,
+batched window decryption over one recognition's windows, a hooked
+vs a plain N32 run of marked bzip2, a hooked vs a plain profiled run
+of marked bzip2, a plain N32 run vs a native extraction of marked
+bzip2, a cold vs a warm native embed of bzip2,
 plus, with ``--figures``, the ``benchmarks/test_*``
 figure reproductions under pytest-benchmark, and writes a
 schema-versioned ``BENCH_<date>.json`` report with per-benchmark
@@ -21,9 +22,9 @@ fresh timing against a committed absolute number would flake
 constantly. Every gated metric is therefore a **ratio measured inside
 one process with the two sides interleaved** — fast-engine throughput
 over reference-engine throughput, scanned over packed window counting
-time, scalar over batched decryption time, profiled over plain N32 run
-time, plain-run over extraction time, cold over warm native embedding
-time — which cancels the
+time, scalar over batched decryption time, hooked over plain N32 run
+and profile time, plain-run over extraction time, cold over warm native
+embedding time — which cancels the
 machine out. Raw seconds and steps/sec are still recorded (they are
 what humans read) but never gated.
 
@@ -43,7 +44,8 @@ from the reference decode, when a warm untraced run's steps or output
 differ from the reference's, when the packed window counts differ
 from the reference scan's, when a batched window decryption differs
 from the scalar cipher's, when a plain N32 run's output or steps differ
-from a profiled run's, when the native extraction misses its mark, or
+from a hooked run's, when a profile differs from a hooked run's profile,
+when the native extraction misses its mark, or
 when a warm native embed's image differs from a cold one's (also
 into an image of equal content whose symbols are renamed).
 """
@@ -82,8 +84,8 @@ from repro.core.bitstring import (  # noqa: E402
 )
 from repro.core.cipher import BlockCipher  # noqa: E402
 from repro.native.image import BinaryImage  # noqa: E402
-from repro.native.machine import run_image  # noqa: E402
-from repro.native.profiler import profile_image  # noqa: E402
+from repro.native.machine import Machine, run_image  # noqa: E402
+from repro.native.profiler import Profile, profile_image  # noqa: E402
 from repro.native_wm import (  # noqa: E402
     clear_native_releases,
     embed_native,
@@ -323,33 +325,75 @@ def _decrypt_batch_pair(repeats: int, results: Dict[str, dict]) -> bool:
     )
 
 
+def _noop_hook(machine: Machine, eip: int, instr: object) -> None:
+    """A ``step_hook`` that observes nothing: its run stays in tier 1."""
+
+
+def _marked_bzip2() -> BinaryImage:
+    return embed_native(
+        spec_native("bzip2"), 0x00000000FFFFFFFF, 64, SPEC_TRAIN_INPUT,
+        rng_seed=15,
+    ).image
+
+
 def _native_run_pair(repeats: int, results: Dict[str, dict]) -> bool:
-    """A profiled vs a plain run of marked bzip2.
+    """A hooked vs a plain run of marked bzip2.
 
-    A profiled run counts every step through its wrapped handlers, so
-    it runs wholly in tier 1; a plain run runs hot straight-line text
-    as generated Python (``repro.native.tier2``). The ratio therefore
-    measures tier 2: about 1.1 before it. Returns whether every plain
-    run's output and steps equalled the profiled run's.
+    A run with a ``step_hook``, even a no-op one, calls it before every
+    step, so it runs wholly in tier 1; a plain run runs hot
+    straight-line text as generated Python (``repro.native.tier2``).
+    The ratio therefore measures tier 2 over tier 1 plus the hook's
+    call: about 5.5. Returns whether every plain run's output and steps
+    equalled the hooked run's.
     """
-    mark, width = 0x00000000FFFFFFFF, 64
-    emb = embed_native(
-        spec_native("bzip2"), mark, width, SPEC_TRAIN_INPUT, rng_seed=15
-    )
+    image = _marked_bzip2()
 
-    def profiled() -> Tuple[List[int], int]:
-        profile = profile_image(emb.image, SPEC_TRAIN_INPUT)
-        return profile.output, profile.total_steps
+    def hooked() -> Tuple[List[int], int]:
+        result = run_image(image, SPEC_TRAIN_INPUT, step_hook=_noop_hook)
+        return result.output, result.steps
 
     def plain() -> Tuple[List[int], int]:
-        result = run_image(emb.image, SPEC_TRAIN_INPUT)
+        result = run_image(image, SPEC_TRAIN_INPUT)
         return result.output, result.steps
 
     return _interleaved_pair(
         "native.run",
-        ("profile", "run"),
-        profiled,
+        ("hooked", "run"),
+        hooked,
         plain,
+        repeats,
+        results,
+        kernel="bzip2",
+    )
+
+
+def _native_profile_pair(repeats: int, results: Dict[str, dict]) -> bool:
+    """A hooked vs a plain profiled run of marked bzip2.
+
+    The hooked run counts every step in tier 1; ``profile_image`` runs
+    hot text in tier 2 and counts per stretch. Returns whether every
+    profile's counts, first steps, steps and output equalled the hooked
+    run's.
+    """
+    image = _marked_bzip2()
+
+    def hooked() -> tuple:
+        profile = Profile()
+        result = Machine(image).run(
+            SPEC_TRAIN_INPUT, _noop_hook, profile=profile
+        )
+        return profile.counts, profile.first_seen, result.steps, result.output
+
+    def profiled() -> tuple:
+        profile = profile_image(image, SPEC_TRAIN_INPUT)
+        return (profile.counts, profile.first_seen, profile.total_steps,
+                profile.output)
+
+    return _interleaved_pair(
+        "native.profile",
+        ("hooked", "profile"),
+        hooked,
+        profiled,
         repeats,
         results,
         kernel="bzip2",
@@ -393,8 +437,10 @@ def _native_release_pair(repeats: int, results: Dict[str, dict]) -> bool:
     without decoding the image, places the chain and lowers. Every
     other warm embed goes into an image of equal content whose symbols
     are renamed, so the warm side must anchor the caller's own symbols.
-    Returns whether every warm image's text, data and symbol addresses
-    were identical to the cold one's.
+    The ratio reads about 7 (it read 11-15 while the cold side's
+    profile ran in tier 1); the gate stays at 1.5. Returns whether
+    every warm image's text, data and symbol addresses were identical
+    to the cold one's.
     """
     image = spec_native("bzip2")
     renamed = image.copy()
@@ -520,6 +566,8 @@ def run_benchmarks(repeats: int, figures: bool) -> dict:
     decrypt_exact = _decrypt_batch_pair(repeats, results)
     print("== native runs ==", flush=True)
     run_exact = _native_run_pair(repeats, results)
+    print("== native profiles ==", flush=True)
+    profile_exact = _native_profile_pair(repeats, results)
     print("== native extraction ==", flush=True)
     extract_exact = _native_extract_pair(repeats, results)
     print("== native releases ==", flush=True)
@@ -542,6 +590,7 @@ def run_benchmarks(repeats: int, figures: bool) -> dict:
             "window_multiset_exact": windows_exact,
             "decrypt_batch_exact": decrypt_exact,
             "native_run_exact": run_exact,
+            "native_profile_exact": profile_exact,
             "native_extract_exact": extract_exact,
             "native_release_exact": release_exact,
             "fault_hooks": fault_hooks,
@@ -577,7 +626,9 @@ def print_report(report: dict) -> None:
     exact = report["checks"]["decrypt_batch_exact"]
     print(f"batched window decryption equals the scalar cipher: {exact}")
     ran = report["checks"]["native_run_exact"]
-    print(f"plain N32 runs match profiled ones: {ran}")
+    print(f"plain N32 runs match hooked ones: {ran}")
+    profiled = report["checks"]["native_profile_exact"]
+    print(f"N32 profiles match hooked runs' profiles: {profiled}")
     extracted = report["checks"]["native_extract_exact"]
     print(f"native extraction recovers marked bzip2's mark: {extracted}")
     release = report["checks"]["native_release_exact"]
@@ -617,7 +668,9 @@ def compare_to_baseline(
             "batched window decryption differs from the scalar cipher"
         )
     if not report["checks"]["native_run_exact"]:
-        failures.append("a plain N32 run differs from a profiled one")
+        failures.append("a plain N32 run differs from a hooked one")
+    if not report["checks"]["native_profile_exact"]:
+        failures.append("an N32 profile differs from a hooked run's")
     if not report["checks"]["native_extract_exact"]:
         failures.append("native extraction missed marked bzip2's mark")
     if not report["checks"]["native_release_exact"]:

@@ -33,10 +33,13 @@ the rest of the program still runs in tier 2. A ``step_hook``
 callback, which observes every instruction with full machine state
 before it executes, wraps each handler as it is bound, outside any
 :class:`CallRecord` wrapper; it is for tests and debugging, and no
-library code uses it. A profiled run wraps each handler, outermost, in
-a counter of its executions. A hooked or profiled run sees every
-instruction, so it runs wholly in tier 1; a run with a no-op hook is
-tier 2's oracle. Each instrument composes with the others, and a run
+library code uses it. A hooked run sees every instruction, so it runs
+wholly in tier 1; a run with a no-op hook is tier 2's oracle. A
+profiled run wraps each tier-1 handler, outermost, in a counter of its
+executions, and runs hot text in tier 2 like a plain run, counting
+once per run of a stretch (:class:`_Tally`); when the run ends, however
+it ends, the stretch counts are merged into the profile, which equals
+a hooked run's. Each instrument composes with the others, and a run
 without one pays nothing for it.
 
 Time is measured in executed instructions (see DESIGN.md).
@@ -47,7 +50,7 @@ from __future__ import annotations
 import operator
 import struct
 from typing import (
-    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union,
 )
 
 from . import tier2
@@ -225,14 +228,17 @@ class Machine:
     # stale. The table is local to the run: handlers refer to the
     # machine, so a table kept on it would form a cycle that only the
     # garbage collector frees, and one kept per image would live as
-    # long as the image does.
+    # long as the image does. A profiled run keeps its stretches out of
+    # the table, so that each run of one passes through its tally.
 
     def _loop(self) -> None:
         table: Dict[int, tuple] = {}
         tier1: Dict[int, Tuple[Handler, int]] = {}
-        stretches = None
-        if self._step_hook is None and self._profile is None:
+        stretches = tally = None
+        if self._step_hook is None:
             stretches = tier2.Stretches(self.image, self._calls)
+            if self._profile is not None:
+                tally = _Tally(stretches)
         regs, fl, data, stack = self.regs, self._fl, self._data, self._stack
         dbase = self._data_base
         dend = dbase + self._data_last
@@ -244,9 +250,14 @@ class Machine:
                 entry = table.get(eip)
                 if entry is None:
                     self.eip = eip
-                    found = stretches.arrive(eip) if stretches else False
+                    if tally is not None:
+                        found = tally.arrive(eip, steps)
+                    else:
+                        found = stretches.arrive(eip) if stretches else False
                     if found:
-                        entry = table[eip] = found
+                        entry = found
+                        if tally is None:
+                            table[eip] = found
                     else:
                         entry = tier1.get(eip) or tier1.setdefault(
                             eip, self._bind(eip)
@@ -263,8 +274,13 @@ class Machine:
                             steps += n
                             continue
                         except tier2.Bail as bail:
-                            k, eip = bail.args
+                            k, at = bail.args
+                            if tally is not None:
+                                tally.bailed(eip, k)
+                            eip = at
                             steps += k
+                    elif tally is not None:
+                        tally.bailed(eip, 0)
                     # The step stays in tier 1: it faults, or its
                     # stretch could cross the budget.
                     self.eip = eip
@@ -280,6 +296,8 @@ class Machine:
             self.eip = eip
         finally:
             self.steps = steps
+            if tally is not None:
+                tally.merge(*self._profile)
 
     def _bind(self, eip: int) -> Tuple[Handler, int]:
         """Decode the instruction at ``eip`` into its tier-1 entry."""
@@ -333,6 +351,58 @@ def _counted(
             counts[eip] = 1
         return handler()
     return h
+
+
+class _Tally:
+    """A profiled run's executions in tier 2, counted per stretch.
+
+    A profiled run keeps its stretches out of the loop's table, so the
+    loop arrives here each time it begins one, and tells :meth:`bailed`
+    when one stops short (a bail, or the budget). Where a stretch stops,
+    tier 1 runs its next instruction at the next step and the run goes
+    on through the rest in order, unless it ends first. So the steps
+    before a stretch's first arrival date the first run of each of its
+    instructions that ever runs. When the run ends, :meth:`merge` adds
+    these counts to the tier-1 ones.
+    """
+
+    def __init__(self, stretches: tier2.Stretches):
+        self._stretches = stretches
+        #: stretch address -> [entry, runs begun, steps before the
+        #: first, {k: runs that stopped after k instructions}]
+        self._runs: Dict[int, list] = {}
+
+    def arrive(self, eip: int, steps: int) -> Union[tier2.Entry, bool, None]:
+        """:meth:`tier2.Stretches.arrive`, counting the run it begins."""
+        run = self._runs.get(eip)
+        if run is None:
+            found = self._stretches.arrive(eip)
+            if not found:
+                return found
+            run = self._runs[eip] = [found, 0, steps, {}]
+        run[1] += 1
+        return run[0]
+
+    def bailed(self, eip: int, k: int) -> None:
+        """The stretch at ``eip`` ran only its first ``k``
+        instructions."""
+        stops = self._runs[eip][3]
+        stops[k] = stops.get(k, 0) + 1
+
+    def merge(
+        self, counts: Dict[int, int], first_seen: Dict[int, int], start: int
+    ) -> None:
+        """Add each instruction's runs to ``counts`` and keep the
+        earlier of its first step here and in ``first_seen``."""
+        for eip, (entry, begun, first, stops) in self._runs.items():
+            for i, off in enumerate(entry[2]):
+                runs = begun - sum(n for k, n in stops.items() if k <= i)
+                if runs:
+                    addr = eip + off
+                    counts[addr] = counts.get(addr, 0) + runs
+                    seen = first + i - start
+                    if first_seen.get(addr, seen) >= seen:
+                        first_seen[addr] = seen
 
 
 # -- handler builders ---------------------------------------------------

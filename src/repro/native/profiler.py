@@ -42,8 +42,8 @@ def profile_image(
     inputs: Sequence[int] = (),
     max_steps: Optional[int] = None,
 ) -> Profile:
-    """Run the binary on training inputs, collecting the profile in the
-    machine's handler table."""
+    """Run the binary on training inputs, collecting the profile as it
+    runs: per tier-1 step and per run of a tier-2 stretch."""
     profile = Profile()
     machine = Machine(image) if max_steps is None else Machine(image, max_steps)
     result = machine.run(inputs, profile=profile)

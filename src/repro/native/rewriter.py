@@ -216,10 +216,17 @@ class TextLayout:
     end: int
 
 
+#: Encoded length of each mnemonic.
+_LENGTHS: Dict[str, int] = {
+    m: length for m, (_sig, length) in INSTRUCTION_FORMS.items()
+}
+
+
 def layout(items: Sequence[TextItem], base: int) -> TextLayout:
     """Lay the items out from ``base``, in order."""
     labels: Dict[str, int] = {}
     addresses: List[int] = []
+    lengths = _LENGTHS
     addr = base
     for item in items:
         addresses.append(addr)
@@ -231,7 +238,7 @@ def layout(items: Sequence[TextItem], base: int) -> TextLayout:
                 raise RewriteError(f"duplicate label {name!r}")
             labels[name] = addr
         else:
-            addr += item.length
+            addr += lengths[item.mnemonic]
     return TextLayout(addresses, labels, addr)
 
 

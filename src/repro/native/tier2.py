@@ -45,7 +45,10 @@ Python function for the whole stretch instead.
   it, which then only count arrivals by a jump into the middle. A
   stretch found at the same address by an earlier run in the same
   mode runs in tier 2 from its first arrival; one cached from another
-  address is found, not generated, when it turns hot.
+  address is found, not generated, when it turns hot. Plain and
+  profiled runs share one mode, so a profile finds what plain runs
+  generated, and the reverse; only a hooked run, which sees every
+  instruction, promotes nothing.
 """
 
 from __future__ import annotations
@@ -85,8 +88,9 @@ _TRANSFERS = frozenset({
     "je", "jne", "jl", "jle", "jg", "jge",
 })
 
-#: A stretch as the run loop holds it: (function, steps).
-Entry = Tuple[Callable[..., int], int]
+#: A stretch as the run loop holds it: (function, steps, the offset of
+#: each instruction from the stretch's address).
+Entry = Tuple[Callable[..., int], int, Tuple[int, ...]]
 #: Is this instruction instrumented? (instruction, eip, fall-through)
 Watched = Callable[[NInstruction, int, int], bool]
 
@@ -146,17 +150,17 @@ class Stretches:
         found = _scan(self._image, eip, self._watched)
         if found is None:
             return False
-        code, inside = found
-        for addr in inside:
-            hits.pop(addr, None)
-        return _promote(self._mode, eip, code, len(inside) + 1)
+        code, offsets = found
+        for off in offsets[1:]:
+            hits.pop(eip + off, None)
+        return _promote(self._mode, eip, code, offsets)
 
 
 def _scan(
     image: BinaryImage, start: int, watched: Optional[Watched]
-) -> Optional[Tuple[bytes, List[int]]]:
-    """The stretch at ``start``: its bytes and the addresses of its
-    instructions after the first, or ``None`` if it would hold fewer
+) -> Optional[Tuple[bytes, Tuple[int, ...]]]:
+    """The stretch at ``start``: its bytes and the offset of each of its
+    instructions from ``start``, or ``None`` if it would hold fewer
     than two."""
     addrs: List[int] = []
     addr = start
@@ -179,7 +183,8 @@ def _scan(
     if len(addrs) < 2:
         return None
     base = image.text_base
-    return image.text[start - base:addr - base], addrs[1:]
+    return (image.text[start - base:addr - base],
+            tuple(a - start for a in addrs))
 
 
 def _find(mode: tuple, eip: int, text: bytes, off: int) -> Optional[Entry]:
@@ -199,14 +204,16 @@ def _find(mode: tuple, eip: int, text: bytes, off: int) -> Optional[Entry]:
     return None
 
 
-def _promote(mode: tuple, eip: int, code: bytes, steps: int) -> Entry:
+def _promote(
+    mode: tuple, eip: int, code: bytes, offsets: Tuple[int, ...]
+) -> Entry:
     """The cached entry of stretch ``code`` at ``eip``, generated if
     need be, and indexed under ``mode``."""
     global _generated
     with _lock:
         entry = _cache.get(code)
     if entry is None:
-        entry = (_compile(code), steps)
+        entry = (_compile(code), len(offsets), offsets)
     with _lock:
         if code not in _cache:
             _generated += 1

@@ -4,7 +4,9 @@ A run with a ``step_hook`` wraps every handler, so it runs wholly in
 tier 1: a no-op hook makes it the oracle. Every case here compares a
 plain run with that oracle, twice: with a cold stretch cache, then
 warm. Compared: output, steps, eip, registers, flags, data and stack
-bytes, and the fault's reason and address.
+bytes, and the fault's reason and address. A profiled run counts its
+stretches' runs per stretch; its profile is compared with a hooked
+profiled run's: counts, first steps, steps, output and fault.
 
 The SPEC kernels run with the default promotion threshold; the
 instruction forms and the fault positions, whose programs run once,
@@ -26,6 +28,7 @@ from repro.native import (
     Machine,
     MachineFault,
     Mem,
+    Profile,
     Reg,
     SymMem,
     TEXT_BASE,
@@ -86,6 +89,31 @@ def _cold_then_warm(image, inputs=(), max_steps=DEFAULT_MAX_STEPS):
     return want
 
 
+def _profiled(image, inputs=(), max_steps=DEFAULT_MAX_STEPS, hook=False,
+              calls=None):
+    """A profiled run's profile, and its fault, run plainly or with a
+    no-op hook (tier 1 only)."""
+    profile = Profile()
+    machine = Machine(image, max_steps)
+    try:
+        machine.run(inputs, _noop if hook else None, calls=calls,
+                    profile=profile)
+        fault = None
+    except MachineFault as exc:
+        fault = (exc.reason, exc.eip)
+    return (profile.counts, profile.first_seen, machine.steps,
+            list(machine.output), fault)
+
+
+def _profiles_cold_then_warm(image, inputs=(), max_steps=DEFAULT_MAX_STEPS):
+    """The hooked profile, asserting both tier-2 profiles equal it."""
+    want = _profiled(image, inputs, max_steps, hook=True)
+    tier2.clear_cache()
+    for cache in ("cold", "warm"):
+        assert _profiled(image, inputs, max_steps) == want, cache
+    return want
+
+
 @pytest.fixture
 def eager(monkeypatch):
     """Generate every stretch on its first arrival."""
@@ -104,15 +132,36 @@ def test_kernel_runs_equal_tier1(name, which):
     assert tier2.generated() > before  # tier 2 ran
 
 
-def test_instrumented_runs_stay_in_tier1(eager):
-    """A hooked or profiled run generates nothing; a plain one does."""
+@pytest.mark.parametrize("name", _tier(SPEC_PROGRAMS, FAST_KERNELS))
+@pytest.mark.parametrize("which", ["train", "ref"])
+def test_kernel_profiles_equal_hooked_profiles(name, which):
+    inputs = TRAIN_INPUT if which == "train" else REF_INPUT
+    image = _image(name)
+    want = _profiled(image, inputs, hook=True)
+    assert want[-1] is None
+    tier2.clear_cache()
+    before = tier2.generated()
+    for cache in ("cold", "warm"):
+        profile = profile_image(image, inputs)
+        assert (profile.counts, profile.first_seen, profile.total_steps,
+                profile.output, None) == want, cache
+    assert tier2.generated() > before  # tier 2 ran
+
+
+def test_only_hooked_runs_stay_in_tier1(eager):
+    """A hooked run generates nothing; a profiled one does, and after a
+    plain run finds every stretch it runs cached."""
     image = _image("mcf")
     tier2.clear_cache()
     Machine(image).run(TRAIN_INPUT, _noop)
-    profile_image(image, TRAIN_INPUT)
     assert tier2.cache_size() == 0
-    run_image(image, TRAIN_INPUT)
+    profile_image(image, TRAIN_INPUT)
     assert tier2.cache_size() > 0
+    tier2.clear_cache()
+    run_image(image, TRAIN_INPUT)
+    before = tier2.generated()
+    profile_image(image, TRAIN_INPUT)
+    assert tier2.generated() == before
 
 
 _JUMPS = ("je", "jne", "jl", "jle", "jg", "jge")
@@ -262,6 +311,42 @@ def test_every_budget_of_a_loop():
             assert (got.events, got.began) == (oracle.events, oracle.began)
 
 
+#: A loop whose load reads text on every other turn: the stretch at
+#: ``again`` bails after one instruction on its first run and runs
+#: whole on its second, and the one at ``rest`` lies inside it.
+BAIL_SRC = """
+.entry main
+.word cell 7
+main:
+    mov ecx, 9
+    mov ebx, main
+    mov esi, cell
+    jmp again
+again:
+    add edi, 1
+    mov eax, [ebx]
+rest:
+    add edx, eax
+    xchg ebx, esi
+    sub ecx, 1
+    jg again
+    mov eax, edx
+    sys_out
+    halt
+"""
+
+
+@pytest.mark.parametrize("src", ["loop", "bail"])
+def test_every_budget_of_a_profiled_loop(eager, src):
+    """A stretch's runs, whole or cut short by a bail, count in the
+    profile as the hooked run's steps do, wherever the budget cuts."""
+    image = assemble_text(LOOP_SRC if src == "loop" else BAIL_SRC)
+    whole = run_image(image)
+    for budget in range(1, whole.steps + 2):
+        want = _profiles_cold_then_warm(image, max_steps=budget)
+        assert (want[-1] is None) == (budget >= whole.steps), budget
+
+
 #: A stretch of six instructions; a faulting one goes at each position.
 _FILLER = [
     ni("mov_ri", Reg("edx"), Imm(3)),
@@ -295,6 +380,18 @@ def test_a_fault_at_each_position_of_a_stretch(eager, kind):
         else:
             assert want[-1][0].startswith(reason)
             assert want[1] == position + 1  # steps name the fault
+
+
+@pytest.mark.parametrize("kind", sorted(_FAULTS))
+def test_a_profiled_fault_at_each_position_of_a_stretch(eager, kind):
+    """The instructions before a bail count once, in tier 2, and the
+    one it leaves to tier 1 once there: every step that began."""
+    instr = _FAULTS[kind][0]
+    for position in range(len(_FILLER) + 1):
+        body = _FILLER[:position] + [instr] + _FILLER[position:]
+        image = build_image([("label", "main"), *body, ni("halt")])
+        counts, _first, steps, _out, _fault = _profiles_cold_then_warm(image)
+        assert sum(counts.values()) == steps
 
 
 @pytest.mark.parametrize("shift", [-3, -2, -1, 1, 2, 3])
@@ -350,6 +447,24 @@ def test_a_watched_entry_inside_a_stretch():
         assert (got.events, got.began) == (oracle.events, oracle.began)
         assert len(got.events) == 20
     assert tier2.generated() > before  # the rest of the loop fused
+
+
+@pytest.mark.parametrize("src", ["loop", "entry"])
+def test_a_recorded_profile_equals_the_hooked_one(eager, src):
+    """A profiled run with a :class:`CallRecord` runs the text the
+    record does not watch in tier 2; its profile and its record equal a
+    hooked run's."""
+    image = assemble_text(LOOP_SRC if src == "loop" else ENTRY_SRC)
+    entry = image.symbol("visit") if src == "entry" else None
+    tier2.clear_cache()
+    before = tier2.generated()
+    for cache in ("cold", "warm"):
+        oracle, got = CallRecord(entry), CallRecord(entry)
+        assert _profiled(image, hook=True, calls=oracle) == (
+            _profiled(image, calls=got)
+        ), cache
+        assert (got.events, got.began) == (oracle.events, oracle.began)
+    assert tier2.generated() > before
 
 
 # -- resources -------------------------------------------------------------
